@@ -106,16 +106,17 @@ def resolve_frequency(cfg: dict, dim: int) -> Frequency:
         raise ConfigError("config lacks 'frequency'")
     if isinstance(spec, dict) and "preset" in spec:
         name = spec["preset"]
-        if name == "golden":
-            return presets.golden_frequency()
-        if name == "sqrt":
-            return presets.sqrt_frequency()
-        raise ConfigError(f"unknown frequency preset '{name}'")
-    try:
-        freq = Frequency.checked(spec["coords"], p=spec["p"], q=spec["q"],
-                                 k_max=spec.get("k_max", 200))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad frequency spec: {exc}") from exc
+        factory = {"golden": presets.golden_frequency,
+                   "sqrt": presets.sqrt_frequency}.get(name)
+        if factory is None:
+            raise ConfigError(f"unknown frequency preset '{name}'")
+        freq = factory()
+    else:
+        try:
+            freq = Frequency.checked(spec["coords"], p=spec["p"], q=spec["q"],
+                                     k_max=spec.get("k_max", 200))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad frequency spec: {exc}") from exc
     if freq.dim != dim:
         raise ConfigError(f"frequency dim {freq.dim} != sampling dim {dim}")
     return freq
@@ -309,9 +310,9 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
             tau=float(sched_cfg.get("tau", 0.3)),
             growth=sched_cfg.get("growth"),
             overrides=sched_cfg.get("overrides", {}))
+        probe = schedule.scale(1) + n0 if depth >= 1 else None
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-    probe = schedule.scale(1) + n0 if depth >= 1 else None
     try:
         z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,
                                    scan_grid=int(block.get("scan_grid", 16)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
+from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint, transfer_product
 from .torus import SamplingFunction
 
@@ -76,12 +76,6 @@ def char_det(seq: VerblunskySequence, a: int, b: int, z: complex,
     m = build_finite_cmv(seq, a, b, beta=beta, eta=eta, _allow_natural=True)
     log_abs, phase, singular = _banded_logdet(m.bands, z, m.size)
     return CharDet(a=a, b=b, z=z, log_abs=log_abs, phase=phase, singular=singular)
-
-
-def char_det_of(m: FiniteCMV, z: complex) -> CharDet:
-    """Characteristic determinant of an already-built window."""
-    log_abs, phase, singular = _banded_logdet(m.bands, z, m.size)
-    return CharDet(a=m.a, b=m.b, z=z, log_abs=log_abs, phase=phase, singular=singular)
 
 
 def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,

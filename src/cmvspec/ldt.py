@@ -15,7 +15,7 @@ import numpy as np
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint, lyapunov_finite, transfer_product
 from .determinants import log_normalized_phi
-from .spectral import eigenphases
+from .spectral import spectral_distance
 from .torus import Phase, SamplingFunction
 from .util import WilsonInterval, counter_rng
 
@@ -44,7 +44,11 @@ class LdtScan:
 
 def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
           samples: int, seed: int, statistic, label: str) -> LdtScan:
-    """Shared driver: fraction of phases with |stat(x) - n L_n| > n^{1-tau}."""
+    """Shared scan: fraction of phases with |stat(x) - n L_n| > n^{1-tau}.
+
+    ``statistic(x, n, product)`` receives the transfer product M_n(x) already
+    computed here for u_n, so it need not compute it again.
+    """
     d = f.dim
     n_list = sorted(set(int(n) for n in n_list))
     estimates = []
@@ -55,8 +59,9 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
         stats = np.empty(samples)
         for s in range(samples):
             x = Phase(tuple(counter_rng(seed, n, s).random(d)))
-            u_vals[s] = transfer_product(f, omega, z, x, n).u_n
-            stats[s] = statistic(x, n)
+            product = transfer_product(f, omega, z, x, n)
+            u_vals[s] = product.u_n
+            stats[s] = statistic(x, n, product)
         ln = float(u_vals.mean())
         l_values[n] = ln
         if ln <= 1e-9:
@@ -75,8 +80,8 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
 def ldt_measure_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
                      tau: float, samples: int, seed: int) -> LdtScan:
     """Deviation-set estimates for log ||M_n(x)|| around n L_n."""
-    def stat(x: Phase, n: int) -> float:
-        return transfer_product(f, omega, z, x, n).log_norm2
+    def stat(x: Phase, n: int, product) -> float:
+        return product.log_norm2
     return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log||M_n||")
 
 
@@ -88,7 +93,7 @@ def ldt_determinant_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
 
     Exact eigenvalue hits give log|phi| = -inf and count as deviations.
     """
-    def stat(x: Phase, n: int) -> float:
+    def stat(x: Phase, n: int, product) -> float:
         seq = VerblunskySequence(f, omega, x)
         val = log_normalized_phi(seq, 0, n - 1, z.z, beta=beta, eta=eta)
         return val if np.isfinite(val) else -np.inf
@@ -120,9 +125,8 @@ def spectral_form_predicate(seq: VerblunskySequence, n: int, z: SpectralPoint,
     spectral distance.  l_n is supplied by the caller (one Monte-Carlo
     estimate serves a whole corpus at fixed (omega, z)).
     """
-    m = build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta)
-    w = eigenphases(m)
-    dist = float(np.min(np.abs(w - z.z)))
+    dist = spectral_distance(build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta),
+                             z.z)
     bound = float(c * np.exp(float(n) ** (nu / 2.0)))
     resolvent_ok = bool(dist > 0 and 1.0 / dist <= bound)
     log_phi = log_normalized_phi(seq, 0, n - 1, z.z, beta=beta, eta=eta)
@@ -186,8 +190,8 @@ def covering_form_check(seq: VerblunskySequence, n: int, z: SpectralPoint,
         max_len_term = max(max_len_term, float(length) ** (1.0 - tau / 4.0))
 
     required = float(np.exp(-2.0 * max_len_term)) if max_len_term > 0 else 1.0
-    w = eigenphases(build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta))
-    dist = float(np.min(np.abs(w - z.z)))
+    dist = spectral_distance(build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta),
+                             z.z)
     return CoveringFormResult(precondition_failures=failures, dist=dist,
                               required=required,
                               conclusion_ok=bool(dist >= required),
@@ -232,8 +236,8 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         if edge < (b - a + 1) / 100.0:
             failures.append((m, f"dist to boundary {edge} < |J|/100"))
         seq0 = VerblunskySequence(f, omega, x0)
-        w = eigenphases(build_finite_cmv(seq0, a, b, beta=beta, eta=eta))
-        d = min(float(np.min(np.abs(w - t))) for t in targets)
+        m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
+        d = min(spectral_distance(m_win, t) for t in targets)
         if d < thr:
             failures.append((m, f"window spectrum {d:.3e} closer than exp(-K)={thr:.3e}"))
 
@@ -254,8 +258,8 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         if s == 0:
             delta = np.zeros(d_dim)
         seq_x = VerblunskySequence(f, omega, x0.shift(delta))
-        w = eigenphases(build_finite_cmv(seq_x, lo, hi, beta=beta, eta=eta))
-        d = min(float(np.min(np.abs(w - t))) for t in targets)
+        m_union = build_finite_cmv(seq_x, lo, hi, beta=beta, eta=eta)
+        d = min(spectral_distance(m_union, t) for t in targets)
         dists.append(d)
         if d < 0.5 * thr:
             ok = False

@@ -16,7 +16,8 @@ import numpy as np
 
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import eigenphases, eigensolve, nearest_eigen
+from .spectral import (eigensolve, nearest_eigen, nearest_eigenpair,
+                       spectral_distance)
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -137,6 +138,23 @@ class Check:
         return f"[{flag}] {self.name}: measured {self.measured:.4g} vs {self.required:.4g}"
 
 
+def _nearest_value(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
+                   x: Phase, z: complex, beta, eta) -> complex:
+    """Eigenvalue nearest z of the window E^{beta,eta} on [a, b] at phase x."""
+    seq = VerblunskySequence(f, om, x)
+    m = build_finite_cmv(seq, window[0], window[1], beta=beta, eta=eta)
+    return nearest_eigenpair(m, z)[0]
+
+
+def _phase_defect(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
+                  coords: np.ndarray, theta0: float, beta, eta):
+    """(wrapped phase of the eigenvalue nearest e^{i theta0}, minus theta0;
+    its distance to e^{i theta0}) at the phase coords."""
+    z = np.exp(1j * theta0)
+    lam = _nearest_value(f, om, window, reduce_phase(coords), z, beta, eta)
+    return wrap_angle(phase_of(lam) - theta0), float(abs(lam - z))
+
+
 def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                  z: complex, x_init: np.ndarray, beta: complex, eta: complex,
                  span: float = 0.5, coarse: int = 33, iters: int = 60,
@@ -151,26 +169,22 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     (None, best_dist); an ``accept`` callback can reject a converged root
     (e.g. an edge-localized state), sending the march onward.
     """
-    a, b = window
     theta = phase_of(z)
-
-    def spectrum(t: float) -> np.ndarray:
-        coords = x_init.copy()
-        coords[-1] = t % 1.0
-        seq = VerblunskySequence(f, om, Phase(tuple(coords % 1.0)))
-        return eigenphases(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
 
     def coords_at(t: float) -> np.ndarray:
         coords = x_init.copy()
         coords[-1] = t % 1.0
         return coords % 1.0
 
+    def nearest(t: float, ref: complex) -> complex:
+        return _nearest_value(f, om, window, Phase(tuple(coords_at(t))), ref,
+                              beta, eta)
+
     def accepted(t: float) -> bool:
         return accept is None or accept(Phase(tuple(coords_at(t))))
 
     t0 = x_init[-1]
-    w0 = spectrum(t0)
-    lam0 = w0[int(np.argmin(np.abs(w0 - z)))]
+    lam0 = nearest(t0, z)
     best_d, best_t = float(abs(lam0 - z)), t0
     if best_d < tol and accepted(t0):
         return Phase(tuple(coords_at(t0))), best_d
@@ -179,9 +193,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         g_lo = wrap_angle(phase_of(lam_lo) - theta)
         for _ in range(iters):
             mid = 0.5 * (t_lo + t_hi)
-            w = spectrum(mid)
-            ref = 0.5 * (lam_lo + lam_hi)
-            lam = w[int(np.argmin(np.abs(w - ref)))]
+            lam = nearest(mid, 0.5 * (lam_lo + lam_hi))
             g = wrap_angle(phase_of(lam) - theta)
             if abs(lam - z) < tol:
                 return mid, float(abs(lam - z))
@@ -189,8 +201,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                 t_lo, lam_lo, g_lo = mid, lam, g
             else:
                 t_hi, lam_hi = mid, lam
-        w = spectrum(0.5 * (t_lo + t_hi))
-        lam = w[int(np.argmin(np.abs(w - 0.5 * (lam_lo + lam_hi))))]
+        lam = nearest(0.5 * (t_lo + t_hi), 0.5 * (lam_lo + lam_hi))
         return 0.5 * (t_lo + t_hi), float(abs(lam - z))
 
     step = span / max(coarse - 1, 1)
@@ -199,8 +210,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         g = wrap_angle(phase_of(lam) - theta)
         for _ in range(coarse):
             t_next = t + dirn * step
-            w = spectrum(t_next)
-            lam_next = w[int(np.argmin(np.abs(w - lam)))]
+            lam_next = nearest(t_next, lam)
             g_next = wrap_angle(phase_of(lam_next) - theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
@@ -339,11 +349,9 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         gs = []
         for off in offsets:
             xx = (np.array(xv) + off) % 1.0
-            seq = VerblunskySequence(f, om, Phase(tuple(xx)))
-            w = eigenphases(build_finite_cmv(seq, -probe_halfwidth,
-                                             probe_halfwidth, beta=beta, eta=eta))
-            k = int(np.argmin(np.abs(w - value)))
-            gs.append(wrap_angle(phase_of(w[k]) - theta_c))
+            lam = _nearest_value(f, om, (-probe_halfwidth, probe_halfwidth),
+                                 Phase(tuple(xx)), value, beta, eta)
+            gs.append(wrap_angle(phase_of(lam) - theta_c))
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
     raise RuntimeError(
@@ -488,15 +496,10 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     defect by the Gauss-Newton minimal-norm increment, with a trust-region
     cap.  Returns (Phase, dist) or (None, best dist).
     """
-    z = np.exp(1j * theta0)
     d = len(x_init)
 
     def defect(coords: np.ndarray):
-        seq = VerblunskySequence(f, om, reduce_phase(coords))
-        w = eigenphases(build_finite_cmv(seq, window[0], window[1],
-                                         beta=beta, eta=eta))
-        i = int(np.argmin(np.abs(w - z)))
-        return wrap_angle(phase_of(w[i]) - theta0), float(np.abs(w[i] - z))
+        return _phase_defect(f, om, window, coords, theta0, beta, eta)
 
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
@@ -537,14 +540,8 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     with the minimal-norm Gauss-Newton step.  Used when the one-dimensional
     curve structure of the asymptotic argument is absent at desk scale.
     """
-    z = np.exp(1j * theta0)
-
     def defect(coords: np.ndarray):
-        seq = VerblunskySequence(f, om, reduce_phase(coords))
-        w = eigenphases(build_finite_cmv(seq, window[0], window[1],
-                                         beta=beta, eta=eta))
-        i = int(np.argmin(np.abs(w - z)))
-        return wrap_angle(phase_of(w[i]) - theta0), float(np.abs(w[i] - z))
+        return _phase_defect(f, om, window, coords, theta0, beta, eta)
 
     d = len(x_init)
     offs = np.linspace(-radius, radius, grid_n)
@@ -602,10 +599,7 @@ def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
         x, _ = parent.solve_map(phi, eta_angle)
         if x is None:
             return None, None
-        seq = VerblunskySequence(f, om, x)
-        w = eigenphases(build_finite_cmv(seq, big[0], big[1], beta=beta, eta=eta))
-        lam = w[int(np.argmin(np.abs(w - np.exp(1j * eta_angle))))]
-        return x, lam
+        return x, _nearest_value(f, om, big, x, np.exp(1j * eta_angle), beta, eta)
 
     def curve_attempt(phi: tuple, theta: float, iters: int = 60,
                       tol: float = 1e-12):
@@ -807,9 +801,8 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
         seq = VerblunskySequence(f, om, shifted)
         bad = True
         for n1, n2 in tweaks:
-            w = eigenphases(build_finite_cmv(seq, -ns + n1, ns + n2,
-                                             beta=beta, eta=eta))
-            if float(np.min(np.abs(w - zz))) >= c_thr:
+            m = build_finite_cmv(seq, -ns + n1, ns + n2, beta=beta, eta=eta)
+            if spectral_distance(m, zz) >= c_thr:
                 bad = False
                 break
         hits += int(bad)
@@ -878,9 +871,7 @@ def _eigen_gradient(f, om, win, z, x: Phase, beta, eta, step: float):
     d = len(x.coords)
 
     def tracked(coords):
-        seq = VerblunskySequence(f, om, reduce_phase(coords))
-        w = eigenphases(build_finite_cmv(seq, win[0], win[1], beta=beta, eta=eta))
-        return w[int(np.argmin(np.abs(w - z)))]
+        return _nearest_value(f, om, win, reduce_phase(coords), z, beta, eta)
 
     base = np.array(x.coords)
     grad = np.zeros(d, dtype=complex)
@@ -972,9 +963,8 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
             hyp.append(Check(f"J_{m} boundary distance", need, edge, False))
         if (b - a + 1) > 10 * n0:
             hyp.append(Check(f"J_{m} length <= 10 N0", 10 * n0, b - a + 1, False))
-        seq = make_seq(x0)
-        w = eigenphases(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
-        dist = float(np.min(np.abs(w - z0.z)))
+        dist = spectral_distance(build_finite_cmv(make_seq(x0), a, b, beta=beta,
+                                                  eta=eta), z0.z)
         hyp.append(Check(f"J_{m} spectral margin", good, dist, dist >= good))
 
     seq0 = make_seq(x0)
@@ -1095,8 +1085,8 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
         found = False
         for n1_, n2_ in tweaks:
             a, b = m - n0 + n1_, m + n0 + n2_
-            w = eigenphases(build_finite_cmv(seq0, a, b, beta=beta, eta=eta))
-            if float(np.min(np.abs(w - z1.z))) >= good:
+            m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
+            if spectral_distance(m_win, z1.z) >= good:
                 subwindows[m] = (a, b)
                 found = True
                 break

@@ -4,7 +4,9 @@ The pentadiagonal windows are normal matrices, so a complex Schur
 factorization delivers an orthonormal eigenbasis directly (the triangular
 factor is numerically diagonal).  Eigenvalues are projected onto the circle
 and pairs are ordered by phase; eigenvector gauge fixes the first
-largest-magnitude entry to be real positive.
+largest-magnitude entry to be real positive.  Queries for the single
+eigenvalue nearest a point use a banded Hermitian companion of the window
+(``nearest_eigenpair``) and need no dense solve.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import eigvals_banded, schur, solve_banded
 
-from .cmv import FiniteCMV
+from .cmv import FiniteCMV, apply_cmv
 from .util import phase_of
 
 DEFAULT_MAX_DIM = 4096
+_GAP_TOL = 1e-9     # top-two gap of H below which nearest_eigenpair goes dense
+_RES_TOL = 1e-9     # residual above which nearest_eigenpair goes dense
 
 
 @dataclass
@@ -86,6 +90,73 @@ def eigenphases(m, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     w = np.linalg.eigvals(A)
     w = w / np.abs(w)
     return w[np.argsort(np.angle(w) % (2 * np.pi), kind="stable")]
+
+
+def _banded_nearest(m: FiniteCMV, z: complex):
+    """(value, gauged vector, residual) from H = (conj(u) E + u E*) / 2, or
+    None when the top two eigenvalues of H nearly coincide or the residual is
+    not small."""
+    n = m.size
+    u = z / abs(z)
+    ab = np.zeros((5, n), dtype=complex)      # H in solve_banded layout (2, 2)
+    for off in range(3):
+        d = 0.5 * (np.conj(u) * m.bands[2 + off][:n - off]
+                   + u * np.conj(m.bands[2 - off][off:]))
+        ab[2 - off, off:] = d
+        ab[2 + off, :n - off] = np.conj(d)
+    top = eigvals_banded(ab[:3], select="i", select_range=(n - 2, n - 1),
+                         check_finite=False)
+    if top[1] - top[0] <= _GAP_TOL:
+        return None
+    ab[2] -= top[1]
+    v = np.random.default_rng(1234).standard_normal(n)
+    try:
+        for _ in range(2):
+            v = solve_banded((2, 2), ab, v, check_finite=False)
+            v /= np.linalg.norm(v)
+    except np.linalg.LinAlgError:       # exactly singular shift
+        return None
+    ev = apply_cmv(m, v)
+    lam = complex(np.vdot(v, ev))
+    lam /= abs(lam)
+    res = float(np.linalg.norm(ev - lam * v))
+    if not res <= _RES_TOL:
+        return None
+    return lam, _gauge(v), res
+
+
+def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | None, float]:
+    """Eigenvalue of a unitary window nearest z, with its vector and residual.
+
+    Works on the Hermitian pentadiagonal H = (conj(u) E + u E*) / 2 with
+    u = z/|z|: E is normal, so H shares its eigenvectors and has eigenvalues
+    cos(theta_k - arg z), and the top one belongs to the eigenvalue of E
+    nearest z (for any z != 0, on or inside the circle).  The top two
+    eigenvalues of H come from a banded solver, the vector from two steps of
+    inverse iteration at the top one, and the eigenvalue from the Rayleigh
+    quotient of E, projected to the circle; sqrt(2 - 2 lambda_max) alone
+    would be too coarse near z.  Since E is normal,
+    dist(z, spec E) <= |value - z| + residual.
+
+    Falls back to the dense ``eigenphases`` (vector None, residual 0) when
+    the window has fewer than 3 sites or z = 0, when the top two
+    eigenvalues of H are within 1e-9 (two eigenvalues of E about equally far
+    from z; ties then go to the lower phase, as in ``nearest_eigen``), or
+    when the residual exceeds 1e-9.
+    """
+    if m.beta is None or m.eta is None:
+        raise ValueError("nearest_eigenpair needs a unitary window")
+    if m.size >= 3 and z != 0:
+        pair = _banded_nearest(m, z)
+        if pair is not None:
+            return pair
+    w = eigenphases(m)
+    return complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0
+
+
+def spectral_distance(m: FiniteCMV, z: complex) -> float:
+    """dist(z, spec E) of a unitary window, from ``nearest_eigenpair``."""
+    return float(abs(nearest_eigenpair(m, z)[0] - z))
 
 
 def nearest_eigen(pairs: list[EigenPair], z: complex) -> tuple[EigenPair, float]:

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import counter_rng
-
 
 # --------------------------------------------------------------------------
 # phases
@@ -53,11 +51,6 @@ def reduce_phase(raw, imag=None) -> Phase:
     arr = np.where(arr >= 1.0, 0.0, arr)
     im = None if imag is None else tuple(float(v) for v in np.atleast_1d(imag))
     return Phase(coords=tuple(float(v) for v in arr), imag=im)
-
-
-def random_phase(dim: int, seed: int, counter: int = 0) -> Phase:
-    """Uniform phase drawn from the (seed, counter) stream."""
-    return Phase(tuple(counter_rng(seed, counter).random(dim)))
 
 
 # --------------------------------------------------------------------------

@@ -23,20 +23,9 @@ def wrap_angle(theta: float) -> float:
     return -((-theta + np.pi) % TWO_PI - np.pi)
 
 
-def circle_dist(z: complex, w: complex) -> float:
-    """Chordal distance |z - w|; the notion of distance used on the circle."""
-    return abs(z - w)
-
-
 def phase_of(z: complex) -> float:
     """Argument of z folded into [0, 2*pi)."""
     return float(np.angle(z) % TWO_PI)
-
-
-def arc_contains(theta: float, lo: float, hi: float) -> bool:
-    """Whether angle theta lies on the counterclockwise arc from lo to hi."""
-    span = (hi - lo) % TWO_PI
-    return (theta - lo) % TWO_PI <= span
 
 
 @dataclass(frozen=True)

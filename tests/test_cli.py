@@ -108,6 +108,18 @@ class TestConfigErrors:
         })
         assert run_cli(["ldt", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("freq", ["golden", "sqrt"])
+    def test_preset_frequency_dimension_mismatch(self, tmp_path, freq):
+        sampling = ({"preset": "two_mode"} if freq == "golden"
+                    else {"preset": "constant", "value": 0.5, "dim": 1})
+        cfg = write_cfg(tmp_path, "c.json", {
+            "sampling": sampling,
+            "frequency": {"preset": freq},
+            "lyapunov": {"thetas": [0.5], "scales": [10], "samples": 3},
+        })
+        assert run_cli(["lyapunov", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+
     def test_manifest_command_mismatch(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
             "lyapunov": {"thetas": [0.5], "scales": [10], "samples": 3},
@@ -200,6 +212,19 @@ class TestMultiscaleCommand:
             "sampling": {"preset": "localization"},
             "frequency": {"preset": "sqrt"},
             "multiscale": {"schedule": {"c0": 3.0, "c2": 3.5}},
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli(["multiscale", "--config", str(p),
+                        "--out", str(tmp_path / "o")]) == 2
+
+    def test_unreachable_depth1_scale_exits_2(self, tmp_path):
+        # without 'growth' the paper-faithful scale N0^(1/beta) overflows
+        # max_scale, which is a config error, not a traceback
+        cfg = {
+            "sampling": {"preset": "localization"},
+            "frequency": {"preset": "sqrt"},
+            "multiscale": {"n0": 10, "depth": 1},
         }
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg))

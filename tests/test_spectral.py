@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cmvspec.cmv import VerblunskySequence, build_finite_cmv
-from cmvspec.spectral import (eigensolve, localization_profile,
-                              nearest_eigen, perturb_eigen_check,
-                              separation_gap)
+from cmvspec.spectral import (eigenphases, eigensolve, localization_profile,
+                              nearest_eigen, nearest_eigenpair,
+                              perturb_eigen_check, separation_gap)
 from cmvspec.torus import Phase, SamplingFunction
 from cmvspec.util import pad_vector
 from cmvspec.presets import two_mode, zero_function
@@ -126,6 +126,61 @@ class TestNearestSeparation:
             brute = min(abs(pairs[j].value - pairs[k].value)
                         for j in range(30) if j != k)
             assert separation_gap(pairs, k) == pytest.approx(brute, abs=1e-15)
+
+
+class TestNearestEigenpair:
+    """The banded nearest-eigenpair primitive against dense eigvals + argmin."""
+
+    @staticmethod
+    def windows(f, freq, sizes, per_size, seed):
+        rng = np.random.default_rng(seed)
+        for n in sizes:
+            for _ in range(per_size):
+                s = VerblunskySequence(f, freq, Phase(tuple(rng.random(2))))
+                a = int(rng.integers(-n, 1))
+                beta, eta = (complex(np.exp(2j * np.pi * rng.random()))
+                             for _ in range(2))
+                yield build_finite_cmv(s, a, a + n - 1, beta=beta, eta=eta), rng
+
+    @pytest.mark.parametrize("n", [1, 2, 21, 91, 179])
+    def test_matches_dense_argmin(self, freq2, f_two_mode, n):
+        for m, rng in self.windows(f_two_mode, freq2, [n], 6, seed=n):
+            w = eigenphases(m)
+            k = int(rng.integers(0, n))
+            targets = [np.exp(2j * np.pi * rng.random()) for _ in range(4)]
+            if n >= 3:
+                # inside the disc: the midpoint of two eigenvalues, the kind
+                # of reference the root solver's bisection uses
+                targets.append(0.5 * (w[k] + w[(k + 2) % n]))
+            for z in targets:
+                lam, vec, res = nearest_eigenpair(m, z)
+                ref = w[int(np.argmin(np.abs(w - z)))]
+                assert abs(lam - ref) <= 1e-12
+                assert abs(abs(lam) - 1.0) <= 1e-14
+                # normal window: dist(z, spec) <= |lam - z| + residual
+                # (1e-14 covers rounding in the dense reference)
+                assert np.min(np.abs(w - z)) <= abs(lam - z) + res + 1e-14
+                if n < 3:
+                    assert vec is None
+                if vec is not None:
+                    E = m.dense()
+                    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+                    assert np.linalg.norm(E @ vec - lam * vec) <= res + 1e-14
+
+    @pytest.mark.parametrize("n", [2, 21, 91, 179])
+    def test_bisector_takes_dense_fallback(self, freq2, f_two_mode, n):
+        for m, rng in self.windows(f_two_mode, freq2, [n], 3, seed=100 + n):
+            w = eigenphases(m)
+            k = int(rng.integers(0, n))
+            z = 0.5 * (w[k] + w[(k + 1) % n])      # equidistant from both
+            lam, vec, res = nearest_eigenpair(m, z)
+            assert vec is None and res == 0.0
+            assert lam == w[int(np.argmin(np.abs(w - z)))]
+
+    def test_rejects_pure_truncation(self, seq):
+        from cmvspec.cmv import build_cut_cmv
+        with pytest.raises(ValueError):
+            nearest_eigenpair(build_cut_cmv(seq, 0, 10), 1.0 + 0j)
 
 
 class TestLocalizationProfile:
