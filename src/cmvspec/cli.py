@@ -227,7 +227,7 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     write_csv(outdir / "ldt_matrix.csv", "n,estimate,wilson_lo,wilson_hi,L_n", rows)
     if block.get("determinant", False):
         dscan = ldt_determinant_scan(f, freq, z, n_list, tau, samples, seed,
-                                     beta=beta, eta=eta)
+                                     beta=beta, eta=eta, l_values=scan.l_values)
         rows = [(e.n, float(e.estimate), float(e.interval.lo),
                  float(e.interval.hi), float(dscan.l_values[e.n]))
                 for e in dscan.estimates]

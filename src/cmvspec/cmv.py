@@ -25,11 +25,18 @@ def theta_block(alpha_n: complex) -> np.ndarray:
     return np.array([[np.conj(a), r], [r, -a]], dtype=complex)
 
 
+def _rho_of(alpha: np.ndarray) -> np.ndarray:
+    """Elementwise sqrt(1-|alpha|^2), clipped at 0 for unimodular values."""
+    return np.sqrt(np.maximum(0.0, 1.0 - (alpha.real ** 2 + alpha.imag ** 2)))
+
+
 class VerblunskySequence:
     """Coefficients alpha_n = alpha(x + n w), with optional unimodular overrides.
 
-    Values are cached per site; overrides replace the sampled value exactly
-    and must have unit modulus (they represent boundary conditions).
+    ``values(lo, hi)`` evaluates a whole range of sites in one call of the
+    sampling function; the single-site accessors wrap it.  Overrides replace
+    the sampled value exactly and must have unit modulus (they represent
+    boundary conditions).
     """
 
     def __init__(self, sampling: SamplingFunction, frequency, base: Phase,
@@ -43,7 +50,6 @@ class VerblunskySequence:
         if overrides:
             for n, v in overrides.items():
                 self.set_override(int(n), v)
-        self._cache: dict[int, complex] = {}
 
     def set_override(self, n: int, value: complex) -> None:
         v = complex(value)
@@ -53,39 +59,45 @@ class VerblunskySequence:
 
     def with_overrides(self, overrides: dict) -> "VerblunskySequence":
         seq = VerblunskySequence(self.sampling, self.frequency or self.omega,
-                                 self.base, overrides=None)
-        seq.overrides = dict(self.overrides)
+                                 self.base, overrides=self.overrides)
         for n, v in overrides.items():
             seq.set_override(int(n), v)
-        seq._cache = self._cache
         return seq
 
     def phase_at(self, n: int) -> Phase:
         return reduce_phase(self.base.array() + n * self.omega, imag=self.base.imag)
 
+    def raw_values(self, lo: int, hi: int) -> np.ndarray:
+        """Sampled alpha(x + n w) for n = lo..hi, ignoring overrides."""
+        n = np.arange(lo, hi + 1)
+        points = reduce_phase(self.base.array() + n[:, None] * self.omega)
+        return self.sampling.alpha(points, self.base.imag)
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Effective alpha_n for n = lo..hi (overrides applied)."""
+        vals = self.raw_values(lo, hi)
+        for n, v in self.overrides.items():
+            if lo <= n <= hi:
+                vals[n - lo] = v
+        return vals
+
     def raw_value(self, n: int) -> complex:
         """Sampled value alpha(x + n w), ignoring overrides."""
-        if n not in self._cache:
-            self._cache[n] = self.sampling.alpha(self.phase_at(n))
-        return self._cache[n]
+        return complex(self.raw_values(n, n)[0])
 
     def value(self, n: int) -> complex:
-        if n in self.overrides:
-            return self.overrides[n]
-        return self.raw_value(n)
+        return complex(self.values(n, n)[0])
 
     def rho(self, n: int) -> float:
         """sqrt(1-|alpha_n|^2) of the effective value (0 at overridden sites)."""
-        a = self.value(n)
-        return float(np.sqrt(max(0.0, 1.0 - (a.real ** 2 + a.imag ** 2))))
+        return float(_rho_of(self.values(n, n))[0])
 
     def raw_rho(self, n: int) -> float:
-        a = self.raw_value(n)
-        return float(np.sqrt(max(0.0, 1.0 - (a.real ** 2 + a.imag ** 2))))
+        return float(_rho_of(self.raw_values(n, n))[0])
 
     def log_rho_sum(self, a: int, b: int) -> float:
         """sum of log rho_n over the window, from the unmodified sampling."""
-        return float(sum(np.log(self.raw_rho(n)) for n in range(a, b + 1)))
+        return float(np.sum(np.log(_rho_of(self.raw_values(a, b)))))
 
     def shifted(self, steps: int) -> "VerblunskySequence":
         """Sequence based at x + steps*w; value(n) equals self.value(n+steps)."""
@@ -93,14 +105,41 @@ class VerblunskySequence:
                                   self.phase_at(steps))
 
 
+def _cmv_bands(al: np.ndarray, rh: np.ndarray, first: int) -> np.ndarray:
+    """Rows first..first+n-1 of the doubly-infinite operator as five diagonals.
+
+    ``al`` and ``rh`` hold alpha_s and rho_s on sites first-2..first+n;
+    ``bands[off+2][i]`` is the entry (first+i, first+i+off).  Even rows
+    carry conj(a_s) r_{s-1}, conj(a_{s+1}) r_s, r_{s+1} r_s right of
+    -conj(a_s) a_{s-1}; odd rows carry r_{s-1} r_{s-2}, -r_{s-1} a_{s-2}
+    left of it and -r_s a_{s-1} right of it.
+    """
+    n = len(al) - 3
+    a2, a1, a0, ap = al[:-3], al[1:-2], al[2:-1], al[3:]
+    r2, r1, r0, rp = rh[:-3], rh[1:-2], rh[2:-1], rh[3:]
+    ev = slice(first % 2, None, 2)          # rows of even sites
+    od = slice(1 - first % 2, None, 2)
+    bands = np.zeros((5, n), dtype=complex)
+    bands[2] = -np.conj(a0) * a1
+    bands[1, ev] = np.conj(a0[ev]) * r1[ev]
+    bands[3, ev] = np.conj(ap[ev]) * r0[ev]
+    bands[4, ev] = rp[ev] * r0[ev]
+    bands[0, od] = r1[od] * r2[od]
+    bands[1, od] = -r1[od] * a2[od]
+    bands[3, od] = -r0[od] * a1[od]
+    return bands
+
+
 @dataclass
 class FiniteCMV:
     """Unitary window E^{beta,eta}_{[a,b]} in pentadiagonal storage.
 
     ``bands[off+2]`` holds diagonal ``off`` (off = -2..2) aligned so that
-    entry (i, i+off) sits at band index i for 0 <= i, i+off < n.  ``lfactor``
-    and ``mfactor`` list (start, block) pairs; ``start`` is the row of the
-    window (0-based) where the 2x2 or scalar block begins.
+    entry (i, i+off) sits at band index i for 0 <= i, i+off < n.  ``alpha``
+    and ``rho`` hold the effective coefficients on sites a-1..b, boundary
+    values in place.  They give the factors E = L M: L carries the rotation
+    blocks of the even sites and M those of the odd ones, and the blocks at
+    a-1 and b are cut to their corner inside the window.
     """
 
     a: int
@@ -108,8 +147,8 @@ class FiniteCMV:
     beta: complex
     eta: complex
     bands: np.ndarray
-    lfactor: list = field(repr=False)
-    mfactor: list = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    rho: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -118,51 +157,39 @@ class FiniteCMV:
     def dense(self) -> np.ndarray:
         n = self.size
         E = np.zeros((n, n), dtype=complex)
+        i = np.arange(n)
         for off in range(-2, 3):
-            d = self.bands[off + 2]
-            for i in range(n):
-                j = i + off
-                if 0 <= j < n:
-                    E[i, j] = d[i]
+            rows = i[max(0, -off):n - max(0, off)]
+            E[rows, rows + off] = self.bands[off + 2][rows]
         return E
 
-    @staticmethod
-    def _factor_dense(n: int, blocks: list) -> np.ndarray:
-        F = np.zeros((n, n), dtype=complex)
-        for start, blk in blocks:
-            if np.isscalar(blk) or np.ndim(blk) == 0:
-                F[start, start] = blk
-            else:
-                F[start:start + 2, start:start + 2] = blk
-        return F
+    def _factor(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and (symmetric) first off-diagonal of the factor made of
+        the blocks at sites of this parity."""
+        own = np.arange(self.a, self.b + 1) % 2 == parity   # block starts on the row
+        diag = np.where(own, np.conj(self.alpha[1:]), -self.alpha[:-1])
+        off = np.where(own[:-1], self.rho[1:-1], 0.0)
+        return diag, off
+
+    def _factor_dense(self, parity: int) -> np.ndarray:
+        diag, off = self._factor(parity)
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
     def l_dense(self) -> np.ndarray:
-        return self._factor_dense(self.size, self.lfactor)
+        return self._factor_dense(0)
 
     def m_dense(self) -> np.ndarray:
-        return self._factor_dense(self.size, self.mfactor)
+        return self._factor_dense(1)
 
     def zlstar_minus_m_banded(self, z: complex) -> np.ndarray:
         """Tridiagonal z L* - M in solve_banded layout (ab[1+i-j, j])."""
-        n = self.size
-        ab = np.zeros((3, n), dtype=complex)
-        for start, blk in self.lfactor:
-            if np.isscalar(blk) or np.ndim(blk) == 0:
-                ab[1, start] += z * np.conj(blk)
-            else:
-                B = z * blk.conj().T
-                ab[1, start] += B[0, 0]
-                ab[1, start + 1] += B[1, 1]
-                ab[0, start + 1] += B[0, 1]
-                ab[2, start] += B[1, 0]
-        for start, blk in self.mfactor:
-            if np.isscalar(blk) or np.ndim(blk) == 0:
-                ab[1, start] -= blk
-            else:
-                ab[1, start] -= blk[0, 0]
-                ab[1, start + 1] -= blk[1, 1]
-                ab[0, start + 1] -= blk[0, 1]
-                ab[2, start] -= blk[1, 0]
+        l_diag, l_off = self._factor(0)
+        m_diag, m_off = self._factor(1)
+        ab = np.zeros((3, self.size), dtype=complex)
+        ab[1] = z * np.conj(l_diag) - m_diag
+        off = z * l_off - m_off             # real off-diagonals: L* has L's
+        ab[0, 1:] = off
+        ab[2, :-1] = off
         return ab
 
     def to_csv(self, path) -> None:
@@ -178,24 +205,6 @@ class FiniteCMV:
                     lines.append(f"{i},{j},{format_float(v.real)},{format_float(v.imag)}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _window_values(seq: VerblunskySequence, a: int, b: int,
-                   beta: complex | None, eta: complex | None):
-    """Effective alpha and rho on sites [a-1, b], applying the window boundary.
-
-    ``None`` keeps the sampled coefficient (non-unitary pure truncation).
-    """
-    al = {}
-    for n in range(a - 2, b + 2):
-        if n == a - 1 and beta is not None:
-            al[n] = complex(beta)
-        elif n == b and eta is not None:
-            al[n] = complex(eta)
-        else:
-            al[n] = seq.value(n)
-    rh = {n: float(np.sqrt(max(0.0, 1.0 - abs(v) ** 2))) for n, v in al.items()}
-    return al, rh
 
 
 def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
@@ -216,37 +225,16 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
         elif abs(abs(complex(v)) - 1.0) > 1e-12:
             raise ValueError(f"|{name}| must be 1, got {abs(complex(v))}")
 
-    al, rh = _window_values(seq, a, b, beta, eta)
-    n = b - a + 1
-    bands = np.zeros((5, n), dtype=complex)
-
-    def put(i: int, j: int, v: complex) -> None:
-        if a <= j <= b:
-            bands[j - i + 2][i - a] = v
-
-    for i in range(a, b + 1):
-        put(i, i, -np.conj(al[i]) * al[i - 1])
-        if i % 2 == 0:
-            put(i, i - 1, np.conj(al[i]) * rh[i - 1])
-            put(i, i + 1, np.conj(al[i + 1]) * rh[i])
-            put(i, i + 2, rh[i + 1] * rh[i])
-        else:
-            put(i, i - 2, rh[i - 1] * rh[i - 2])
-            put(i, i - 1, -rh[i - 1] * al[i - 2])
-            put(i, i + 1, -rh[i] * al[i - 1])
-
-    lfac, mfac = [], []
-    for n0 in range(a - 1, b + 1):
-        target = lfac if n0 % 2 == 0 else mfac
-        blk = np.array([[np.conj(al[n0]), rh[n0]], [rh[n0], -al[n0]]], dtype=complex)
-        if n0 >= a and n0 + 1 <= b:
-            target.append((n0 - a, blk))
-        elif n0 == a - 1:
-            target.append((0, blk[1, 1]))          # scalar -alpha_{a-1}
-        elif n0 == b:
-            target.append((n0 - a, blk[0, 0]))     # scalar conj(alpha_b)
-    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands,
-                     lfactor=lfac, mfactor=mfac)
+    al = seq.values(a - 1, b)
+    if beta is not None:
+        al[0] = beta
+    if eta is not None:
+        al[-1] = eta
+    rh = _rho_of(al)
+    # sites a-2 and b+1 reach only entries outside the window, cut here
+    bands = _cmv_bands(np.pad(al, 1), np.pad(rh, 1), a)
+    bands[0, :2] = bands[1, :1] = bands[3, -1:] = bands[4, -2:] = 0.0
+    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al, rho=rh)
 
 
 def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:
@@ -277,23 +265,10 @@ def cmv_row_window(seq: VerblunskySequence, center: int, halfwidth: int) -> np.n
     if halfwidth < 2:
         raise ValueError("halfwidth must be >= 2")
     lo, hi = center - halfwidth, center + halfwidth
-    al = {n: seq.value(n) for n in range(lo - 3, hi + 3)}
-    rh = {n: float(np.sqrt(max(0.0, 1.0 - abs(v) ** 2))) for n, v in al.items()}
-    rows = hi - lo + 1
-    cols = rows + 4
-    E = np.zeros((rows, cols), dtype=complex)
-
-    def put(i: int, j: int, v: complex) -> None:
-        E[i - lo, j - (lo - 2)] = v
-
-    for i in range(lo, hi + 1):
-        put(i, i, -np.conj(al[i]) * al[i - 1])
-        if i % 2 == 0:
-            put(i, i - 1, np.conj(al[i]) * rh[i - 1])
-            put(i, i + 1, np.conj(al[i + 1]) * rh[i])
-            put(i, i + 2, rh[i + 1] * rh[i])
-        else:
-            put(i, i - 2, rh[i - 1] * rh[i - 2])
-            put(i, i - 1, -rh[i - 1] * al[i - 2])
-            put(i, i + 1, -rh[i] * al[i - 1])
+    al = seq.values(lo - 2, hi + 1)
+    bands = _cmv_bands(al, _rho_of(al), lo)
+    rows = np.arange(hi - lo + 1)
+    E = np.zeros((len(rows), len(rows) + 4), dtype=complex)
+    for off in range(-2, 3):
+        E[rows, rows + off + 2] = bands[off + 2]
     return E

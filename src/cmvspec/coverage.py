@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cmv import FiniteCMV, VerblunskySequence, apply_cmv, build_finite_cmv
-from .torus import Frequency, Phase, SamplingFunction
+from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from .util import TWO_PI, counter_rng, phase_of, wrap_angle
 
 
@@ -122,7 +122,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         matrices.append(m)
 
     def build_at(coords: np.ndarray) -> FiniteCMV:
-        seq = VerblunskySequence(f, om, Phase(tuple(coords % 1.0)))
+        seq = VerblunskySequence(f, om, reduce_phase(coords))
         return build_finite_cmv(seq, a, b, beta=beta, eta=eta)
 
     points = []
@@ -153,7 +153,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
             covered = edge <= sqrt_tol
         points.append(CoveragePoint(theta=float(theta), covered=bool(covered),
                                     best_dist=float(dist_best),
-                                    phase=tuple(float(v) for v in x_arr % 1.0),
+                                    phase=reduce_phase(x_arr).coords,
                                     edge_value=float(edge)))
 
     arcs = _covered_arcs(points, span)
@@ -168,7 +168,7 @@ def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
 
     def probe(t: float):
         coords = x0.copy()
-        coords[-1] = t % 1.0
+        coords[-1] = t
         m = build_at(coords)
         lam, _, res = nearest_eigen_banded(m, z)
         # certified distance bound for a normal matrix

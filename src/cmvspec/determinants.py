@@ -17,7 +17,7 @@ from scipy.linalg import lapack
 
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint, transfer_product
-from .torus import SamplingFunction
+from .torus import Phase, SamplingFunction, reduce_phase
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,11 @@ def _banded_logdet(bands: np.ndarray, z: complex, n: int) -> tuple[float, comple
     """log|det|, phase, singular flag of (z - E) from pentadiagonal storage."""
     kl = ku = 2
     ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    ab[kl + ku] = z
     for off in range(-2, 3):
-        d = bands[off + 2]
-        for i in range(n):
-            j = i + off
-            if 0 <= j < n:
-                ab[kl + ku + i - j, j] = (z if i == j else 0.0) - d[i]
+        # entry (i, i+off) of z - E sits at ab[kl+ku-off, i+off]
+        lo, hi = max(0, -off), n - max(0, off)
+        ab[kl + ku - off, lo + off:hi + off] -= bands[off + 2, lo:hi]
     lub, ipiv, info = lapack.zgbtrf(ab, kl, ku)
     if info < 0:
         raise RuntimeError(f"zgbtrf failed with info={info}")
@@ -120,9 +119,7 @@ def relation_residual(f: SamplingFunction, omega, z: SpectralPoint, x,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    from .torus import Phase
     if not isinstance(x, Phase):
-        from .torus import reduce_phase
         x = reduce_phase(x)
     seq = VerblunskySequence(f, omega, x)
     am1 = seq.value(-1)

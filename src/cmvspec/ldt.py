@@ -43,11 +43,13 @@ class LdtScan:
 
 
 def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
-          samples: int, seed: int, statistic, label: str) -> LdtScan:
+          samples: int, seed: int, statistic, label: str,
+          l_known: dict | None = None) -> LdtScan:
     """Shared scan: fraction of phases with |stat(x) - n L_n| > n^{1-tau}.
 
     ``statistic(x, n, product)`` receives the transfer product M_n(x) already
-    computed here for u_n, so it need not compute it again.
+    computed here for u_n, so it need not compute it again; given ``l_known``
+    (L_n for every n), no product is computed and it receives None.
     """
     d = f.dim
     n_list = sorted(set(int(n) for n in n_list))
@@ -59,10 +61,10 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
         stats = np.empty(samples)
         for s in range(samples):
             x = Phase(tuple(counter_rng(seed, n, s).random(d)))
-            product = transfer_product(f, omega, z, x, n)
-            u_vals[s] = product.u_n
+            product = transfer_product(f, omega, z, x, n) if l_known is None else None
+            u_vals[s] = np.nan if product is None else product.u_n
             stats[s] = statistic(x, n, product)
-        ln = float(u_vals.mean())
+        ln = float(u_vals.mean()) if l_known is None else float(l_known[n])
         l_values[n] = ln
         if ln <= 1e-9:
             vacuous = True
@@ -88,16 +90,20 @@ def ldt_measure_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
 def ldt_determinant_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
                          tau: float, samples: int, seed: int,
                          beta: complex = 1.0 + 0j,
-                         eta: complex = 1.0 + 0j) -> LdtScan:
+                         eta: complex = 1.0 + 0j,
+                         l_values: dict | None = None) -> LdtScan:
     """Deviation-set estimates for log |phi_{[0,n-1]}(x)| around n L_n.
 
     Exact eigenvalue hits give log|phi| = -inf and count as deviations.
+    ``l_values``, the L_n of a measure scan over the same (n_list, samples,
+    seed), spares recomputing its transfer products.
     """
     def stat(x: Phase, n: int, product) -> float:
         seq = VerblunskySequence(f, omega, x)
         val = log_normalized_phi(seq, 0, n - 1, z.z, beta=beta, eta=eta)
         return val if np.isfinite(val) else -np.inf
-    return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log|phi|")
+    return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log|phi|",
+                 l_known=l_values)
 
 
 @dataclass(frozen=True)

@@ -171,23 +171,22 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     """
     theta = phase_of(z)
 
-    def coords_at(t: float) -> np.ndarray:
+    def point_at(t: float) -> Phase:
         coords = x_init.copy()
-        coords[-1] = t % 1.0
-        return coords % 1.0
+        coords[-1] = t
+        return reduce_phase(coords)
 
     def nearest(t: float, ref: complex) -> complex:
-        return _nearest_value(f, om, window, Phase(tuple(coords_at(t))), ref,
-                              beta, eta)
+        return _nearest_value(f, om, window, point_at(t), ref, beta, eta)
 
     def accepted(t: float) -> bool:
-        return accept is None or accept(Phase(tuple(coords_at(t))))
+        return accept is None or accept(point_at(t))
 
     t0 = x_init[-1]
     lam0 = nearest(t0, z)
     best_d, best_t = float(abs(lam0 - z)), t0
     if best_d < tol and accepted(t0):
-        return Phase(tuple(coords_at(t0))), best_d
+        return point_at(t0), best_d
 
     def refine(t_lo, lam_lo, t_hi, lam_hi):
         g_lo = wrap_angle(phase_of(lam_lo) - theta)
@@ -219,10 +218,10 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
             if np.sign(g_next) != np.sign(g) and abs(g_next - g) < np.pi:
                 t_root, d_root = refine(t, lam, t_next, lam_next)
                 if d_root < max(tol * 100, 1e-9) and accepted(t_root):
-                    return Phase(tuple(coords_at(t_root))), d_root
+                    return point_at(t_root), d_root
             t, lam, g = t_next, lam_next, g_next
     if best_d < max(tol * 100, 1e-9) and accepted(best_t):
-        return Phase(tuple(coords_at(best_t))), best_d
+        return point_at(best_t), best_d
     return None, best_d
 
 
@@ -348,9 +347,8 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         theta_c = phase_of(value)
         gs = []
         for off in offsets:
-            xx = (np.array(xv) + off) % 1.0
             lam = _nearest_value(f, om, (-probe_halfwidth, probe_halfwidth),
-                                 Phase(tuple(xx)), value, beta, eta)
+                                 reduce_phase(np.array(xv) + off), value, beta, eta)
             gs.append(wrap_angle(phase_of(lam) - theta_c))
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
@@ -508,7 +506,7 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
         if dist < best_d:
             best_x, best_d = x.copy(), dist
         if dist < tol:
-            return Phase(tuple(x % 1.0)), dist
+            return reduce_phase(x), dist
         grad = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
@@ -525,7 +523,7 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
             step *= max_step / nrm
         x = (x + step) % 1.0
     if best_d < 1e-9:
-        return Phase(tuple(best_x % 1.0)), best_d
+        return reduce_phase(best_x), best_d
     return None, best_d
 
 
@@ -558,7 +556,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         if dist < best_d:
             best_d, best_x = dist, xx.copy()
         if dist < tol:
-            return Phase(tuple(xx % 1.0)), dist
+            return reduce_phase(xx), dist
         if g > 0 and (best_pos is None or g < best_pos[0]):
             best_pos = (g, xx.copy())
         if g < 0 and (best_neg is None or -g < best_neg[0]):
@@ -572,7 +570,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
             if dist < best_d:
                 best_d, best_x = dist, mid.copy()
             if dist < tol:
-                return Phase(tuple(mid % 1.0)), dist
+                return reduce_phase(mid), dist
             if np.sign(g) == np.sign(g_lo):
                 lo, g_lo = mid, g
             else:

@@ -44,13 +44,20 @@ class Phase:
         return reduce_phase(self.array() + np.asarray(delta, dtype=float), imag=self.imag)
 
 
-def reduce_phase(raw, imag=None) -> Phase:
-    """Reduce coordinates mod 1 into [0,1) and wrap them in a Phase."""
-    arr = np.atleast_1d(np.asarray(raw, dtype=float)) % 1.0
+def reduce_phase(raw, imag=None):
+    """Reduce coordinates mod 1 into [0,1).
+
+    One point (a length-d sequence) gives a Phase carrying ``imag``; an
+    (N, d) array of points gives the (N, d) array of reduced rows, each row
+    reduced exactly as the same point alone.
+    """
+    arr = np.asarray(raw, dtype=float) % 1.0
     # -1e-18 % 1.0 == 1.0 on some platforms; force the half-open interval
     arr = np.where(arr >= 1.0, 0.0, arr)
+    if arr.ndim == 2:
+        return arr
     im = None if imag is None else tuple(float(v) for v in np.atleast_1d(imag))
-    return Phase(coords=tuple(float(v) for v in arr), imag=im)
+    return Phase(coords=tuple(float(v) for v in np.atleast_1d(arr)), imag=im)
 
 
 # --------------------------------------------------------------------------
@@ -227,19 +234,35 @@ class SamplingFunction:
         return h
 
     # -- evaluation --------------------------------------------------------
-    def alpha(self, x: Phase) -> complex:
-        """alpha(x + iy) = sum c_k exp(2 pi i k.(x+iy))."""
+    def alpha(self, x, imag=None):
+        """alpha(x + iy) = sum c_k exp(2 pi i k.(x+iy)) at a Phase (a complex)
+        or at an (N, d) array of real points displaced by ``imag`` (N values).
+
+        A Phase runs as a one-row array: it agrees bit for bit with its row.
+        """
+        if isinstance(x, Phase):
+            return complex(self._series(x.array()[None, :], x.imag)[0])
+        return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), imag)
+
+    def _series(self, pts: np.ndarray, imag) -> np.ndarray:
         if len(self._cs) == 0:
-            return 0j
-        xr = x.array()
-        kx = self._ks @ xr
-        if x.imag is not None:
-            y = x.imag_array()
+            return np.zeros(len(pts), dtype=complex)
+        # a BLAS product, numpy's complex product (fused multiply-add) and an
+        # axis sum each round a lone row unlike a batch row, so k.x, c_k e_k
+        # and the sum over modes are spelled out in real arithmetic
+        kx = sum(pts[:, i, None] * self._ks[:, i] for i in range(self.dim))
+        ph = 2j * np.pi * kx
+        if imag is not None:
+            y = np.asarray(imag, dtype=float)
             if float(np.max(np.abs(y))) >= self.strip_width:
                 raise ValueError("phase leaves the analyticity strip")
-            return complex(np.sum(self._cs * np.exp(2j * np.pi * kx
-                                                    - 2 * np.pi * (self._ks @ y))))
-        return complex(np.sum(self._cs * np.exp(2j * np.pi * kx)))
+            ph = ph - 2 * np.pi * sum(y[i] * self._ks[:, i] for i in range(self.dim))
+        e = np.exp(ph)
+        cr, ci = self._cs.real, self._cs.imag
+        out = np.empty(len(pts), dtype=complex)
+        out.real = sum((cr * e.real - ci * e.imag).T)
+        out.imag = sum((cr * e.imag + ci * e.real).T)
+        return out
 
     def alpha_bar(self, x: Phase) -> complex:
         """Analytic continuation of conj(alpha): conj(alpha(x - iy))."""

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cmvspec.cmv import (VerblunskySequence, apply_cmv, build_finite_cmv,
-                         cmv_row_window, theta_block)
+from cmvspec.cmv import (VerblunskySequence, apply_cmv, build_cut_cmv,
+                         build_finite_cmv, cmv_row_window, theta_block)
 from cmvspec.torus import Phase, SamplingFunction
 from cmvspec.presets import zero_function
 
@@ -211,3 +211,113 @@ def test_csv_export(tmp_path, seq):
     for line in lines[1:]:
         r, c, re, im = line.split(",")
         assert E[int(r), int(c)] == complex(float(re), float(im))
+
+
+def theta_factors(seq: VerblunskySequence, a: int, b: int, beta, eta):
+    """Dense L and M of the [a, b] window from per-site theta blocks.
+
+    The blocks of sites a-1 and b are cut to their corner inside the
+    window; beta/eta None keep the sampled coefficient there.
+    """
+    n = b - a + 1
+    L = np.zeros((n, n), dtype=complex)
+    M = np.zeros((n, n), dtype=complex)
+    for s in range(a - 1, b + 1):
+        al = seq.value(s)
+        if s == a - 1 and beta is not None:
+            al = beta
+        if s == b and eta is not None:
+            al = eta
+        blk = theta_block(al)
+        lo, hi = max(s, a), min(s + 1, b)
+        T = L if s % 2 == 0 else M
+        T[lo - a:hi - a + 1, lo - a:hi - a + 1] = blk[lo - s:hi - s + 1, lo - s:hi - s + 1]
+    return L, M
+
+
+def _random_windows(rng, count):
+    """(a, b, beta, eta) with |a| up to 10^4, unimodular or natural cuts."""
+    out = []
+    for k in range(count):
+        a = int(rng.integers(-10_000, 10_000))
+        b = a + int(rng.integers(0, 40))
+        if k % 3 == 2:
+            beta, eta = None, None
+        else:
+            beta, eta = random_unit(rng), random_unit(rng)
+        out.append((a, b, beta, eta))
+    return out
+
+
+def _build(seq, a, b, beta, eta):
+    if beta is None:
+        return build_cut_cmv(seq, a, b)
+    return build_finite_cmv(seq, a, b, beta=beta, eta=eta)
+
+
+class TestArrayLayer:
+    """Whole-window coefficient arrays against per-site references."""
+
+    def test_values_match_single_sites(self, seq, freq2, f_two_mode):
+        ov = VerblunskySequence(f_two_mode, freq2, Phase((0.4, 0.9)),
+                                overrides={3: 1j, -2: -1.0})
+        for s in (seq, ov):
+            vals = s.values(-5, 9_990)
+            raw = s.raw_values(-5, 9_990)
+            for n in list(range(-5, 30)) + list(range(9_960, 9_991)):
+                assert vals[n + 5] == s.value(n)
+                assert raw[n + 5] == s.raw_value(n)
+        assert ov.values(-3, 4)[[1, 6]].tolist() == [-1.0, 1j]
+        assert ov.raw_values(3, 3)[0] == seq.sampling.alpha(ov.phase_at(3))
+
+    def test_dense_and_factors_match_theta_blocks(self, seq):
+        rng = np.random.default_rng(11)
+        for a, b, beta, eta in _random_windows(rng, 30):
+            m = _build(seq, a, b, beta, eta)
+            L, M = theta_factors(seq, a, b, beta, eta)
+            assert np.max(np.abs(m.l_dense() - L)) <= 1e-13
+            assert np.max(np.abs(m.m_dense() - M)) <= 1e-13
+            assert np.max(np.abs(m.dense() - L @ M)) <= 1e-13
+            assert np.max(np.abs(m.l_dense() @ m.m_dense() - L @ M)) <= 1e-13
+
+    def test_zlstar_minus_m_banded(self, seq):
+        rng = np.random.default_rng(12)
+        for a, b, beta, eta in _random_windows(rng, 30):
+            m = _build(seq, a, b, beta, eta)
+            L, M = theta_factors(seq, a, b, beta, eta)
+            z = complex(rng.standard_normal() + 1j * rng.standard_normal())
+            ab = m.zlstar_minus_m_banded(z)
+            n = m.size
+            dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+            assert np.max(np.abs(dense - (z * L.conj().T - M))) <= 1e-13 * max(1.0, abs(z))
+            assert ab[0, 0] == 0 and ab[2, n - 1] == 0
+
+    def test_row_window_matches_wider_window(self, seq):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            center = int(rng.integers(-10_000, 10_000))
+            w = int(rng.integers(2, 12))
+            W = cmv_row_window(seq, center, w)
+            lo = center - w - 2 - int(rng.integers(0, 4))
+            hi = center + w + 2 + int(rng.integers(0, 4))
+            E = build_cut_cmv(seq, lo, hi).dense()
+            rows = slice(center - w - lo, center + w - lo + 1)
+            cols = slice(center - w - 2 - lo, center + w + 2 - lo + 1)
+            assert np.max(np.abs(W - E[rows, cols])) <= 1e-15
+
+    def test_log_rho_sum_matches_per_site_sum(self, seq):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            a = int(rng.integers(-10_000, 10_000))
+            b = a + int(rng.integers(0, 500))
+            per_site = sum(np.log(seq.raw_rho(n)) for n in range(a, b + 1))
+            assert abs(seq.log_rho_sum(a, b) - per_site) <= 1e-12 * max(1.0, abs(per_site))
+        assert seq.log_rho_sum(5, 4) == 0.0
+
+    def test_single_site_factors(self, seq):
+        beta, eta = np.exp(0.3j), np.exp(-0.7j)
+        m = build_finite_cmv(seq, 5, 5, beta=beta, eta=eta)
+        assert m.l_dense()[0, 0] == pytest.approx(-beta)        # site 4 even: -alpha_{a-1}
+        assert m.m_dense()[0, 0] == pytest.approx(np.conj(eta))  # site 5 odd: conj(alpha_b)
+        assert m.zlstar_minus_m_banded(2.0)[1, 0] == pytest.approx(
+            2.0 * np.conj(-beta) - np.conj(eta))

@@ -212,3 +212,59 @@ class TestOrbit:
         direct = np.array([f_two_mode.alpha(x) for x in xs])
         vector = f_two_mode.alpha_orbit(x0, freq2, 20)
         assert np.max(np.abs(direct - vector)) < 1e-13
+
+
+def _random_function(rng, dim: int, modes: int) -> SamplingFunction:
+    """Random Fourier series on T^dim with total coefficient mass 0.5."""
+    ks = {tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(modes)}
+    cs = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
+    cs *= 0.5 / np.abs(cs).sum()
+    return SamplingFunction(dim, dict(zip(sorted(ks), cs)))
+
+
+class TestBatchedEvaluation:
+    """An (N, d) array of points goes through the same code as one point."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_scalar_alpha_bitwise(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for modes in (1, 3, 12):
+            f = _random_function(rng, dim, modes)
+            for n_pts in (1, 2, 7, 300):
+                pts = reduce_phase(rng.standard_normal((n_pts, dim)) * 50)
+                batch = f.alpha(pts)
+                assert batch.shape == (n_pts,)
+                for row, val in zip(pts, batch):
+                    assert f.alpha(Phase(tuple(row))) == val
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_strip_rows_match_scalar_alpha_bitwise(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        f = _random_function(rng, dim, 5)
+        y = tuple(float(v) for v in (rng.random(dim) - 0.5) * f.strip_width)
+        pts = reduce_phase(rng.random((64, dim)))
+        batch = f.alpha(pts, y)
+        for row, val in zip(pts, batch):
+            assert f.alpha(Phase(tuple(row), imag=y)) == val
+        with pytest.raises(ValueError):
+            f.alpha(pts, (2 * f.strip_width,) * dim)
+
+    def test_reduce_rows_match_single_points(self):
+        rng = np.random.default_rng(60)
+        raw = rng.standard_normal((50, 3)) * 1e3
+        raw[0] = [-1e-18, -1.0, 2.5]
+        rows = reduce_phase(raw)
+        assert rows.shape == raw.shape
+        assert np.all((rows >= 0.0) & (rows < 1.0))
+        for r, x in zip(raw, rows):
+            assert reduce_phase(r).coords == tuple(x)
+
+    def test_tiny_negative_coordinate_stays_half_open(self):
+        p = reduce_phase([-1e-18, 0.25])
+        assert all(0.0 <= v < 1.0 for v in p.coords)
+        shifted = Phase((0.5, 0.25)).shift([-0.5 - 1e-18, 0.0])
+        assert 0.0 <= shifted.coords[0] < 1.0
+
+    def test_zero_function_batch(self):
+        f = SamplingFunction(2, {})
+        assert np.array_equal(f.alpha(np.zeros((4, 2))), np.zeros(4, dtype=complex))
