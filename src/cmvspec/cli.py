@@ -479,12 +479,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker hint; results are worker-count independent")
+                        help="accepted and ignored; every run is serial")
     args = parser.parse_args(argv)
-
-    if args.workers is None:
-        env = os.environ.get("CMVSPEC_WORKERS")
-        args.workers = int(env) if env else (os.cpu_count() or 1)
 
     try:
         cfg = load_config(args.config, args.command)

@@ -57,13 +57,6 @@ class VerblunskySequence:
             raise ValueError(f"override at {n} must be unimodular, got |v|={abs(v)}")
         self.overrides[n] = v
 
-    def with_overrides(self, overrides: dict) -> "VerblunskySequence":
-        seq = VerblunskySequence(self.sampling, self.frequency or self.omega,
-                                 self.base, overrides=self.overrides)
-        for n, v in overrides.items():
-            seq.set_override(int(n), v)
-        return seq
-
     def phase_at(self, n: int) -> Phase:
         return reduce_phase(self.base.array() + n * self.omega, imag=self.base.imag)
 
@@ -89,8 +82,8 @@ class VerblunskySequence:
         return complex(self.values(n, n)[0])
 
     def rho(self, n: int) -> float:
-        """sqrt(1-|alpha_n|^2) of the effective value (0 at overridden sites)."""
-        return float(_rho_of(self.values(n, n))[0])
+        """sqrt(1-|alpha_n|^2) of the effective value (exactly 0 at overridden sites)."""
+        return 0.0 if n in self.overrides else self.raw_rho(n)
 
     def raw_rho(self, n: int) -> float:
         return float(_rho_of(self.raw_values(n, n))[0])
@@ -137,9 +130,10 @@ class FiniteCMV:
     ``bands[off+2]`` holds diagonal ``off`` (off = -2..2) aligned so that
     entry (i, i+off) sits at band index i for 0 <= i, i+off < n.  ``alpha``
     and ``rho`` hold the effective coefficients on sites a-1..b, boundary
-    values in place.  They give the factors E = L M: L carries the rotation
-    blocks of the even sites and M those of the odd ones, and the blocks at
-    a-1 and b are cut to their corner inside the window.
+    values in place (rho exactly 0 at a unimodular cut).  They give the
+    factors E = L M: L carries the rotation blocks of the even sites and M
+    those of the odd ones, and the blocks at a-1 and b are cut to their
+    corner inside the window.
     """
 
     a: int
@@ -149,6 +143,7 @@ class FiniteCMV:
     bands: np.ndarray
     alpha: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
+    sampled_rho: np.ndarray = field(repr=False)     # rho_a..rho_b, no overrides
 
     @property
     def size(self) -> int:
@@ -226,15 +221,17 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
             raise ValueError(f"|{name}| must be 1, got {abs(complex(v))}")
 
     al = seq.values(a - 1, b)
-    if beta is not None:
-        al[0] = beta
-    if eta is not None:
-        al[-1] = eta
     rh = _rho_of(al)
+    sampled = _rho_of(seq.raw_values(a, b)) if seq.overrides else rh[1:].copy()
+    if beta is not None:
+        al[0], rh[0] = beta, 0.0
+    if eta is not None:
+        al[-1], rh[-1] = eta, 0.0
     # sites a-2 and b+1 reach only entries outside the window, cut here
     bands = _cmv_bands(np.pad(al, 1), np.pad(rh, 1), a)
     bands[0, :2] = bands[1, :1] = bands[3, -1:] = bands[4, -2:] = 0.0
-    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al, rho=rh)
+    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al, rho=rh,
+                     sampled_rho=sampled)
 
 
 def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:

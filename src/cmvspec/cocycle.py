@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
-from .util import TWO_PI, counter_rng
+from .util import TWO_PI, counter_phases
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,13 @@ def cocycle_step(f: SamplingFunction, z: SpectralPoint, x: Phase) -> np.ndarray:
 
 @dataclass
 class CocycleProduct:
-    """Renormalized n-step transfer matrix.
+    """Renormalized n-step transfer matrix, or a stack of them.
 
     ``matrix`` has unit max-entry norm; the full product is
     exp(log_norm) * matrix.  ``log_det_abs`` accumulates log|det| factor by
     factor (each factor has det 1 up to rounding), giving an overflow-free
-    determinant diagnostic.
+    determinant diagnostic.  For an (N, d) array of base phases ``matrix``
+    is (N, 2, 2) and the other fields and properties are (N,) arrays.
     """
 
     n: int
@@ -83,9 +84,11 @@ class CocycleProduct:
     def log_norm2(self) -> float:
         """log of the spectral norm of the full product."""
         m = self.matrix
-        fro2 = abs(m[0, 0]) ** 2 + abs(m[0, 1]) ** 2 + abs(m[1, 0]) ** 2 + abs(m[1, 1]) ** 2
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        disc = max(fro2 * fro2 - 4 * abs(det) ** 2, 0.0)
+        # a numpy float scalar squares by libm pow, as float_power does (x * x may differ)
+        a2 = np.float_power(np.hypot(m.real, m.imag), 2)
+        fro2 = a2[..., 0, 0] + a2[..., 0, 1] + a2[..., 1, 0] + a2[..., 1, 1]
+        det2 = np.float_power(_abs_det(m.real, m.imag), 2)
+        disc = np.maximum(fro2 * fro2 - 4 * det2, 0.0)
         return self.log_norm + 0.5 * np.log(0.5 * (fro2 + np.sqrt(disc)))
 
     @property
@@ -94,77 +97,112 @@ class CocycleProduct:
         return self.log_norm2 / self.n
 
 
-def transfer_product(f: SamplingFunction, omega, z: SpectralPoint, x: Phase,
+# sample-steps per chunk and entries per block of steps: temporaries near 2 MB
+_CHUNK = 2 ** 15
+_BLOCK = 8192
+
+
+def _mul(ar, ai, br, bi):
+    """Parts of (ar + i ai)(br + i bi), rounded as a numpy-scalar product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _abs_det(re, im):
+    """|m00 m11 - m01 m10| of 2x2 matrices (last two axes) given by parts."""
+    pr, pi = _mul(re[..., 0, 0], im[..., 0, 0], re[..., 1, 1], im[..., 1, 1])
+    qr, qi = _mul(re[..., 0, 1], im[..., 0, 1], re[..., 1, 0], im[..., 1, 0])
+    return np.hypot(pr - qr, pi - qi)
+
+
+def transfer_product(f: SamplingFunction, omega, z: SpectralPoint, x,
                      n: int) -> CocycleProduct:
-    """Ordered product M(x+(n-1)w) ... M(x), renormalized every step."""
+    """Ordered product M(x+(n-1)w) ... M(x), renormalized every step.
+
+    ``x`` is one Phase (strip phases included) or an (N, d) array of real
+    phases.  The N products advance together, each renormalized by its own
+    largest entry, and each row equals the product of its phase alone bit
+    for bit.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     om = _omega_array(omega)
-    sz = z.sqrt_z
-    iz = 1.0 / sz
-    y = None if x.imag is None or not any(x.imag) else x.imag_array()
+    single = isinstance(x, Phase)
+    pts = x.array()[None, :] if single else np.asarray(x, dtype=float).reshape(-1, f.dim)
+    y = x.imag_array() if single and x.imag is not None and any(x.imag) else None
+    width = max(1, _CHUNK // n)
+    parts = [_products(f, om, z, pts[lo:lo + width], y, n)
+             for lo in range(0, len(pts), width)]
+    matrix, log_norm, log_det = (np.concatenate(v) for v in zip(*parts))
+    if single:
+        matrix, log_norm, log_det = matrix[0], log_norm[0], log_det[0]
+    return CocycleProduct(n=n, matrix=matrix, log_norm=log_norm,
+                          log_det_abs=log_det, base=x, omega=om, point=z)
 
+
+def _products(f, om, z, pts, y, n):
+    """Matrices, log norms and log|det| of the n-step products at pts.
+
+    Entries are kept as real and imaginary parts and combined as numpy
+    complex scalars would combine them; a numpy complex array product
+    (fused multiply-add) rounds differently.  Logs are summed step by step.
+    """
+    sz, iz = z.sqrt_z, 1.0 / z.sqrt_z
     if y is None:
-        alphas = f.alpha_orbit(x, om, n)
-        alpha_bars = np.conj(alphas)
+        alphas = f.alpha_orbit(pts, om, n)
+        alpha_bars = None                   # conj(alphas), read off alphas
         rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
     else:
-        alphas = f.alpha_orbit(Phase(x.coords), om, n, y=y)
-        alpha_bars = np.conj(f.alpha_orbit(Phase(x.coords), om, n, y=-y))
+        alphas = f.alpha_orbit(pts, om, n, y=y)
+        alpha_bars = np.conj(f.alpha_orbit(pts, om, n, y=-y))
         rhos = np.sqrt(1.0 - alphas * alpha_bars)
+    c = len(pts)
+    mr, mi = np.tile(np.eye(2), (c, 1, 1)), np.zeros((c, 2, 2))
+    log_norm, log_det = np.zeros(c), np.zeros(c)
+    block = max(1, _BLOCK // c)
+    for j0 in range(0, n, block):
+        steps = slice(j0, j0 + block)
+        s = _step_entries(alphas[:, steps].T, rhos[:, steps].T, sz, iz,
+                          None if alpha_bars is None else alpha_bars[:, steps].T)
+        scale = np.empty((len(s), c))
+        for j in range(len(s)):
+            sr, si = s[j, 0][..., None], s[j, 1][..., None]
+            mr, mi = mr[:, None], mi[:, None]
+            pr = sr * mr - si * mi          # (sample, row, inner, column)
+            pi = sr * mi + si * mr
+            nr, ni = pr[:, :, 0] + pr[:, :, 1], pi[:, :, 0] + pi[:, :, 1]
+            scale[j] = np.hypot(nr, ni).reshape(c, 4).max(axis=1)
+            inv = (1.0 / scale[j])[:, None, None]
+            mr, mi = nr * inv, ni * inv
+        log_norm = np.add.accumulate(np.vstack((log_norm, np.log(scale))))[-1]
+        dets = _abs_det(s[:, 0], s[:, 1])
+        log_det = np.add.accumulate(np.vstack((log_det, np.log(dets))))[-1]
+    return mr + 1j * mi, log_norm, log_det
 
-    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    log_norm = 0.0
-    log_det = 0.0
-    for j in range(n):
-        a, ab, r = alphas[j], alpha_bars[j], rhos[j]
-        s00, s01, s10, s11 = sz / r, -ab * iz / r, -a * sz / r, iz / r
-        log_det += np.log(abs(s00 * s11 - s01 * s10))
-        n00 = s00 * m00 + s01 * m10
-        n01 = s00 * m01 + s01 * m11
-        n10 = s10 * m00 + s11 * m10
-        n11 = s10 * m01 + s11 * m11
-        sc = max(abs(n00), abs(n01), abs(n10), abs(n11))
-        m00, m01, m10, m11 = n00 / sc, n01 / sc, n10 / sc, n11 / sc
-        log_norm += np.log(sc)
-    return CocycleProduct(n=n, matrix=np.array([[m00, m01], [m10, m11]]),
-                          log_norm=log_norm, log_det_abs=log_det,
-                          base=x, omega=om, point=z)
+
+def _step_entries(a, r, sz, iz, ab=None):
+    """Parts of the one-step maps (1/r) [[sz, -ab iz], [-a sz, iz]], ab = conj(a)
+    unless given: s[step, 0] real and s[step, 1] imaginary, (sample, row, column)."""
+    if ab is not None:                      # strip phase: complex rho
+        ents = [(e.real, e.imag) for e in (sz / r, -ab * iz / r, -a * sz / r, iz / r)]
+    else:
+        # a numpy complex scalar divided by a real rounds as a product with
+        # 1/r; a Python complex divided by a float is a true division
+        inv = 1.0 / r
+        ents = [(sz.real / r, sz.imag / r),
+                tuple(v * inv for v in _mul(-a.real, a.imag, iz.real, iz.imag)),
+                tuple(v * inv for v in _mul(-a.real, -a.imag, sz.real, sz.imag)),
+                (iz.real / r, iz.imag / r)]
+    # (row, column, part, step, sample) -> (step, part, sample, row, column)
+    return np.array(ents).reshape(2, 2, 2, *r.shape).transpose(3, 2, 4, 0, 1)
 
 
-def transfer_log_norms(f: SamplingFunction, omega, z: SpectralPoint, x: Phase,
+def transfer_log_norms(f: SamplingFunction, omega, z: SpectralPoint, x,
                        checkpoints) -> dict[int, float]:
-    """log ||M_n|| at each n in checkpoints, from a single orbit sweep."""
+    """log ||M_n|| at each n in checkpoints (per sample for an array x)."""
     marks = sorted(set(int(c) for c in checkpoints))
     if marks[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    om = _omega_array(omega)
-    sz = z.sqrt_z
-    iz = 1.0 / sz
-    top = marks[-1]
-    alphas = f.alpha_orbit(x, om, top)
-    rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
-    out: dict[int, float] = {}
-    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    log_norm = 0.0
-    want = set(marks)
-    for j in range(top):
-        a, r = alphas[j], rhos[j]
-        ab = a.conjugate()
-        s00, s01, s10, s11 = sz / r, -ab * iz / r, -a * sz / r, iz / r
-        n00 = s00 * m00 + s01 * m10
-        n01 = s00 * m01 + s01 * m11
-        n10 = s10 * m00 + s11 * m10
-        n11 = s10 * m01 + s11 * m11
-        sc = max(abs(n00), abs(n01), abs(n10), abs(n11))
-        m00, m01, m10, m11 = n00 / sc, n01 / sc, n10 / sc, n11 / sc
-        log_norm += np.log(sc)
-        if (j + 1) in want:
-            fro2 = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
-            det = m00 * m11 - m01 * m10
-            disc = max(fro2 * fro2 - 4 * abs(det) ** 2, 0.0)
-            out[j + 1] = log_norm + 0.5 * np.log(0.5 * (fro2 + np.sqrt(disc)))
-    return out
+    return {n: transfer_product(f, omega, z, x, n).log_norm2 for n in marks}
 
 
 @dataclass(frozen=True)
@@ -181,11 +219,7 @@ def lyapunov_finite(f: SamplingFunction, omega, z: SpectralPoint, n: int,
     """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)||."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    d = f.dim
-    vals = np.empty(samples)
-    for s in range(samples):
-        x = Phase(tuple(counter_rng(seed, s).random(d)))
-        vals[s] = transfer_product(f, omega, z, x, n).u_n
+    vals = transfer_product(f, omega, z, counter_phases(f.dim, samples, seed), n).u_n
     err = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return LyapunovEstimate(n=n, value=float(vals.mean()), sample_count=samples,
                             std_error=err, method="direct")
@@ -227,28 +261,9 @@ def _norm2(A: np.ndarray) -> float:
 def avalanche_report(mats, c_a: float = 10.0) -> AvalancheReport:
     """Evaluate the product-expansion identity for explicit 2x2 factors."""
     mats = [np.asarray(A, dtype=complex) for A in mats]
-    m = len(mats)
-    if m < 2:
+    if len(mats) < 2:
         raise ValueError("need at least two factors")
-    norms = np.array([_norm2(A) for A in mats])
-    mu = float(norms.min())
-    logs = np.log(norms)
-    pair_logs = np.array([np.log(_norm2(mats[j + 1] @ mats[j])) for j in range(m - 1)])
-    defects = logs[1:] + logs[:-1] - pair_logs
-    worst = int(np.argmax(defects))
-    P = mats[0]
-    log_scale = 0.0
-    for A in mats[1:]:
-        P = A @ P
-        s = float(np.max(np.abs(P)))
-        P /= s
-        log_scale += np.log(s)
-    expr = abs(log_scale + np.log(_norm2(P)) + logs[1:m - 1].sum() - pair_logs.sum())
-    return AvalancheReport(
-        m=m, mu=mu, max_defect=float(defects.max()), worst_pair=worst,
-        hyp_norms_ok=bool(mu >= m),
-        hyp_pairs_ok=bool(defects.max() < 0.5 * np.log(mu)) if mu > 1 else False,
-        expression=float(expr), bound=float(c_a * m / mu))
+    return _chain_report(mats, [0.0] * len(mats), c_a)
 
 
 class AvalancheHypothesisError(RuntimeError):
@@ -265,7 +280,8 @@ class AvalancheHypothesisError(RuntimeError):
                          + "; ".join(which))
 
 
-def _chain_report(ms: list[np.ndarray], logs: list[float]) -> AvalancheReport:
+def _chain_report(ms: list[np.ndarray], logs: list[float],
+                  c_a: float = 10.0) -> AvalancheReport:
     """avalanche_report for factors given as (renormalized matrix, log scale)."""
     m = len(ms)
     log_norms = np.array([lg + np.log(_norm2(A)) for A, lg in zip(ms, logs)])
@@ -289,7 +305,7 @@ def _chain_report(ms: list[np.ndarray], logs: list[float]) -> AvalancheReport:
         m=m, mu=mu, max_defect=float(defects.max()), worst_pair=worst,
         hyp_norms_ok=bool(log_mu >= np.log(m)),
         hyp_pairs_ok=bool(defects.max() < 0.5 * log_mu) if log_mu > 0 else False,
-        expression=float(expr), bound=float(10.0 * m * np.exp(-min(log_mu, 700.0))))
+        expression=float(expr), bound=float(c_a * m * np.exp(-min(log_mu, 700.0))))
 
 
 def lyapunov_avalanche(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
@@ -312,15 +328,14 @@ def lyapunov_avalanche(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
     est = None
     for lev in range(levels):
         n = n0 * 2 ** lev
+        jumps = np.arange(chain)[:, None] * n * om         # x + j n w, j < chain
+        x = counter_phases(d, samples, seed, lev)[:, None] + jumps
+        starts = reduce_phase(x.reshape(-1, d))
+        pr = transfer_product(f, om, z, starts, n)
         vals = np.empty(samples)
         for s in range(samples):
-            x = Phase(tuple(counter_rng(seed, lev, s).random(d)))
-            ms, logs = [], []
-            for j in range(chain):
-                xj = reduce_phase(x.array() + j * n * om)
-                pr = transfer_product(f, om, z, xj, n)
-                ms.append(pr.matrix)
-                logs.append(pr.log_norm)
+            part = slice(s * chain, (s + 1) * chain)
+            ms, logs = list(pr.matrix[part]), list(pr.log_norm[part])
             rep = _chain_report(ms, logs)
             if not rep.hypotheses_ok:
                 raise AvalancheHypothesisError(rep, n)
@@ -361,12 +376,8 @@ def check_ln_monotonicity(f: SamplingFunction, omega, z: SpectralPoint,
     finite-scale defect C (log n)^{1/sigma} / n against the largest scale.
     """
     scales = sorted(set(int(v) for v in scales))
-    d = f.dim
-    table = np.empty((samples, len(scales)))
-    for s in range(samples):
-        x = Phase(tuple(counter_rng(seed, s).random(d)))
-        logs = transfer_log_norms(f, omega, z, x, scales)
-        table[s] = [logs[n] / n for n in scales]
+    logs = transfer_log_norms(f, omega, z, counter_phases(f.dim, samples, seed), scales)
+    table = np.column_stack([logs[n] / n for n in scales])
     means = table.mean(axis=0)
     errs = table.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1 \
         else np.zeros(len(scales))
@@ -400,7 +411,6 @@ def strip_continuity_check(f: SamplingFunction, omega, z: SpectralPoint, n: int,
                            y_list, samples: int = 64,
                            seed: int = 0) -> StripContinuityReport:
     """Empirical Lipschitz ratio |L_n(y) - L_n(0)| / sum |y_i| on the strip."""
-    d = f.dim
     base = lyapunov_finite(f, omega, z, n, samples, seed).value
     ratios = {}
     for y in y_list:
@@ -408,11 +418,9 @@ def strip_continuity_check(f: SamplingFunction, omega, z: SpectralPoint, n: int,
         if max(abs(v) for v in y) >= f.strip_width / 2:
             raise ValueError(f"y={y} leaves the half-strip |y| < h/2")
         tot = sum(abs(v) for v in y)
-        vals = np.empty(samples)
-        for s in range(samples):
-            x = Phase(tuple(counter_rng(seed, s).random(d)), imag=y)
-            vals[s] = transfer_product(f, omega, z, x, n).u_n
-        diff = abs(float(vals.mean()) - base)
+        vals = [transfer_product(f, omega, z, Phase(tuple(x), imag=y), n).u_n
+                for x in counter_phases(f.dim, samples, seed)]
+        diff = abs(float(np.mean(vals)) - base)
         ratios[y] = diff / tot if tot > 0 else 0.0
     mx = max(ratios.values()) if ratios else 0.0
     return StripContinuityReport(ratios=ratios, max_ratio=float(mx), base_value=base)
@@ -435,9 +443,7 @@ def uniform_upper_check(f: SamplingFunction, omega, z: SpectralPoint, n: int,
     d = f.dim
     axes = [np.arange(grid) / grid] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    logs = np.empty(len(mesh))
-    for i, xv in enumerate(mesh):
-        logs[i] = transfer_product(f, omega, z, Phase(tuple(xv)), n).log_norm2
+    logs = transfer_product(f, omega, z, mesh, n).log_norm2
     sup = float(logs.max())
     mean = float(logs.mean())
     return UniformUpperReport(n=n, sup_log_norm=sup, mean_log_norm=mean,

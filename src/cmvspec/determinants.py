@@ -30,6 +30,7 @@ class CharDet:
     log_abs: float
     phase: complex           # unit-modulus; value = exp(log_abs) * phase
     singular: bool
+    log_rho: float = 0.0     # log(rho_a ... rho_b) of the unmodified sampling
 
     @property
     def value(self) -> complex:
@@ -74,7 +75,8 @@ def char_det(seq: VerblunskySequence, a: int, b: int, z: complex,
         return CharDet(a=a, b=b, z=z, log_abs=0.0, phase=1.0 + 0j, singular=False)
     m = build_finite_cmv(seq, a, b, beta=beta, eta=eta, _allow_natural=True)
     log_abs, phase, singular = _banded_logdet(m.bands, z, m.size)
-    return CharDet(a=a, b=b, z=z, log_abs=log_abs, phase=phase, singular=singular)
+    return CharDet(a=a, b=b, z=z, log_abs=log_abs, phase=phase, singular=singular,
+                   log_rho=float(np.sum(np.log(m.sampled_rho))))
 
 
 def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
@@ -90,7 +92,7 @@ def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
     det = char_det(seq, a, b, z, beta=beta, eta=eta)
     if det.singular:
         return 0j
-    log_val = det.log_abs - seq.log_rho_sum(a, b)
+    log_val = det.log_abs - det.log_rho
     if log_val > 700.0:
         return complex(np.inf * det.phase)
     return complex(np.exp(log_val) * det.phase)
@@ -105,7 +107,7 @@ def log_normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
     det = char_det(seq, a, b, z, beta=beta, eta=eta)
     if det.singular:
         return -np.inf
-    return det.log_abs - seq.log_rho_sum(a, b)
+    return det.log_abs - det.log_rho
 
 
 def relation_residual(f: SamplingFunction, omega, z: SpectralPoint, x,

@@ -17,7 +17,7 @@ from .cocycle import SpectralPoint, lyapunov_finite, transfer_product
 from .determinants import log_normalized_phi
 from .spectral import spectral_distance
 from .torus import Phase, SamplingFunction
-from .util import WilsonInterval, counter_rng
+from .util import WilsonInterval, counter_phases, counter_rng
 
 
 @dataclass(frozen=True)
@@ -47,24 +47,20 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
           l_known: dict | None = None) -> LdtScan:
     """Shared scan: fraction of phases with |stat(x) - n L_n| > n^{1-tau}.
 
-    ``statistic(x, n, product)`` receives the transfer product M_n(x) already
-    computed here for u_n, so it need not compute it again; given ``l_known``
-    (L_n for every n), no product is computed and it receives None.
+    ``statistic(xs, n, products)`` maps the (samples, d) array of phases to
+    their statistics; it receives their transfer products M_n, computed here
+    in one batch for u_n, so it need not compute them again.  Given
+    ``l_known`` (L_n for every n), no product is computed and it gets None.
     """
-    d = f.dim
     n_list = sorted(set(int(n) for n in n_list))
     estimates = []
     l_values = {}
     vacuous = False
     for n in n_list:
-        u_vals = np.empty(samples)
-        stats = np.empty(samples)
-        for s in range(samples):
-            x = Phase(tuple(counter_rng(seed, n, s).random(d)))
-            product = transfer_product(f, omega, z, x, n) if l_known is None else None
-            u_vals[s] = np.nan if product is None else product.u_n
-            stats[s] = statistic(x, n, product)
-        ln = float(u_vals.mean()) if l_known is None else float(l_known[n])
+        xs = counter_phases(f.dim, samples, seed, n)
+        product = transfer_product(f, omega, z, xs, n) if l_known is None else None
+        stats = statistic(xs, n, product)
+        ln = float(product.u_n.mean()) if l_known is None else float(l_known[n])
         l_values[n] = ln
         if ln <= 1e-9:
             vacuous = True
@@ -82,8 +78,8 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
 def ldt_measure_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
                      tau: float, samples: int, seed: int) -> LdtScan:
     """Deviation-set estimates for log ||M_n(x)|| around n L_n."""
-    def stat(x: Phase, n: int, product) -> float:
-        return product.log_norm2
+    def stat(xs: np.ndarray, n: int, products) -> np.ndarray:
+        return products.log_norm2
     return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log||M_n||")
 
 
@@ -98,10 +94,11 @@ def ldt_determinant_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
     ``l_values``, the L_n of a measure scan over the same (n_list, samples,
     seed), spares recomputing its transfer products.
     """
-    def stat(x: Phase, n: int, product) -> float:
-        seq = VerblunskySequence(f, omega, x)
-        val = log_normalized_phi(seq, 0, n - 1, z.z, beta=beta, eta=eta)
-        return val if np.isfinite(val) else -np.inf
+    def stat(xs: np.ndarray, n: int, products) -> np.ndarray:
+        vals = np.array([log_normalized_phi(VerblunskySequence(f, omega, Phase(tuple(x))),
+                                            0, n - 1, z.z, beta=beta, eta=eta)
+                         for x in xs])
+        return np.where(np.isfinite(vals), vals, -np.inf)
     return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log|phi|",
                  l_known=l_values)
 

@@ -790,8 +790,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     hits = 0
     for s in range(samples):
         phi = _sample_phi(state, seed, s)
-        x = _continue_node(state, schedule, f, om, phi, state.z_center.theta,
-                           beta, eta)
+        x, _ = state.solve_map(phi, state.z_center.theta)
         if x is None:
             hits += 1        # unsolvable node counts as exceptional
             continue
@@ -826,8 +825,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     richardson_worst = 0.0
     for s in range(samples):
         phi = _sample_phi(state, seed, 1000 + s)
-        x = _continue_node(state, schedule, f, om, phi, state.z_center.theta,
-                           beta, eta)
+        x, _ = state.solve_map(phi, state.z_center.theta)
         if x is None:
             hits += 1
             continue
@@ -853,14 +851,6 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
     rng = counter_rng(seed, counter)
     off = (rng.random(len(state.phi_center)) * 2.0 - 1.0) * state.box_radius
     return tuple(float(c + o) for c, o in zip(state.phi_center, off))
-
-
-def _continue_node(state: InductiveState, schedule: ScaleSchedule,
-                   f: SamplingFunction, om: np.ndarray, phi: tuple,
-                   theta: float, beta, eta) -> Phase | None:
-    """Solve x(phi, z) through the state's map evaluator."""
-    sol, _ = state.solve_map(phi, theta)
-    return sol
 
 
 def _eigen_gradient(f, om, win, z, x: Phase, beta, eta, step: float):

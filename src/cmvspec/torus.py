@@ -287,16 +287,22 @@ class SamplingFunction:
         rad = 1.0 - self.alpha(x) * self.alpha_bar(x)
         return complex(np.sqrt(rad))
 
-    def alpha_orbit(self, x0: Phase, omega, n: int, y=None) -> np.ndarray:
-        """Vector of alpha(x0 + j*omega + iy) for j = 0..n-1."""
+    def alpha_orbit(self, x0, omega, n: int, y=None) -> np.ndarray:
+        """alpha(x0 + j*omega + iy) for j = 0..n-1: a vector at a Phase, an
+        (N, n) array at an (N, d) array of base points, each row one (n, K)
+        BLAS product as for its point alone (BLAS rounds by the row count)."""
         om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+        single = isinstance(x0, Phase)
+        pts = x0.array()[None, :] if single else np.asarray(x0, float).reshape(-1, self.dim)
         if len(self._cs) == 0:
-            return np.zeros(n, dtype=complex)
-        j = np.arange(n)
-        ph = 2j * np.pi * (np.outer(j, self._ks @ om) + self._ks @ x0.array())
-        if y is not None:
-            ph = ph - 2 * np.pi * (self._ks @ np.asarray(y, float))
-        return np.exp(ph) @ self._cs
+            out = np.zeros((len(pts), n), dtype=complex)
+        else:
+            kx = np.array([self._ks @ p for p in pts]).reshape(len(pts), len(self._ks))
+            ph = 2j * np.pi * (np.outer(np.arange(n), self._ks @ om) + kx[:, None, :])
+            if y is not None:
+                ph -= 2 * np.pi * (self._ks @ np.asarray(y, float))
+            out = np.exp(ph, out=ph) @ self._cs
+        return out[0] if single else out
 
     @property
     def degree(self) -> int:

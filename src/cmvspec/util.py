@@ -18,6 +18,12 @@ def counter_rng(seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, counters)]))
 
 
+def counter_phases(dim: int, samples: int, seed: int, *counters: int) -> np.ndarray:
+    """(samples, dim) array of phases; row s is counter_rng(seed, *counters, s)."""
+    return np.array([counter_rng(seed, *counters, s).random(dim)
+                     for s in range(samples)]).reshape(samples, dim)
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle difference to (-pi, pi]."""
     return -((-theta + np.pi) % TWO_PI - np.pi)

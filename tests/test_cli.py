@@ -62,6 +62,14 @@ class TestLyapunov:
         assert (out1 / "manifest.json").read_bytes() == \
                (out2 / "manifest.json").read_bytes()
 
+    def test_workers_environment_variable_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CMVSPEC_WORKERS", "not-a-number")
+        cfg = write_cfg(tmp_path, "c.json", {
+            "lyapunov": {"thetas": [0.5], "scales": [30], "samples": 8},
+        })
+        assert run_cli(["lyapunov", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 0
+
 
 class TestSpectrumScan:
     def test_constant_gap_summary(self, tmp_path):

@@ -321,3 +321,26 @@ class TestArrayLayer:
         assert m.m_dense()[0, 0] == pytest.approx(np.conj(eta))  # site 5 odd: conj(alpha_b)
         assert m.zlstar_minus_m_banded(2.0)[1, 0] == pytest.approx(
             2.0 * np.conj(-beta) - np.conj(eta))
+
+
+class TestUnimodularRho:
+    """rho is exactly 0 wherever a unimodular value replaces the sample."""
+
+    def test_overridden_sites(self, freq2, f_two_mode):
+        rng = np.random.default_rng(130)
+        s = VerblunskySequence(f_two_mode, freq2, Phase((0.3, 0.6)))
+        for n in range(2000):
+            s.set_override(n, random_unit(rng))
+            assert s.rho(n) == 0.0
+        assert s.rho(-1) == s.raw_rho(-1) > 0.0
+
+    def test_window_cut_sites(self, seq):
+        rng = np.random.default_rng(131)
+        for a, b, beta, eta in _random_windows(rng, 300):
+            m = _build(seq, a, b, beta, eta)
+            if beta is None:
+                assert m.rho[0] == seq.raw_rho(a - 1) and m.rho[-1] == seq.raw_rho(b)
+            else:
+                assert m.rho[0] == 0.0 and m.rho[-1] == 0.0
+            assert np.array_equal(m.sampled_rho,
+                                  [seq.raw_rho(k) for k in range(a, b + 1)])

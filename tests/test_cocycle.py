@@ -6,7 +6,7 @@ from cmvspec.cocycle import (AvalancheHypothesisError, SpectralPoint,
                              cocycle_step, lyapunov_avalanche, lyapunov_finite,
                              strip_continuity_check, transfer_log_norms,
                              transfer_product, uniform_upper_check)
-from cmvspec.torus import Phase, reduce_phase
+from cmvspec.torus import Phase, SamplingFunction, reduce_phase
 
 FLOQUET_L = np.log(np.sqrt(3.0))   # constant alpha=0.5, z=1 oracle
 
@@ -253,3 +253,147 @@ class TestRegularity:
     def test_uniform_upper_rejects_coarse_grid(self, f_zero, freq1):
         with pytest.raises(ValueError):
             uniform_upper_check(f_zero, freq1, SpectralPoint(0.0), 10, grid=16)
+
+
+# --------------------------------------------------------------------------
+# the batched kernel
+
+
+def _old_transfer_product(f, omega, z, x, n):
+    """The one-sample loop the batched kernel replaced, kept as an oracle:
+    (matrix, log_norm, log_det_abs, log_norm2)."""
+    om = omega.array() if hasattr(omega, "array") else np.asarray(omega, float)
+    sz = z.sqrt_z
+    iz = 1.0 / sz
+    y = None if x.imag is None or not any(x.imag) else x.imag_array()
+    if y is None:
+        alphas = f.alpha_orbit(x, om, n)
+        alpha_bars = np.conj(alphas)
+        rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
+    else:
+        alphas = f.alpha_orbit(Phase(x.coords), om, n, y=y)
+        alpha_bars = np.conj(f.alpha_orbit(Phase(x.coords), om, n, y=-y))
+        rhos = np.sqrt(1.0 - alphas * alpha_bars)
+    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    log_norm = 0.0
+    log_det = 0.0
+    for j in range(n):
+        a, ab, r = alphas[j], alpha_bars[j], rhos[j]
+        s00, s01, s10, s11 = sz / r, -ab * iz / r, -a * sz / r, iz / r
+        log_det += np.log(abs(s00 * s11 - s01 * s10))
+        n00 = s00 * m00 + s01 * m10
+        n01 = s00 * m01 + s01 * m11
+        n10 = s10 * m00 + s11 * m10
+        n11 = s10 * m01 + s11 * m11
+        sc = max(abs(n00), abs(n01), abs(n10), abs(n11))
+        m00, m01, m10, m11 = n00 / sc, n01 / sc, n10 / sc, n11 / sc
+        log_norm += np.log(sc)
+    log_norm2 = _old_log_norm2(np.array([[m00, m01], [m10, m11]]), log_norm)
+    return np.array([[m00, m01], [m10, m11]]), log_norm, log_det, log_norm2
+
+
+def _old_log_norm2(m, log_norm):
+    fro2 = abs(m[0, 0]) ** 2 + abs(m[0, 1]) ** 2 + abs(m[1, 0]) ** 2 + abs(m[1, 1]) ** 2
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    disc = max(fro2 * fro2 - 4 * abs(det) ** 2, 0.0)
+    return log_norm + 0.5 * np.log(0.5 * (fro2 + np.sqrt(disc)))
+
+
+def _function(kind: str, dim: int, rng) -> SamplingFunction:
+    if kind == "zero":
+        return SamplingFunction(dim, {})
+    ks = {tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(4)}
+    cs = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
+    cs *= 0.6 / np.abs(cs).sum()
+    return SamplingFunction(dim, dict(zip(sorted(ks), cs)))
+
+
+FIELDS = ("matrix", "log_norm", "log_det_abs", "log_norm2")
+
+
+def _fields(pr):
+    return [np.asarray(getattr(pr, name)) for name in FIELDS]
+
+
+class TestBatchedKernel:
+    """An (N, d) array of phases runs the products of its rows together."""
+
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_single_phase_bitwise(self, dim, kind):
+        rng = np.random.default_rng(70 + dim)
+        f = _function(kind, dim, rng)
+        omega = rng.random(dim)
+        for n in (1, 63, 64, 65, 400):
+            width = 2 ** 15 // n            # samples per chunk of the kernel
+            for theta in (0.0, np.pi, 2 * np.pi * rng.random()):
+                z = SpectralPoint(theta)
+                for count in (1, 2, 7, 300):
+                    xs = rng.random((count, dim))
+                    batch = transfer_product(f, omega, z, xs, n)
+                    assert batch.matrix.shape == (count, 2, 2)
+                    assert batch.log_norm2.shape == batch.u_n.shape == (count,)
+                    rows = sorted({0, 1, count - 1, width - 1, width, width + 1}
+                                  & set(range(count)))
+                    for i in rows:
+                        one = transfer_product(f, omega, z, Phase(tuple(xs[i])), n)
+                        assert one.matrix.shape == (2, 2)
+                        for got, want in zip(_fields(batch), _fields(one)):
+                            assert np.array_equal(got[i], want)
+
+    def test_batch_equals_its_halves_across_chunks(self, f_two_mode, freq2):
+        rng = np.random.default_rng(80)
+        z = SpectralPoint(1.3)
+        xs = rng.random((300, 2))
+        n = 400                             # 81 samples per chunk
+        whole = _fields(transfer_product(f_two_mode, freq2, z, xs, n))
+        halves = [_fields(transfer_product(f_two_mode, freq2, z, part, n))
+                  for part in (xs[:150], xs[150:])]
+        for i, got in enumerate(whole):
+            assert np.array_equal(got, np.concatenate([h[i] for h in halves]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_old_scalar_loop(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        f = _function("random", dim, rng)
+        omega = rng.random(dim)
+        for n in (1, 17, 200):
+            z = SpectralPoint(2 * np.pi * rng.random())
+            xs = rng.random((20, dim))
+            batch = transfer_product(f, omega, z, xs, n)
+            for i, x in enumerate(xs):
+                m, ln, ld, ln2 = _old_transfer_product(f, omega, z, Phase(tuple(x)), n)
+                assert np.max(np.abs(batch.matrix[i] - m)) <= 1e-14
+                assert abs(batch.log_norm[i] - ln) <= 1e-14 * max(1.0, abs(ln))
+                assert abs(batch.log_det_abs[i] - ld) <= 1e-14 * max(1.0, abs(ld))
+                assert abs(batch.log_norm2[i] - ln2) <= 1e-14 * max(1.0, abs(ln2))
+                # the stacked norm rounds as the numpy-scalar formula
+                assert batch.log_norm2[i] == _old_log_norm2(batch.matrix[i],
+                                                            batch.log_norm[i])
+
+    def test_strip_phases_match_old_scalar_loop(self, f_two_mode, freq2):
+        rng = np.random.default_rng(95)
+        for n in (1, 30, 120):
+            z = SpectralPoint(2 * np.pi * rng.random())
+            for _ in range(5):
+                y = tuple((rng.random(2) - 0.5) * f_two_mode.strip_width * 0.4)
+                x = Phase(tuple(rng.random(2)), imag=y)
+                pr = transfer_product(f_two_mode, freq2, z, x, n)
+                m, ln, ld, ln2 = _old_transfer_product(f_two_mode, freq2, z, x, n)
+                assert np.max(np.abs(pr.matrix - m)) <= 1e-13
+                for got, want in ((pr.log_norm, ln), (pr.log_det_abs, ld),
+                                  (pr.log_norm2, ln2)):
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_checkpoints_read_from_the_kernel(self, f_two_mode, freq2):
+        rng = np.random.default_rng(96)
+        z = SpectralPoint(0.8)
+        xs = rng.random((5, 2))
+        marks = [1, 10, 63, 64, 65, 200]
+        batch = transfer_log_norms(f_two_mode, freq2, z, xs, marks)
+        for i, x in enumerate(xs):
+            single = transfer_log_norms(f_two_mode, freq2, z, Phase(tuple(x)), marks)
+            for n in marks:
+                want = transfer_product(f_two_mode, freq2, z, Phase(tuple(x)), n).log_norm2
+                assert single[n] == want
+                assert batch[n][i] == want

@@ -6,7 +6,7 @@ from cmvspec.cocycle import SpectralPoint
 from cmvspec.determinants import (char_det, log_normalized_phi, normalized_phi,
                                   relation_residual)
 from cmvspec.spectral import eigenphases
-from cmvspec.torus import Phase, reduce_phase
+from cmvspec.torus import Phase, SamplingFunction, reduce_phase
 from cmvspec.presets import constant_function
 
 from conftest import random_unit
@@ -141,3 +141,35 @@ def test_cut_truncation_is_projection(seq):
     for i in range(11):
         for j in range(11):
             assert E[i, j] == pytest.approx(W[i, j + 2], abs=1e-15)
+
+
+class TestNormalization:
+    """The normalizing rho's come from the window's own coefficient evaluation."""
+
+    def _windows(self, rng, count):
+        for k in range(count):
+            a = int(rng.integers(-500, 500))
+            b = a + int(rng.integers(0, 60))
+            cut = (None, None) if k % 3 == 2 else (random_unit(rng), random_unit(rng))
+            yield a, b, cut
+
+    def test_matches_rho_sum_of_the_sequence_bitwise(self, seq, freq2, f_two_mode):
+        rng = np.random.default_rng(140)
+        pinned = VerblunskySequence(f_two_mode, freq2, seq.base,
+                                    overrides={3: 1.0, 7: -1j})
+        for s in (seq, pinned):
+            for a, b, (beta, eta) in self._windows(rng, 60):
+                z = np.exp(2j * np.pi * rng.random())
+                det = char_det(s, a, b, z, beta=beta, eta=eta)
+                assert det.log_rho == s.log_rho_sum(a, b)
+                assert log_normalized_phi(s, a, b, z, beta=beta, eta=eta) == \
+                    det.log_abs - s.log_rho_sum(a, b)
+
+    def test_one_coefficient_evaluation_per_window(self, seq, monkeypatch):
+        calls = []
+        original = SamplingFunction.alpha
+        monkeypatch.setattr(SamplingFunction, "alpha",
+                            lambda self, *args: calls.append(1) or original(self, *args))
+        log_normalized_phi(seq, 0, 49, np.exp(1j))
+        normalized_phi(seq, 0, 49, np.exp(1j))
+        assert len(calls) == 2

@@ -268,3 +268,33 @@ class TestBatchedEvaluation:
     def test_zero_function_batch(self):
         f = SamplingFunction(2, {})
         assert np.array_equal(f.alpha(np.zeros((4, 2))), np.zeros(4, dtype=complex))
+
+
+class TestBatchedOrbit:
+    """alpha_orbit at an (N, d) array of base points, row by row."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_phase_call_bitwise(self, dim):
+        rng = np.random.default_rng(110 + dim)
+        omega = rng.random(dim)
+        for f in (_random_function(rng, dim, 4), SamplingFunction(dim, {})):
+            for n in (1, 7, 64, 65, 400):
+                for count in (1, 2, 7, 50):
+                    pts = rng.random((count, dim))
+                    rows = f.alpha_orbit(pts, omega, n)
+                    assert rows.shape == (count, n)
+                    for p, row in zip(pts, rows):
+                        assert np.array_equal(f.alpha_orbit(Phase(tuple(p)), omega, n), row)
+
+    def test_strip_rows_match_phase_call_bitwise(self, freq2, f_two_mode):
+        rng = np.random.default_rng(120)
+        y = (0.3 * f_two_mode.strip_width, -0.1 * f_two_mode.strip_width)
+        pts = rng.random((9, 2))
+        rows = f_two_mode.alpha_orbit(pts, freq2, 33, y=y)
+        for p, row in zip(pts, rows):
+            assert np.array_equal(f_two_mode.alpha_orbit(Phase(tuple(p)), freq2, 33, y=y), row)
+
+    def test_zero_function_rows(self):
+        f = SamplingFunction(2, {})
+        out = f.alpha_orbit(np.zeros((3, 2)), np.array([0.1, 0.2]), 5)
+        assert out.shape == (3, 5) and not out.any()
