@@ -176,6 +176,11 @@ class FiniteCMV:
     def m_dense(self) -> np.ndarray:
         return self._factor_dense(1)
 
+    def lstar_banded(self) -> np.ndarray:
+        """Tridiagonal L* in the layout of ``zlstar_minus_m_banded``."""
+        diag, off = self._factor(0)
+        return np.array([np.r_[0.0, off], np.conj(diag), np.r_[off, 0.0]])
+
     def zlstar_minus_m_banded(self, z: complex) -> np.ndarray:
         """Tridiagonal z L* - M in solve_banded layout (ab[1+i-j, j])."""
         l_diag, l_off = self._factor(0)

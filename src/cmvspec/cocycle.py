@@ -8,7 +8,7 @@ averages use counter-based seeding and are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -245,6 +245,8 @@ class AvalancheReport:
     hyp_pairs_ok: bool
     expression: float
     bound: float
+    log_norms: np.ndarray = field(repr=False, compare=False)    # log||A_j||
+    pair_logs: np.ndarray = field(repr=False, compare=False)    # log||A_{j+1} A_j||
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -305,7 +307,8 @@ def _chain_report(ms: list[np.ndarray], logs: list[float],
         m=m, mu=mu, max_defect=float(defects.max()), worst_pair=worst,
         hyp_norms_ok=bool(log_mu >= np.log(m)),
         hyp_pairs_ok=bool(defects.max() < 0.5 * log_mu) if log_mu > 0 else False,
-        expression=float(expr), bound=float(c_a * m * np.exp(-min(log_mu, 700.0))))
+        expression=float(expr), bound=float(c_a * m * np.exp(-min(log_mu, 700.0))),
+        log_norms=log_norms, pair_logs=pair_logs)
 
 
 def lyapunov_avalanche(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
@@ -335,14 +338,10 @@ def lyapunov_avalanche(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
         vals = np.empty(samples)
         for s in range(samples):
             part = slice(s * chain, (s + 1) * chain)
-            ms, logs = list(pr.matrix[part]), list(pr.log_norm[part])
-            rep = _chain_report(ms, logs)
+            rep = _chain_report(list(pr.matrix[part]), list(pr.log_norm[part]))
             if not rep.hypotheses_ok:
                 raise AvalancheHypothesisError(rep, n)
-            log_norms = [lg + np.log(_norm2(A)) for A, lg in zip(ms, logs)]
-            pair_logs = [logs[j + 1] + logs[j] + np.log(_norm2(ms[j + 1] @ ms[j]))
-                         for j in range(chain - 1)]
-            vals[s] = (sum(pair_logs) - sum(log_norms[1:chain - 1])) / (chain * n)
+            vals[s] = (sum(rep.pair_logs) - sum(rep.log_norms[1:chain - 1])) / (chain * n)
         err = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
         est = LyapunovEstimate(n=chain * n, value=float(vals.mean()),
                                sample_count=samples, std_error=err,

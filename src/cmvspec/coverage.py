@@ -47,40 +47,45 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex, max_iters: int = 30,
                          res_tol: float = 1e-10):
     """Eigenpair of the window nearest z by tridiagonal shift-invert.
 
-    Returns (eigenvalue, vector, residual); the eigenvalue comes from the
-    Rayleigh quotient of the inverse-iteration vector, projected to the
-    circle.  The window operator is normal, so |z - lam| + residual is a
-    certified upper bound on dist(z, spectrum); callers must not trust the
-    raw |z - lam| when the residual is large (unconverged iteration deep in
-    a gap).  An exactly singular solve means z is an eigenvalue.
+    Inverse iteration v <- (z - E)^{-1} v, one tridiagonal solve per step:
+    M = L* E, so (z L* - M)^{-1} L* = (z - E)^{-1}.  Returns (eigenvalue,
+    vector, residual); the eigenvalue comes from the Rayleigh quotient of
+    the iteration vector, projected to the circle.  The window operator is
+    normal, so |z - lam| + residual is a certified upper bound on
+    dist(z, spectrum); callers must not trust the raw |z - lam| when the
+    residual is large (unconverged iteration deep in a gap).  A solve that
+    is exactly singular (z an eigenvalue to working precision) moves the
+    shift off the circle by a few ulps and goes on.
     """
     n = m.size
-    ab = m.zlstar_minus_m_banded(z)
+    ls = m.lstar_banded()
+    shift = z
+    ab = m.zlstar_minus_m_banded(shift)
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam, res = z, np.inf
     for it in range(max_iters):
+        rhs = ls[1] * v
+        rhs[:-1] += ls[0, 1:] * v[1:]
+        rhs[1:] += ls[2, :-1] * v[:-1]
         try:
-            v = solve_banded((1, 1), ab, v)
+            w = solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError:
-            return z, None, 0.0
-        nrm = np.linalg.norm(v)
+            w = np.zeros(n)
+        nrm = np.linalg.norm(w)
         if not np.isfinite(nrm) or nrm == 0:
-            return z, None, 0.0
-        v /= nrm
-        if it >= 2:
+            shift *= 1.0 + 8.0 * np.finfo(float).eps
+            ab = m.zlstar_minus_m_banded(shift)
+            continue
+        v = w / nrm
+        if it >= min(2, max_iters - 1):
             ev = apply_cmv(m, v)
             lam = complex(np.vdot(v, ev))
             lam /= abs(lam)
             res = float(np.linalg.norm(ev - lam * v))
             if res < res_tol:
                 break
-    if not np.isfinite(res):
-        ev = apply_cmv(m, v)
-        lam = complex(np.vdot(v, ev))
-        lam /= abs(lam)
-        res = float(np.linalg.norm(ev - lam * v))
     return lam, v, res
 
 
@@ -97,7 +102,9 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     (default 16*tol), the last phase coordinate is refined by bisecting the
     wrapped eigenphase difference of the locally nearest eigenvalue.
     Covered additionally requires the matched eigenvector's outer edge
-    entries to stay below sqrt(tol).
+    entries to stay below sqrt(tol); that vector comes from inverse
+    iteration shifted at the matched eigenvalue (the dense one of the
+    seeded sample, or the best refinement probe's).
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -130,26 +137,23 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     for g in range(grid):
         theta = (th1 + span * g / grid) % TWO_PI
         z = np.exp(1j * theta)
-        best_s, best_d = 0, np.inf
+        best_s, best_d, lam = 0, np.inf, z
         for s in range(phase_samples):
-            dist = float(np.min(np.abs(spectra[s] - z)))
+            k = int(np.argmin(np.abs(spectra[s] - z)))
+            dist = float(np.abs(spectra[s][k] - z))
             if dist < best_d:
-                best_s, best_d = s, dist
+                best_s, best_d, lam = s, dist, spectra[s][k]
         x_arr = np.array(xs[best_s].coords)
         dist_best = best_d
         matched = matrices[best_s]
         if tol < dist_best <= gate and refine_steps > 0:
-            x_arr, dist_best, matched = _refine(build_at, z, x_arr, dist_best,
-                                                matched, refine_steps)
+            x_arr, dist_best, matched, lam = _refine(
+                build_at, z, x_arr, dist_best, matched, lam, refine_steps)
         covered = dist_best <= tol
         edge = np.inf
         if covered:
-            _, vec, _ = nearest_eigen_banded(matched, z)
-            if vec is None:
-                edge = 0.0
-            else:
-                u = np.abs(vec)
-                edge = float(max(u[:4].max(), u[-4:].max()))
+            u = np.abs(nearest_eigen_banded(matched, lam)[1])
+            edge = float(max(u[:4].max(), u[-4:].max()))
             covered = edge <= sqrt_tol
         points.append(CoveragePoint(theta=float(theta), covered=bool(covered),
                                     best_dist=float(dist_best),
@@ -161,9 +165,11 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
 
 
 def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
-            steps: int):
+            lam0: complex, steps: int):
     """Bisection on the wrapped eigenphase difference along the last
-    coordinate, using shift-invert probes."""
+    coordinate, using shift-invert probes.  Returns (phase, certified
+    distance, window, eigenvalue) of the best point, (x0, d0, m0, lam0) when
+    no probe beats it."""
     theta = phase_of(z)
 
     def probe(t: float):
@@ -172,30 +178,31 @@ def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
         m = build_at(coords)
         lam, _, res = nearest_eigen_banded(m, z)
         # certified distance bound for a normal matrix
-        return wrap_angle(phase_of(lam) - theta), float(abs(lam - z) + res), coords, m
+        return wrap_angle(phase_of(lam) - theta), (coords, float(abs(lam - z) + res),
+                                                   m, lam)
 
-    best_d, best_x, best_m = d0, x0, m0
+    best = (x0, d0, m0, lam0)
     ts = x0[-1] + np.linspace(-0.5, 0.5, 17)
     vals = []
     for t in ts:
-        g, dist, coords, m = probe(t)
+        g, point = probe(t)
         vals.append(g)
-        if dist < best_d:
-            best_d, best_x, best_m = dist, coords, m
+        if point[1] < best[1]:
+            best = point
     for i in range(len(ts) - 1):
         if np.sign(vals[i]) != np.sign(vals[i + 1]):
             lo, hi, flo = ts[i], ts[i + 1], vals[i]
             for _ in range(steps):
                 mid = 0.5 * (lo + hi)
-                g, dist, coords, m = probe(mid)
-                if dist < best_d:
-                    best_d, best_x, best_m = dist, coords, m
+                g, point = probe(mid)
+                if point[1] < best[1]:
+                    best = point
                 if np.sign(g) == np.sign(flo):
                     lo, flo = mid, g
                 else:
                     hi = mid
             break
-    return best_x, best_d, best_m
+    return best
 
 
 def _covered_arcs(points, span):

@@ -10,13 +10,13 @@ named inequality is a first-class outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import (eigensolve, nearest_eigen, nearest_eigenpair,
+from .spectral import (eigensolve, nearest_eigen, nearest_eigenvalue,
                        spectral_distance)
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
@@ -139,20 +139,68 @@ class Check:
 
 
 def _nearest_value(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                   x: Phase, z: complex, beta, eta) -> complex:
-    """Eigenvalue nearest z of the window E^{beta,eta} on [a, b] at phase x."""
+                   x: Phase, z: complex, beta, eta) -> tuple[complex, bool]:
+    """Eigenvalue nearest z of the window E^{beta,eta} on [a, b] at phase x,
+    and whether two eigenvalues tie as nearest (``nearest_eigenvalue``)."""
     seq = VerblunskySequence(f, om, x)
     m = build_finite_cmv(seq, window[0], window[1], beta=beta, eta=eta)
-    return nearest_eigenpair(m, z)[0]
+    return nearest_eigenvalue(m, z)
 
 
 def _phase_defect(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                   coords: np.ndarray, theta0: float, beta, eta):
     """(wrapped phase of the eigenvalue nearest e^{i theta0}, minus theta0;
-    its distance to e^{i theta0}) at the phase coords."""
+    its distance to e^{i theta0}; the eigenvalue) at the phase coords."""
     z = np.exp(1j * theta0)
-    lam = _nearest_value(f, om, window, reduce_phase(coords), z, beta, eta)
-    return wrap_angle(phase_of(lam) - theta0), float(abs(lam - z))
+    lam, _ = _nearest_value(f, om, window, reduce_phase(coords), z, beta, eta)
+    return wrap_angle(phase_of(lam) - theta0), float(abs(lam - z)), lam
+
+
+def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
+                  tol: float = 1e-12, iters: int = 60):
+    """Root of g(t) = wrapped arg lam(t) - theta between ends (t, lam) with g
+    of opposite signs; returns (dist, t, item) of the nearest point queried.
+
+    ``query(t, ref)`` gives (lam, tie, item) or None: lam is the eigenvalue
+    nearest ref, the value interpolated between the ends (so a tracking
+    query keeps to their branch), and a tie of two eigenvalues equally far
+    from the target marks a jump to another branch, not a root.  Each step
+    takes the Illinois point (regula falsi, halving the g of an end kept
+    twice in a row), or the midpoint when that leaves the bracket, and the
+    search stops at a root (|lam - e^{i theta}| < tol), a tie, a None, a
+    bracket down to adjacent floats, or after ``iters`` queries.
+    """
+    z = np.exp(1j * theta)
+    (t_lo, lam_lo), (t_hi, lam_hi) = lo, hi
+    g_lo = wrap_angle(phase_of(lam_lo) - theta)
+    g_hi = wrap_angle(phase_of(lam_hi) - theta)
+    best = (np.inf, None, None)
+    kept = 0            # -1 / +1: the low / high end was kept at the last step
+    for _ in range(iters):
+        t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo)
+        if not min(t_lo, t_hi) < t < max(t_lo, t_hi):
+            t = 0.5 * (t_lo + t_hi)
+            if t in (t_lo, t_hi):       # the ends are adjacent floats
+                break
+        hit = query(t, lam_lo + (t - t_lo) / (t_hi - t_lo) * (lam_hi - lam_lo))
+        if hit is None:
+            break
+        lam, tie, item = hit
+        dist = float(abs(lam - z))
+        if dist < best[0]:
+            best = (dist, t, item)
+        if dist < tol or tie:
+            break
+        g = wrap_angle(phase_of(lam) - theta)
+        if np.sign(g) == np.sign(g_lo):
+            t_lo, lam_lo, g_lo = t, lam, g
+            g_hi *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        else:
+            t_hi, lam_hi, g_hi = t, lam, g
+            g_lo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+    return best
 
 
 def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
@@ -164,9 +212,9 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     Starts from the eigenvalue nearest z at x_init and follows that branch
     by identity tracking (nearest eigenvalue to the previous step's value)
     while marching the last coordinate in both directions.  Where the
-    tracked phase crosses arg z, the crossing is refined by bisection with
-    the same tracking.  Returns (x, dist) for the first accepted root, or
-    (None, best_dist); an ``accept`` callback can reject a converged root
+    tracked phase crosses arg z, the crossing is refined by ``_bracket_root``
+    with the same tracking.  Returns (x, dist) for the first accepted root,
+    or (None, best_dist); an ``accept`` callback can reject a converged root
     (e.g. an edge-localized state), sending the march onward.
     """
     theta = phase_of(z)
@@ -176,32 +224,17 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         coords[-1] = t
         return reduce_phase(coords)
 
-    def nearest(t: float, ref: complex) -> complex:
-        return _nearest_value(f, om, window, point_at(t), ref, beta, eta)
+    def nearest(t: float, ref: complex):
+        return (*_nearest_value(f, om, window, point_at(t), ref, beta, eta), None)
 
     def accepted(t: float) -> bool:
         return accept is None or accept(point_at(t))
 
     t0 = x_init[-1]
-    lam0 = nearest(t0, z)
+    lam0 = nearest(t0, z)[0]
     best_d, best_t = float(abs(lam0 - z)), t0
     if best_d < tol and accepted(t0):
         return point_at(t0), best_d
-
-    def refine(t_lo, lam_lo, t_hi, lam_hi):
-        g_lo = wrap_angle(phase_of(lam_lo) - theta)
-        for _ in range(iters):
-            mid = 0.5 * (t_lo + t_hi)
-            lam = nearest(mid, 0.5 * (lam_lo + lam_hi))
-            g = wrap_angle(phase_of(lam) - theta)
-            if abs(lam - z) < tol:
-                return mid, float(abs(lam - z))
-            if np.sign(g) == np.sign(g_lo):
-                t_lo, lam_lo, g_lo = mid, lam, g
-            else:
-                t_hi, lam_hi = mid, lam
-        lam = nearest(0.5 * (t_lo + t_hi), 0.5 * (lam_lo + lam_hi))
-        return 0.5 * (t_lo + t_hi), float(abs(lam - z))
 
     step = span / max(coarse - 1, 1)
     for dirn in (1.0, -1.0):
@@ -209,14 +242,17 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         g = wrap_angle(phase_of(lam) - theta)
         for _ in range(coarse):
             t_next = t + dirn * step
-            lam_next = nearest(t_next, lam)
+            lam_next = nearest(t_next, lam)[0]
             g_next = wrap_angle(phase_of(lam_next) - theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
                 best_d, best_t = d_next, t_next
+            if d_next < tol and accepted(t_next):
+                return point_at(t_next), d_next
             # genuine crossing: signed difference flips without wrapping
             if np.sign(g_next) != np.sign(g) and abs(g_next - g) < np.pi:
-                t_root, d_root = refine(t, lam, t_next, lam_next)
+                d_root, t_root, _ = _bracket_root(nearest, theta, (t, lam),
+                                                  (t_next, lam_next), tol, iters)
                 if d_root < max(tol * 100, 1e-9) and accepted(t_root):
                     return point_at(t_root), d_root
             t, lam, g = t_next, lam_next, g_next
@@ -334,21 +370,16 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         d_t, value, xv = candidates[0]
         return SpectralPoint.from_z(value), Phase(xv)
 
-    offsets = [np.zeros(d)]
-    for i in range(d):
-        for s in (-1.0, 1.0):
-            e = np.zeros(d)
-            e[i] = 0.01 * s
-            offsets.append(e)
-    if d >= 2:
-        offsets += [np.array([0.01, 0.01]) if d == 2 else np.zeros(d),
-                    np.array([0.01, -0.01]) if d == 2 else np.zeros(d)]
+    step = 0.01 * np.eye(d)
+    offsets = [np.zeros(d), *step, *-step]
+    if d == 2:
+        offsets += [np.array([0.01, 0.01]), np.array([0.01, -0.01])]
     for d_t, value, xv in candidates[:40]:
         theta_c = phase_of(value)
         gs = []
         for off in offsets:
-            lam = _nearest_value(f, om, (-probe_halfwidth, probe_halfwidth),
-                                 reduce_phase(np.array(xv) + off), value, beta, eta)
+            lam, _ = _nearest_value(f, om, (-probe_halfwidth, probe_halfwidth),
+                                    reduce_phase(np.array(xv) + off), value, beta, eta)
             gs.append(wrap_angle(phase_of(lam) - theta_c))
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
@@ -377,24 +408,21 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
     a, b = -n0, n0
     edge_thr = schedule.proximity(n0)
 
+    def nearest_edge(x: Phase):
+        """(distance, outer edge value, pair) of the pair nearest z0 at x."""
+        (p, dist), _ = _tracked_pair(f, om, (a, b), z0.z, x, beta, eta)
+        u = np.abs(p.vector)
+        return dist, float(max(u[:4].max(), u[-4:].max())), p
+
     candidates = []
     if x_hint is not None:
-        seq = VerblunskySequence(f, om, x_hint)
-        pairs = eigensolve(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
-        p, dist = nearest_eigen(pairs, z0.z)
-        u = np.abs(p.vector)
-        candidates.append((dist, tuple(x_hint.coords),
-                           float(max(u[:4].max(), u[-4:].max()))))
+        dist, edge, _ = nearest_edge(x_hint)
+        candidates.append((dist, tuple(x_hint.coords), edge))
     else:
         axes = [np.arange(scan_grid) / scan_grid] * d
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         for xv in mesh:
-            seq = VerblunskySequence(f, om, Phase(tuple(xv)))
-            m = build_finite_cmv(seq, a, b, beta=beta, eta=eta)
-            pairs = eigensolve(m)
-            p, dist = nearest_eigen(pairs, z0.z)
-            u = np.abs(p.vector)
-            edge = float(max(u[:4].max(), u[-4:].max()))
+            dist, edge, _ = nearest_edge(Phase(tuple(xv)))
             if edge < edge_thr:
                 candidates.append((dist, tuple(xv), edge))
         if not candidates:
@@ -407,11 +435,7 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
     arc_radius = float(schedule.overrides.get("arc_radius", schedule.radius(0)))
 
     def edge_ok(x: Phase) -> bool:
-        seq = VerblunskySequence(f, om, x)
-        pairs = eigensolve(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
-        p, _ = nearest_eigen(pairs, z0.z)
-        u = np.abs(p.vector)
-        return float(max(u[:4].max(), u[-4:].max())) < edge_thr
+        return nearest_edge(x)[1] < edge_thr
 
     last_err = None
     for dist, xv, edge in candidates[:12]:
@@ -421,9 +445,7 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
         if sol is None:
             last_err = f"no admissible root near seed (best dist {dsol:.3e})"
             continue
-        seq = VerblunskySequence(f, om, sol)
-        pairs = eigensolve(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
-        p, dres = nearest_eigen(pairs, z0.z)
+        p = nearest_edge(sol)[2]
         phi_center = tuple(float(v) for v in sol.coords[:-1])
         state = None
         box_r, arc_r = box_radius, arc_radius
@@ -502,18 +524,13 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
     for _ in range(max_iter):
-        g, dist = defect(x)
+        g, dist, _ = defect(x)
         if dist < best_d:
             best_x, best_d = x.copy(), dist
         if dist < tol:
             return reduce_phase(x), dist
-        grad = np.zeros(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = fd_step
-            gp, _ = defect(x + e)
-            gm, _ = defect(x - e)
-            grad[i] = (gp - gm) / (2 * fd_step)
+        grad = np.array([(defect(x + e)[0] - defect(x - e)[0]) / (2 * fd_step)
+                         for e in fd_step * np.eye(d)])
         n2 = float(grad @ grad)
         if n2 < 1e-18:
             break
@@ -533,48 +550,45 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                   iters: int = 60):
     """Two-dimensional root search for (nearest eigenphase - theta0) = 0.
 
-    Evaluates the wrapped defect on a small grid around x_init, bisects the
-    segment joining the best grid points of opposite sign, then polishes
-    with the minimal-norm Gauss-Newton step.  Used when the one-dimensional
-    curve structure of the asymptotic argument is absent at desk scale.
+    Evaluates the wrapped defect on a small grid around x_init, runs
+    ``_bracket_root`` on the segment joining the best grid points of
+    opposite sign, then polishes with the minimal-norm Gauss-Newton step
+    from the nearest point seen.  A sign change on the segment may be a jump
+    of the nearest eigenvalue to another branch rather than a root; the
+    search then stops at the first tie.  Used when the one-dimensional curve
+    structure of the asymptotic argument is absent at desk scale.
     """
-    def defect(coords: np.ndarray):
-        return _phase_defect(f, om, window, coords, theta0, beta, eta)
-
+    z = np.exp(1j * theta0)
     d = len(x_init)
     offs = np.linspace(-radius, radius, grid_n)
-    best_pos, best_neg = None, None      # (|g|, coords)
+    best_pos, best_neg = None, None      # (|g|, coords, lam)
     best_d, best_x = np.inf, x_init
-    if d == 1:
-        grid_pts = [np.array([o]) for o in offs]
-    else:
-        grid_pts = [np.array([o1, o2]) for o1 in offs for o2 in offs]
+    grid_pts = [np.array([o]) for o in offs] if d == 1 else \
+        [np.array([o1, o2]) for o1 in offs for o2 in offs]
     for off in grid_pts:
-        xx = x_init + np.pad(off, (d - len(off), 0)) if len(off) < d \
-            else x_init + off
-        g, dist = defect(xx)
+        xx = x_init + np.pad(off, (d - len(off), 0))
+        g, dist, lam = _phase_defect(f, om, window, xx, theta0, beta, eta)
         if dist < best_d:
             best_d, best_x = dist, xx.copy()
         if dist < tol:
             return reduce_phase(xx), dist
         if g > 0 and (best_pos is None or g < best_pos[0]):
-            best_pos = (g, xx.copy())
+            best_pos = (g, xx.copy(), lam)
         if g < 0 and (best_neg is None or -g < best_neg[0]):
-            best_neg = (-g, xx.copy())
+            best_neg = (-g, xx.copy(), lam)
     if best_pos is not None and best_neg is not None:
         lo, hi = best_neg[1], best_pos[1]
-        g_lo = -best_neg[0]
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            g, dist = defect(mid)
-            if dist < best_d:
-                best_d, best_x = dist, mid.copy()
-            if dist < tol:
-                return reduce_phase(mid), dist
-            if np.sign(g) == np.sign(g_lo):
-                lo, g_lo = mid, g
-            else:
-                hi = mid
+
+        def query(t: float, _ref):
+            x = lo + t * (hi - lo)
+            return (*_nearest_value(f, om, window, reduce_phase(x), z, beta, eta), x)
+
+        dist, _, x = _bracket_root(query, theta0, (0.0, best_neg[2]),
+                                   (1.0, best_pos[2]), tol, iters)
+        if dist < tol:
+            return reduce_phase(x), dist
+        if dist < best_d:
+            best_d, best_x = dist, x
     return _gauss_newton_solve(f, om, window, theta0, best_x, beta, eta,
                                tol=tol)
 
@@ -586,57 +600,44 @@ def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
     For eta on the parent arc, x_parent(phi, eta) carries a small-window
     eigenvalue exactly e^{i eta}; asymptotically the big-window eigenvalue
     tracking it is a near-identity function of eta and the equation (big
-    eigenvalue) = e^{i theta} is solved by bisection in eta.  At desk
-    scales the curve often only grazes the target (avoided crossings), in
-    which case the solve falls back to a minimal-norm Gauss-Newton step
-    over all phase coordinates; the resulting transversal drift is visible
-    to callers through the returned phase.
+    eigenvalue) = e^{i theta} is solved by ``_bracket_root`` in eta.  At
+    desk scales the curve often only grazes the target (avoided crossings),
+    so the solve tries ``_planar_solve`` first, which ends in a minimal-norm
+    Gauss-Newton step over all phase coordinates; the resulting transversal
+    drift is visible to callers through the returned phase.
     """
 
     def branch(phi: tuple, eta_angle: float):
+        """(lam, tie, x): the big window's eigenvalue nearest e^{i eta} at the
+        parent's solution x for e^{i eta}, or None when there is none."""
         x, _ = parent.solve_map(phi, eta_angle)
         if x is None:
-            return None, None
-        return x, _nearest_value(f, om, big, x, np.exp(1j * eta_angle), beta, eta)
+            return None
+        return (*_nearest_value(f, om, big, x, np.exp(1j * eta_angle), beta, eta), x)
 
     def curve_attempt(phi: tuple, theta: float, iters: int = 60,
                       tol: float = 1e-12):
-        x0, lam0 = branch(phi, theta)
-        if x0 is None:
-            return None, np.inf, None
-        z = np.exp(1j * theta)
-        best_x, best_d = x0, float(abs(lam0 - z))
+        start = branch(phi, theta)
+        if start is None:
+            return None, np.inf
+        lam0, _, x0 = start
+        best_d = float(abs(lam0 - np.exp(1j * theta)))
         if best_d < tol:
-            return best_x, best_d, x0
-        miss = wrap_angle(phase_of(lam0) - theta)
-        radius = max(4.0 * abs(miss), 4.0 * parent.arc_radius)
-        lo_eta, hi_eta = theta - radius, theta + radius
-        _, lam_lo = branch(phi, lo_eta)
-        _, lam_hi = branch(phi, hi_eta)
-        if lam_lo is None or lam_hi is None:
-            return None, best_d, x0
-        g_lo = wrap_angle(phase_of(lam_lo) - theta)
-        g_hi = wrap_angle(phase_of(lam_hi) - theta)
-        if np.sign(g_lo) == np.sign(g_hi):
-            return None, best_d, x0
-        for _ in range(iters):
-            mid = 0.5 * (lo_eta + hi_eta)
-            x_m, lam_m = branch(phi, mid)
-            if lam_m is None:
-                return None, best_d, x0
-            d_m = float(abs(lam_m - z))
-            if d_m < best_d:
-                best_x, best_d = x_m, d_m
-            if d_m < tol:
-                return x_m, d_m, x0
-            g_m = wrap_angle(phase_of(lam_m) - theta)
-            if np.sign(g_m) == np.sign(g_lo):
-                lo_eta, g_lo = mid, g_m
-            else:
-                hi_eta, g_hi = mid, g_m
+            return x0, best_d
+        radius = max(4.0 * abs(wrap_angle(phase_of(lam0) - theta)),
+                     4.0 * parent.arc_radius)
+        ends = [branch(phi, theta + s * radius) for s in (-1.0, 1.0)]
+        if None in ends or len({np.sign(wrap_angle(phase_of(e[0]) - theta))
+                                for e in ends}) == 1:
+            return None, best_d
+        dist, _, x = _bracket_root(lambda t, _ref: branch(phi, t), theta,
+                                   (theta - radius, ends[0][0]),
+                                   (theta + radius, ends[1][0]), tol, iters)
+        if dist < min(best_d, 1e-9):
+            return x, dist
         if best_d < 1e-9:
-            return best_x, best_d, x0
-        return None, best_d, x0
+            return x0, best_d
+        return None, min(best_d, dist)
 
     cache: dict = {}
 
@@ -651,7 +652,7 @@ def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
         result = _planar_solve(f, om, big, theta, np.array(seed_x.coords),
                                beta, eta)
         if result[0] is None:
-            x, dist, _ = curve_attempt(phi, theta)
+            x, dist = curve_attempt(phi, theta)
             if x is not None:
                 result = (x, dist)
         cache[key] = result
@@ -794,15 +795,10 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
         if x is None:
             hits += 1        # unsolvable node counts as exceptional
             continue
-        shifted = x.shift(h_vec)
-        seq = VerblunskySequence(f, om, shifted)
-        bad = True
-        for n1, n2 in tweaks:
-            m = build_finite_cmv(seq, -ns + n1, ns + n2, beta=beta, eta=eta)
-            if spectral_distance(m, zz) >= c_thr:
-                bad = False
-                break
-        hits += int(bad)
+        seq = VerblunskySequence(f, om, x.shift(h_vec))
+        hits += all(spectral_distance(build_finite_cmv(seq, -ns + n1, ns + n2,
+                                                       beta=beta, eta=eta), zz) < c_thr
+                    for n1, n2 in tweaks)
     c_est = WilsonInterval.from_counts(hits, samples)
     c_checks.append(Check("(C) exceptional measure", c_target, c_est.estimate,
                           c_est.estimate < c_target))
@@ -856,17 +852,13 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
 def _eigen_gradient(f, om, win, z, x: Phase, beta, eta, step: float):
     """Central-difference gradient of the tracked eigenvalue, with a
     half-step consistency estimate."""
-    d = len(x.coords)
-
     def tracked(coords):
-        return _nearest_value(f, om, win, reduce_phase(coords), z, beta, eta)
+        return _nearest_value(f, om, win, reduce_phase(coords), z, beta, eta)[0]
 
     base = np.array(x.coords)
-    grad = np.zeros(d, dtype=complex)
+    grad = np.zeros(len(base), dtype=complex)
     rich = 0.0
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
+    for i, e in enumerate(np.eye(len(base))):
         g1 = (tracked(base + step * e) - tracked(base - step * e)) / (2 * step)
         g2 = (tracked(base + 0.5 * step * e) - tracked(base - 0.5 * step * e)) / step
         grad[i] = g2
@@ -1070,15 +1062,13 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     failures = []
     lo_m, hi_m = int(3 * n0 / 2) + 1, n1
     for m in [v for k in range(lo_m, hi_m + 1) for v in (k, -k)]:
-        found = False
         for n1_, n2_ in tweaks:
             a, b = m - n0 + n1_, m + n0 + n2_
             m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
             if spectral_distance(m_win, z1.z) >= good:
                 subwindows[m] = (a, b)
-                found = True
                 break
-        if not found:
+        else:
             failures.append((m, f"no window tweak reaches margin {good:.3e}"))
     if failures:
         return None, AdvanceReport(subwindow_failures=failures, window=None,
@@ -1122,16 +1112,11 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                 dx = np.linalg.norm(_torus_diff(sol.array(), old_x.array()))
                 worst_dx = max(worst_dx, float(dx))
 
-                seq_new = VerblunskySequence(f, om, sol)
-                pairs_new = eigensolve(build_finite_cmv(seq_new, big[0], big[1],
-                                                        beta=beta, eta=eta))
-                p_new, _ = nearest_eigen(pairs_new, zz)
+                (p_new, _), pairs_new = _tracked_pair(f, om, big, zz, sol, beta, eta)
                 sep_new = min(sep_new, min(abs(q.value - p_new.value)
                                            for q in pairs_new if q.index != p_new.index))
-                seq_old = VerblunskySequence(f, om, old_x)
-                pairs_old = eigensolve(build_finite_cmv(
-                    seq_old, -state.window[0], state.window[1], beta=beta, eta=eta))
-                p_old, _ = nearest_eigen(pairs_old, zz)
+                (p_old, _), _ = _tracked_pair(f, om, state.window_interval(), zz,
+                                              old_x, beta, eta)
                 padded = pad_vector(p_old.vector,
                                     (-state.window[0], state.window[1]), big)
                 ov = np.vdot(p_new.vector, padded)
@@ -1186,31 +1171,22 @@ def rethreshold_advance(report: AdvanceReport, gamma: float,
     with an absurd value) can be judged against the already-measured
     quantities without re-running the solve.
     """
-    new_checks = []
-    for c in report.checks:
-        if c.name.startswith("bulk-(1)"):
-            req = float(np.exp(-gamma * n0 / 50.0))
-            new_checks.append(Check(c.name, req, c.measured, c.measured < req))
-        elif c.name.startswith("bulk-(2)"):
-            req = float(np.exp(-gamma * n0 / 500.0))
-            new_checks.append(Check(c.name, req, c.measured, c.measured < req))
-        else:
-            new_checks.append(c)
+    def rejudge(checks, divisors: dict) -> list:
+        """Checks named with a key prefix, re-judged at exp(-gamma n0 / divisor)."""
+        out = []
+        for c in checks:
+            div = next((v for k, v in divisors.items() if c.name.startswith(k)), None)
+            req = None if div is None else float(np.exp(-gamma * n0 / div))
+            out.append(c if req is None else Check(c.name, req, c.measured,
+                                                   c.measured < req))
+        return out
+
     loc = report.localization
     if loc is not None:
-        req = float(np.exp(-gamma * n0 / 40.0))
-        new_concl = []
-        for c in loc.conclusion_checks:
-            if c.name.startswith("(1)") or c.name.startswith("(4)"):
-                new_concl.append(Check(c.name, req, c.measured, c.measured < req))
-            else:
-                new_concl.append(c)
-        loc = LocalizationStepReport(hypothesis_checks=loc.hypothesis_checks,
-                                     window=loc.window,
-                                     conclusion_checks=new_concl)
-    return AdvanceReport(subwindow_failures=report.subwindow_failures,
-                         window=report.window, checks=new_checks,
-                         localization=loc)
+        loc = replace(loc, conclusion_checks=rejudge(loc.conclusion_checks,
+                                                     {"(1)": 40.0, "(4)": 40.0}))
+    return replace(report, localization=loc, checks=rejudge(
+        report.checks, {"bulk-(1)": 50.0, "bulk-(2)": 500.0}))
 
 
 def _nearest_node(state: InductiveState, phi: tuple, theta: float) -> Phase:

@@ -6,7 +6,7 @@ factor is numerically diagonal).  Eigenvalues are projected onto the circle
 and pairs are ordered by phase; eigenvector gauge fixes the first
 largest-magnitude entry to be real positive.  Queries for the single
 eigenvalue nearest a point use a banded Hermitian companion of the window
-(``nearest_eigenpair``) and need no dense solve.
+(``nearest_eigenpair``, ``nearest_eigenvalue``) and need no dense solve.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def eigenphases(m, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
 
 def _banded_nearest(m: FiniteCMV, z: complex):
     """(value, gauged vector, residual) from H = (conj(u) E + u E*) / 2, or
-    None when the top two eigenvalues of H nearly coincide or the residual is
-    not small."""
+    why not: "tie" when the top two eigenvalues of H nearly coincide, "fail"
+    when the shift is exactly singular or the residual is not small."""
     n = m.size
     u = z / abs(z)
     ab = np.zeros((5, n), dtype=complex)      # H in solve_banded layout (2, 2)
@@ -107,7 +107,7 @@ def _banded_nearest(m: FiniteCMV, z: complex):
     top = eigvals_banded(ab[:3], select="i", select_range=(n - 2, n - 1),
                          check_finite=False)
     if top[1] - top[0] <= _GAP_TOL:
-        return None
+        return "tie"
     ab[2] -= top[1]
     v = np.random.default_rng(1234).standard_normal(n)
     try:
@@ -115,14 +115,25 @@ def _banded_nearest(m: FiniteCMV, z: complex):
             v = solve_banded((2, 2), ab, v, check_finite=False)
             v /= np.linalg.norm(v)
     except np.linalg.LinAlgError:       # exactly singular shift
-        return None
+        return "fail"
     ev = apply_cmv(m, v)
     lam = complex(np.vdot(v, ev))
     lam /= abs(lam)
     res = float(np.linalg.norm(ev - lam * v))
     if not res <= _RES_TOL:
-        return None
+        return "fail"
     return lam, _gauge(v), res
+
+
+def _nearest(m: FiniteCMV, z: complex):
+    """(value, vector, residual, tie) behind ``nearest_eigenpair``."""
+    if m.beta is None or m.eta is None:
+        raise ValueError("nearest_eigenpair needs a unitary window")
+    pair = _banded_nearest(m, z) if m.size >= 3 and z != 0 else "fail"
+    if not isinstance(pair, str):
+        return (*pair, False)
+    w = eigenphases(m)
+    return complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, pair == "tie"
 
 
 def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | None, float]:
@@ -144,14 +155,15 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     from z; ties then go to the lower phase, as in ``nearest_eigen``), or
     when the residual exceeds 1e-9.
     """
-    if m.beta is None or m.eta is None:
-        raise ValueError("nearest_eigenpair needs a unitary window")
-    if m.size >= 3 and z != 0:
-        pair = _banded_nearest(m, z)
-        if pair is not None:
-            return pair
-    w = eigenphases(m)
-    return complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0
+    return _nearest(m, z)[:3]
+
+
+def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
+    """The value of ``nearest_eigenpair`` and whether it is a tie: two
+    eigenvalues about equally far from z (the top two eigenvalues of H
+    within 1e-9), where a path of phases jumps from one branch to another."""
+    value, _, _, tie = _nearest(m, z)
+    return value, tie
 
 
 def spectral_distance(m: FiniteCMV, z: complex) -> float:

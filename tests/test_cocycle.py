@@ -397,3 +397,29 @@ class TestBatchedKernel:
                 want = transfer_product(f_two_mode, freq2, z, Phase(tuple(x)), n).log_norm2
                 assert single[n] == want
                 assert batch[n][i] == want
+
+
+class TestAvalancheReuse:
+    @pytest.mark.parametrize("chain", [2, 5, 8, 11])
+    def test_values_bitwise_from_chain_logs(self, f_two_mode, freq2, chain):
+        # oracle: the per-sample reconstruction computed from the factors
+        from cmvspec.cocycle import _norm2, transfer_product
+        from cmvspec.util import counter_phases
+        z, n0, levels, samples, seed = SpectralPoint(1.0), 20, 2, 12, 5
+        est = lyapunov_avalanche(f_two_mode, freq2, z, n0, levels, samples,
+                                 seed, chain=chain)
+        om = freq2.array()
+        n = n0 * 2 ** (levels - 1)
+        jumps = np.arange(chain)[:, None] * n * om
+        x = counter_phases(2, samples, seed, levels - 1)[:, None] + jumps
+        pr = transfer_product(f_two_mode, om, z, reduce_phase(x.reshape(-1, 2)), n)
+        vals = np.empty(samples)
+        for s in range(samples):
+            part = slice(s * chain, (s + 1) * chain)
+            ms, logs = list(pr.matrix[part]), list(pr.log_norm[part])
+            log_norms = [lg + np.log(_norm2(A)) for A, lg in zip(ms, logs)]
+            pair_logs = [logs[j + 1] + logs[j] + np.log(_norm2(ms[j + 1] @ ms[j]))
+                         for j in range(chain - 1)]
+            vals[s] = (sum(pair_logs) - sum(log_norms[1:chain - 1])) / (chain * n)
+        assert est.value == float(vals.mean())
+        assert est.std_error == float(vals.std(ddof=1) / np.sqrt(samples))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cmvspec.cmv import VerblunskySequence, build_finite_cmv
+from cmvspec.cmv import VerblunskySequence, apply_cmv, build_finite_cmv
 from cmvspec.coverage import interval_coverage_scan, nearest_eigen_banded
-from cmvspec.spectral import eigenphases
+from cmvspec.spectral import eigenphases, eigensolve
 from cmvspec.torus import Phase
 
 FLOQUET_EDGE = np.pi / 3   # |tr M| <= 2 arc boundary for constant alpha=0.5
@@ -94,3 +94,84 @@ class TestCoverageScan:
         b = interval_coverage_scan(f_two_mode, freq2, (1.0, 2.0), **kw)
         assert [(p.theta, p.covered, p.best_dist) for p in a.points] == \
                [(p.theta, p.covered, p.best_dist) for p in b.points]
+
+
+@pytest.fixture(scope="module")
+def readme_window(f_const, freq1):
+    """The README scan's window: 801 sites, constant alpha = 0.5, golden
+    frequency, the phase of seed 0, with its dense spectrum."""
+    from cmvspec.util import counter_rng
+    x = Phase(tuple(counter_rng(0, 0).random(1)))
+    m = build_finite_cmv(VerblunskySequence(f_const, freq1, x), -400, 400)
+    return m, eigenphases(m)
+
+
+def _edge(vec):
+    u = np.abs(vec)
+    return float(max(u[:4].max(), u[-4:].max()))
+
+
+def _counted_solves(monkeypatch, fail_first=False):
+    """Count (and optionally make the first one raise) the coverage solves."""
+    import cmvspec.coverage as cov
+    calls = []
+    solve = cov.solve_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cov, "solve_banded", counted)
+    return calls
+
+
+class TestInverseIteration:
+    def test_readme_window_at_e2i(self, readme_window):
+        # (z L* - M)^{-1} alone left this pair at distance 1.35, residual 1.06
+        m, w = readme_window
+        z = np.exp(2j)
+        exact = float(np.min(np.abs(w - z)))
+        lam, vec, res = nearest_eigen_banded(m, z)
+        assert abs(lam - z) + res >= exact - 1e-14
+        assert res < 1e-9
+        assert abs(lam - w[int(np.argmin(np.abs(w - z)))]) < 1e-9
+        assert np.linalg.norm(apply_cmv(m, vec) - lam * vec) <= res + 1e-14
+
+    @pytest.mark.parametrize("window", [30, 60])
+    def test_dense_shift_converges_in_three_steps(self, f_two_mode, freq2,
+                                                  window, monkeypatch):
+        seq = VerblunskySequence(f_two_mode, freq2, Phase((0.37, 0.81)))
+        m = build_finite_cmv(seq, -window, window)
+        pairs = eigensolve(m)
+        calls = _counted_solves(monkeypatch)
+        for p in pairs[::7]:
+            calls.clear()
+            lam, vec, res = nearest_eigen_banded(m, p.value)
+            assert len(calls) <= 3
+            assert res < 1e-10 and abs(lam - p.value) < 1e-12
+            assert _edge(vec) == pytest.approx(_edge(p.vector), abs=1e-10)
+
+    def test_readme_edge_values_match_dense(self, readme_window, monkeypatch):
+        m, w = readme_window
+        calls = _counted_solves(monkeypatch)
+        E = m.dense()
+        for k in (0, 150, 400, 650):
+            calls.clear()
+            lam, vec, res = nearest_eigen_banded(m, w[k])
+            assert len(calls) <= 3 and res < 1e-10
+            assert np.linalg.norm(E @ vec - w[k] * vec) < 1e-9
+
+    def test_singular_solve_recovers_a_vector(self, f_two_mode, freq2,
+                                              monkeypatch):
+        seq = VerblunskySequence(f_two_mode, freq2, Phase((0.37, 0.81)))
+        m = build_finite_cmv(seq, -30, 30)
+        p = eigensolve(m)[12]
+        calls = _counted_solves(monkeypatch, fail_first=True)
+        lam, vec, res = nearest_eigen_banded(m, p.value)
+        assert len(calls) > 1
+        assert vec is not None and res < 1e-10
+        assert abs(lam - p.value) < 1e-12
+        assert abs(np.vdot(vec, p.vector)) == pytest.approx(1.0, abs=1e-10)
+        assert _edge(vec) == pytest.approx(_edge(p.vector), abs=1e-10)

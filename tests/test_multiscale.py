@@ -10,6 +10,7 @@ from cmvspec.multiscale import (ScaleSchedule, assemble_window,
 from cmvspec.spectral import eigensolve, nearest_eigen
 from cmvspec.torus import Phase
 from cmvspec.presets import localization_example
+from cmvspec.multiscale import _bracket_root
 
 DESK_OVERRIDES = {
     "separation": 1e-3, "good_dist": 1e-4, "box_radius": 1e-4,
@@ -286,3 +287,105 @@ class TestAdvance:
         state1 = dataclasses.replace(state, depth=sched.s_max)
         with pytest.raises(ValueError, match="s_max"):
             inductive_advance(state1, sched, f_loc, freq2)
+
+
+def _circle_query(h, tie_at=None):
+    """Synthetic bracket query: eigenvalue e^{i h(t)} (target arg 0), a tie
+    wherever tie_at(t) holds; the queried points are recorded."""
+    seen = []
+
+    def query(t, ref):
+        seen.append(t)
+        return np.exp(1j * h(t)), bool(tie_at and tie_at(t)), t
+
+    return query, seen
+
+
+class TestBracketRoot:
+    @pytest.mark.parametrize("h", [
+        lambda t: 0.8 * (t - 0.37) + 0.5 * (t - 0.37) ** 3,
+        lambda t: np.exp(t) - 1.5,
+        lambda t: np.sin(3.0 * t) - 0.2,
+        lambda t: 1e-3 * (t - 0.9),
+    ])
+    def test_smooth_crossing_reaches_tol(self, h):
+        query, seen = _circle_query(h)
+        dist, t, item = _bracket_root(query, 0.0, (0.0, np.exp(1j * h(0.0))),
+                                      (1.0, np.exp(1j * h(1.0))))
+        assert dist < 1e-12
+        assert item == t and abs(h(t)) < 1e-12
+        assert len(seen) <= 12
+
+    def test_jump_stops_at_first_tie(self):
+        # two branches with phases 0.3 - t > 0 and -0.2 - t < 0: the nearest
+        # one jumps from the second to the first at t = 0.05 without a root
+        def h(t):
+            a, b = 0.3 - t, -0.2 - t
+            return a if abs(a) < abs(b) else b
+
+        ends = (0.0, np.exp(-0.2j)), (0.2, np.exp(0.1j))
+        query, seen = _circle_query(h, tie_at=lambda t: abs(t - 0.05) < 1e-6)
+        dist, t, _ = _bracket_root(query, 0.0, *ends)
+        ties = [k for k, s in enumerate(seen) if abs(s - 0.05) < 1e-6]
+        assert ties and len(seen) == ties[0] + 1 > 1
+        assert dist > 0.09
+        # without the tie the search spends every query on the jump
+        query, seen = _circle_query(h)
+        dist, t, _ = _bracket_root(query, 0.0, *ends)
+        assert dist > 0.09 and len(seen) > 3 * ties[0]
+
+    def test_failed_query_ends_search(self):
+        calls = []
+
+        def query(t, ref):
+            calls.append(t)
+            return None if len(calls) == 2 else (np.exp(1j * (t * t - 0.3)), False, t)
+
+        dist, t, _ = _bracket_root(query, 0.0, (0.0, np.exp(-0.3j)),
+                                   (1.0, np.exp(0.7j)))
+        assert len(calls) == 2
+        assert t == calls[0]
+        assert dist == pytest.approx(abs(np.exp(1j * (t * t - 0.3)) - 1))
+
+    def test_tracking_target_is_interpolated(self):
+        refs = []
+
+        def query(t, ref):
+            refs.append((t, ref))
+            return np.exp(1j * (t - 0.25)), False, t
+
+        lo, hi = np.exp(-0.25j), np.exp(0.75j)
+        _bracket_root(query, 0.0, (0.0, lo), (1.0, hi))
+        t, ref = refs[0]
+        assert ref == pytest.approx(lo + t * (hi - lo), abs=1e-15)
+
+
+class TestSolvePhaseQueries:
+    def test_refined_roots_need_few_queries(self, depth0, f_loc, freq2,
+                                            monkeypatch):
+        import cmvspec.multiscale as ms
+        _, z0, state = depth0
+        bracket = ms._bracket_root
+        roots = []
+
+        def counted(query, *args, **kwargs):
+            n = [0]
+
+            def q(t, ref):
+                n[0] += 1
+                return query(t, ref)
+
+            out = bracket(q, *args, **kwargs)
+            roots.append((n[0], out[0]))
+            return out
+
+        monkeypatch.setattr(ms, "_bracket_root", counted)
+        x_init = np.array(state.base_x.coords) + np.array([0.0, 0.01])
+        for dtheta in (0.003, -0.007, 0.02, -0.05, 0.1):
+            z = np.exp(1j * (z0.theta + dtheta))
+            x, dist = ms._solve_phase(f_loc, freq2.array(), (-16, 16), z, x_init,
+                                      1.0 + 0j, 1.0 + 0j, span=0.15, coarse=31)
+            assert x is not None and dist < 1e-12
+        refined = [n for n, d in roots if d < 1e-12]
+        assert len(refined) >= 5
+        assert max(refined) <= 15
