@@ -169,17 +169,22 @@ def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
     """Bisection on the wrapped eigenphase difference along the last
     coordinate, using shift-invert probes.  Returns (phase, certified
     distance, window, eigenvalue) of the best point, (x0, d0, m0, lam0) when
-    no probe beats it."""
+    no probe beats it.  Each distinct window is probed once: a window seen
+    before (the seed's included) reuses its eigenvalue and distance."""
     theta = phase_of(z)
+    seen = {m0.alpha.tobytes(): (lam0, d0)}
 
     def probe(t: float):
         coords = x0.copy()
         coords[-1] = t
         m = build_at(coords)
-        lam, _, res = nearest_eigen_banded(m, z)
-        # certified distance bound for a normal matrix
-        return wrap_angle(phase_of(lam) - theta), (coords, float(abs(lam - z) + res),
-                                                   m, lam)
+        key = m.alpha.tobytes()
+        if key not in seen:
+            lam, _, res = nearest_eigen_banded(m, z)
+            # certified distance bound for a normal matrix
+            seen[key] = (lam, float(abs(lam - z) + res))
+        lam, dist = seen[key]
+        return wrap_angle(phase_of(lam) - theta), (coords, dist, m, lam)
 
     best = (x0, d0, m0, lam0)
     ts = x0[-1] + np.linspace(-0.5, 0.5, 17)

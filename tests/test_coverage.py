@@ -175,3 +175,101 @@ class TestInverseIteration:
         assert abs(lam - p.value) < 1e-12
         assert abs(np.vdot(vec, p.vector)) == pytest.approx(1.0, abs=1e-10)
         assert _edge(vec) == pytest.approx(_edge(p.vector), abs=1e-10)
+
+
+def _window_builder(f, omega, n):
+    """The scan's ``build_at`` for the window [-n, n]."""
+    from cmvspec.torus import reduce_phase
+
+    def build_at(coords):
+        seq = VerblunskySequence(f, omega, reduce_phase(coords))
+        return build_finite_cmv(seq, -n, n)
+    return build_at
+
+
+def _counted_probes(monkeypatch):
+    """Record the window of every coverage ``nearest_eigen_banded`` call."""
+    import cmvspec.coverage as cov
+    windows = []
+    probe = cov.nearest_eigen_banded
+
+    def counted(m, *args, **kwargs):
+        windows.append(m.alpha.tobytes())
+        return probe(m, *args, **kwargs)
+
+    monkeypatch.setattr(cov, "nearest_eigen_banded", counted)
+    return windows
+
+
+class TestRefineProbeCache:
+    def test_constant_alpha_refine_reuses_the_seed(self, readme_window,
+                                                   f_const, freq1,
+                                                   monkeypatch):
+        # every phase gives the same window: no probe can beat the seed
+        from cmvspec.coverage import _refine
+        from cmvspec.util import counter_rng
+        m, w = readme_window
+        tol = 0.0125
+        z = np.exp(1j * (FLOQUET_EDGE - 0.05))      # in the gap
+        k = int(np.argmin(np.abs(w - z)))
+        d0, lam0 = float(abs(w[k] - z)), w[k]
+        assert tol < d0 <= 16 * tol
+        x0 = counter_rng(0, 0).random(1)
+        windows = _counted_probes(monkeypatch)
+        x, d, mm, lam = _refine(_window_builder(f_const, freq1, 400), z, x0,
+                                d0, m, lam0, 16)
+        assert windows == []
+        assert x is x0 and d == d0 and mm is m and lam == lam0
+
+    def test_one_probe_per_distinct_window(self, f_two_mode, freq2,
+                                           monkeypatch):
+        from cmvspec.coverage import _refine
+        x0 = np.array([0.37, 0.81])
+        build = _window_builder(f_two_mode, freq2, 40)
+        built = []
+
+        def build_at(coords):
+            m = build(coords)
+            built.append(m.alpha.tobytes())
+            return m
+
+        m0 = build(x0)
+        w = eigenphases(m0)
+        z = np.exp(0.5j)
+        k = int(np.argmin(np.abs(w - z)))
+        windows = _counted_probes(monkeypatch)
+        _refine(build_at, z, x0, float(abs(w[k] - z)), m0, w[k], 16)
+        seed = m0.alpha.tobytes()
+        assert len(built) > 17                      # the bisection ran
+        assert seed in built and seed not in windows
+        assert len(windows) == len(set(windows))
+        assert set(windows) == set(built) - {seed}
+
+
+def test_refine_sign_matches_nearest_eigenpair(f_two_mode, freq2):
+    # the bisection in _refine reads the sign of wrap(arg lam - theta) of
+    # its banded probes; where they converge it must be the sign of the
+    # nearest eigenvalue, and |lam - z| + res must bound the true distance
+    from cmvspec.spectral import nearest_eigenpair
+    from cmvspec.util import phase_of, wrap_angle
+    rng = np.random.default_rng(7)
+    ts = np.linspace(-0.5, 0.5, 17)
+    checked = 0
+    for n in (20, 40):
+        build_at = _window_builder(f_two_mode, freq2, n)
+        for _ in range(4):
+            x0 = rng.random(2)
+            z = np.exp(2j * np.pi * rng.random())
+            theta = phase_of(z)
+            for t in ts:
+                m = build_at(np.array([x0[0], x0[1] + t]))
+                lam, _, res = nearest_eigen_banded(m, z)
+                if res >= 1e-9:
+                    continue
+                oracle = nearest_eigenpair(m, z)[0]
+                assert np.sign(wrap_angle(phase_of(lam) - theta)) == \
+                    np.sign(wrap_angle(phase_of(oracle) - theta))
+                exact = float(np.min(np.abs(eigenphases(m) - z)))
+                assert abs(lam - z) + res >= exact - 1e-12
+                checked += 1
+    assert checked >= 40
