@@ -73,6 +73,17 @@ def load_config(path: str, command: str) -> dict:
     return data
 
 
+def config_number(value, name: str, cast=float, low=None):
+    """A config value converted by ``cast``, at least ``low`` if given."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{name}' must be a number, got {value!r}") from exc
+    if low is not None and out < low:
+        raise ConfigError(f"'{name}' must be at least {low}, got {out}")
+    return out
+
+
 def resolve_sampling(cfg: dict) -> SamplingFunction:
     spec = cfg.get("sampling")
     if spec is None:
@@ -92,7 +103,7 @@ def resolve_sampling(cfg: dict) -> SamplingFunction:
         kwargs = {k: v for k, v in spec.items() if k != "preset"}
         try:
             return factory(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for preset '{name}': {exc}") from exc
     try:
         return SamplingFunction.from_json(json.dumps(spec))
@@ -162,14 +173,15 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     if thetas is None:
         grid = block.get("theta_grid", 16)
         thetas = [2 * np.pi * g / grid for g in range(grid)]
-    scales = block.get("scales", [block.get("n", 100)])
-    samples = int(block.get("samples", 100))
+    scales = [config_number(n, "scales", int, 1)
+              for n in block.get("scales", [block.get("n", 100)])]
+    samples = config_number(block.get("samples", 100), "samples", int, 1)
     rows = []
     for theta in thetas:
         z = SpectralPoint(float(theta))
         for n in scales:
-            est = lyapunov_finite(f, freq, z, int(n), samples, seed)
-            rows.append((float(z.theta), int(n), float(est.value),
+            est = lyapunov_finite(f, freq, z, n, samples, seed)
+            rows.append((float(z.theta), n, float(est.value),
                          float(est.std_error), est.method))
     write_csv(outdir / "lyapunov.csv", "theta,n,L_n,std_error,method", rows)
     return 0
@@ -189,10 +201,13 @@ def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
     if (float(arc[1]) - float(arc[0])) % (2 * np.pi) == 0.0 and not full_circle:
         raise ConfigError("'arc' endpoints coincide")
     scan = interval_coverage_scan(
-        f, freq, (float(arc[0]), float(arc[1])), grid=int(block.get("grid", 360)),
-        window=int(block.get("window", 100)), tol=float(block.get("tol", 0.02)),
-        phase_samples=int(block.get("phase_samples", 8)), seed=seed,
-        beta=beta, eta=eta)
+        f, freq, (float(arc[0]), float(arc[1])),
+        grid=config_number(block.get("grid", 360), "grid", int, 2),
+        window=config_number(block.get("window", 100), "window", int, 0),
+        tol=config_number(block.get("tol", 0.02), "tol"),
+        phase_samples=config_number(block.get("phase_samples", 8),
+                                    "phase_samples", int, 1),
+        seed=seed, beta=beta, eta=eta)
     d = f.dim
     header = "theta,covered,best_dist," + ",".join(f"phase_x{i}" for i in range(d)) \
         + ",edge_value"
@@ -218,9 +233,10 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     freq = resolve_frequency(cfg, f.dim)
     beta, eta = resolve_boundary(cfg)
     z = SpectralPoint(float(block.get("theta", 0.0)))
-    n_list = [int(v) for v in block.get("n_list", [50, 100, 200])]
-    tau = float(block.get("tau", 0.3))
-    samples = int(block.get("samples", 500))
+    n_list = [config_number(v, "n_list", int, 1)
+              for v in block.get("n_list", [50, 100, 200])]
+    tau = config_number(block.get("tau", 0.3), "tau")
+    samples = config_number(block.get("samples", 500), "samples", int, 1)
     scan = ldt_measure_scan(f, freq, z, n_list, tau, samples, seed)
     rows = [(e.n, float(e.estimate), float(e.interval.lo), float(e.interval.hi),
              float(scan.l_values[e.n])) for e in scan.estimates]
@@ -307,7 +323,6 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
             c1=float(sched_cfg.get("c1", 2.0)),
             c2=float(sched_cfg.get("c2", 3.2)),
             nu=float(sched_cfg.get("nu", 0.1)),
-            tau=float(sched_cfg.get("tau", 0.3)),
             growth=sched_cfg.get("growth"),
             overrides=sched_cfg.get("overrides", {}))
         probe = schedule.scale(1) + n0 if depth >= 1 else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Frequency, Phase, SamplingFunction, reduce_phase
+from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 
 
 def theta_block(alpha_n: complex) -> np.ndarray:
@@ -42,9 +42,7 @@ class VerblunskySequence:
     def __init__(self, sampling: SamplingFunction, frequency, base: Phase,
                  overrides: dict | None = None):
         self.sampling = sampling
-        self.omega = (frequency.array() if isinstance(frequency, Frequency)
-                      else np.asarray(frequency, dtype=float))
-        self.frequency = frequency if isinstance(frequency, Frequency) else None
+        self.omega = omega_array(frequency)
         self.base = base
         self.overrides = {}
         if overrides:
@@ -91,11 +89,6 @@ class VerblunskySequence:
     def log_rho_sum(self, a: int, b: int) -> float:
         """sum of log rho_n over the window, from the unmodified sampling."""
         return float(np.sum(np.log(_rho_of(self.raw_values(a, b)))))
-
-    def shifted(self, steps: int) -> "VerblunskySequence":
-        """Sequence based at x + steps*w; value(n) equals self.value(n+steps)."""
-        return VerblunskySequence(self.sampling, self.frequency or self.omega,
-                                  self.phase_at(steps))
 
 
 def _cmv_bands(al: np.ndarray, rh: np.ndarray, first: int) -> np.ndarray:

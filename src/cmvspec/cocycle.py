@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Frequency, Phase, SamplingFunction, reduce_phase
+from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import TWO_PI, counter_phases
 
 
@@ -41,10 +41,6 @@ class SpectralPoint:
     @classmethod
     def from_z(cls, z: complex) -> "SpectralPoint":
         return cls(theta=float(np.angle(z)))
-
-
-def _omega_array(omega) -> np.ndarray:
-    return omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
 
 
 def cocycle_step(f: SamplingFunction, z: SpectralPoint, x: Phase) -> np.ndarray:
@@ -125,9 +121,11 @@ def transfer_product(f: SamplingFunction, omega, z: SpectralPoint, x,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    om = _omega_array(omega)
+    om = omega_array(omega)
     single = isinstance(x, Phase)
     pts = x.array()[None, :] if single else np.asarray(x, dtype=float).reshape(-1, f.dim)
+    if len(pts) == 0:
+        raise ValueError("transfer_product needs at least one phase")
     y = x.imag_array() if single and x.imag is not None and any(x.imag) else None
     width = max(1, _CHUNK // n)
     parts = [_products(f, om, z, pts[lo:lo + width], y, n)
@@ -327,7 +325,7 @@ def lyapunov_avalanche(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
     if chain < 2:
         raise ValueError("chain must be >= 2")
     d = f.dim
-    om = _omega_array(omega)
+    om = omega_array(omega)
     est = None
     for lev in range(levels):
         n = n0 * 2 ** lev

@@ -18,8 +18,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cmv import FiniteCMV, VerblunskySequence, apply_cmv, build_finite_cmv
-from .torus import Frequency, Phase, SamplingFunction, reduce_phase
+from .spectral import edge_value
+from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import TWO_PI, counter_rng, phase_of, wrap_angle
+
+_PROBE_ITERS = 30       # inverse-iteration steps per probe
+_PROBE_RES_TOL = 1e-10  # residual at which a probe has converged
+_REFINE_STEPS = 16      # bisection steps of a refinement
+_REFINE_GATE = 16.0     # refine a seed distance in (tol, 16 tol]
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class CoverageScan:
         return sum(1 for p in self.points if p.covered) / len(self.points)
 
 
-def nearest_eigen_banded(m: FiniteCMV, z: complex, max_iters: int = 30,
-                         res_tol: float = 1e-10):
+def nearest_eigen_banded(m: FiniteCMV, z: complex):
     """Eigenpair of the window nearest z by tridiagonal shift-invert.
 
     Inverse iteration v <- (z - E)^{-1} v, one tridiagonal solve per step:
@@ -65,7 +70,7 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex, max_iters: int = 30,
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam, res = z, np.inf
-    for it in range(max_iters):
+    for it in range(_PROBE_ITERS):
         rhs = ls[1] * v
         rhs[:-1] += ls[0, 1:] * v[1:]
         rhs[1:] += ls[2, :-1] * v[:-1]
@@ -79,12 +84,12 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex, max_iters: int = 30,
             ab = m.zlstar_minus_m_banded(shift)
             continue
         v = w / nrm
-        if it >= min(2, max_iters - 1):
+        if it >= 2:
             ev = apply_cmv(m, v)
             lam = complex(np.vdot(v, ev))
             lam /= abs(lam)
             res = float(np.linalg.norm(ev - lam * v))
-            if res < res_tol:
+            if res < _PROBE_RES_TOL:
                 break
     return lam, v, res
 
@@ -92,15 +97,14 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex, max_iters: int = 30,
 def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
                            grid: int, window: int, tol: float,
                            phase_samples: int = 8, seed: int = 0,
-                           beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                           refine_steps: int = 16,
-                           refine_gate: float | None = None) -> CoverageScan:
+                           beta: complex = 1.0 + 0j,
+                           eta: complex = 1.0 + 0j) -> CoverageScan:
     """Scan ``grid`` points of the arc [theta1, theta2] for coverage.
 
     Each grid point starts from the best of ``phase_samples`` precomputed
-    seeded phases; if that misses tolerance but is within ``refine_gate``
-    (default 16*tol), the last phase coordinate is refined by bisecting the
-    wrapped eigenphase difference of the locally nearest eigenvalue.
+    seeded phases; if that misses tolerance but is within 16*tol, the last
+    phase coordinate is refined by bisecting the wrapped eigenphase
+    difference of the locally nearest eigenvalue.
     Covered additionally requires the matched eigenvector's outer edge
     entries to stay below sqrt(tol); that vector comes from inverse
     iteration shifted at the matched eigenvalue (the dense one of the
@@ -112,11 +116,10 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     span = (th2 - th1) % TWO_PI
     if span == 0:
         span = TWO_PI
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
     d = f.dim
     N = int(window)
     a, b = -N, N
-    gate = float(refine_gate) if refine_gate is not None else 16.0 * tol
 
     xs, spectra, matrices = [], [], []
     for s in range(phase_samples):
@@ -146,14 +149,13 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         x_arr = np.array(xs[best_s].coords)
         dist_best = best_d
         matched = matrices[best_s]
-        if tol < dist_best <= gate and refine_steps > 0:
+        if tol < dist_best <= _REFINE_GATE * tol:
             x_arr, dist_best, matched, lam = _refine(
-                build_at, z, x_arr, dist_best, matched, lam, refine_steps)
+                build_at, z, x_arr, dist_best, matched, lam, _REFINE_STEPS)
         covered = dist_best <= tol
         edge = np.inf
         if covered:
-            u = np.abs(nearest_eigen_banded(matched, lam)[1])
-            edge = float(max(u[:4].max(), u[-4:].max()))
+            edge = edge_value(nearest_eigen_banded(matched, lam)[1])
             covered = edge <= sqrt_tol
         points.append(CoveragePoint(theta=float(theta), covered=bool(covered),
                                     best_dist=float(dist_best),

@@ -230,7 +230,6 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
     if not k_param < 0.5 * float(min_len) ** (nu / 2.0):
         failures.append(("K", f"K = {k_param} >= min|J|^(nu/2)/2"))
     f = seq.sampling
-    omega = seq.frequency if seq.frequency is not None else seq.omega
     for m, (a, b) in sorted(windows.items()):
         if not (a <= m <= b):
             failures.append((m, "site outside its window"))
@@ -238,7 +237,7 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         edge = min(m - a, b - m)
         if edge < (b - a + 1) / 100.0:
             failures.append((m, f"dist to boundary {edge} < |J|/100"))
-        seq0 = VerblunskySequence(f, omega, x0)
+        seq0 = VerblunskySequence(f, seq.omega, x0)
         m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
         d = min(spectral_distance(m_win, t) for t in targets)
         if d < thr:
@@ -260,7 +259,7 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         delta = (counter_rng(seed, s).random(d_dim) - 0.5) * 2 * dmax * 0.99
         if s == 0:
             delta = np.zeros(d_dim)
-        seq_x = VerblunskySequence(f, omega, x0.shift(delta))
+        seq_x = VerblunskySequence(f, seq.omega, x0.shift(delta))
         m_union = build_finite_cmv(seq_x, lo, hi, beta=beta, eta=eta)
         d = min(spectral_distance(m_union, t) for t in targets)
         dists.append(d)

@@ -11,15 +11,28 @@ named inequality is a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import (eigensolve, nearest_eigen, nearest_eigenvalue,
-                       spectral_distance)
-from .torus import Frequency, Phase, SamplingFunction, reduce_phase
+from .spectral import (edge_value, eigensolve, nearest_eigen,
+                       nearest_eigenvalue, spectral_distance)
+from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
+
+_ROOT_TOL = 1e-12       # |lam - e^{i theta}| at which a root search stops
+_ROOT_ITERS = 60        # queries per bracketed root search
+_NEAR_ROOT = 1e-9       # distance at which the nearest point seen is a root
+_PLANAR_RADIUS = 0.015  # half-width of the planar search grid
+_PLANAR_GRID = 9        # grid points per coordinate of the planar search
+_GN_ITERS = 40          # Gauss-Newton steps
+_GN_MAX_STEP = 2e-2     # trust-region cap on a Gauss-Newton step
+_GN_FD_STEP = 1e-7      # finite-difference step of the Gauss-Newton gradient
+_D_FD_STEP = 1e-6       # finite-difference step of the (D) gradient
+_ATTEMPTS = 4           # tries of a grid continuation ...
+_SHRINK = 0.125         # ... each shrinking the box and the arc by this factor
 
 
 # --------------------------------------------------------------------------
@@ -44,7 +57,6 @@ class ScaleSchedule:
     c1: float = 2.0
     c2: float = 3.2
     nu: float = 0.1
-    tau: float = 0.3
     growth: float | None = None
     max_scale: int = 4096
     overrides: dict = field(default_factory=dict)
@@ -156,8 +168,7 @@ def _phase_defect(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     return wrap_angle(phase_of(lam) - theta0), float(abs(lam - z)), lam
 
 
-def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
-                  tol: float = 1e-12, iters: int = 60):
+def _bracket_root(query, theta: float, lo: tuple, hi: tuple):
     """Root of g(t) = wrapped arg lam(t) - theta between ends (t, lam) with g
     of opposite signs; returns (dist, t, item) of the nearest point queried.
 
@@ -167,8 +178,8 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
     from the target marks a jump to another branch, not a root.  Each step
     takes the Illinois point (regula falsi, halving the g of an end kept
     twice in a row), or the midpoint when that leaves the bracket, and the
-    search stops at a root (|lam - e^{i theta}| < tol), a tie, a None, a
-    bracket down to adjacent floats, or after ``iters`` queries.
+    search stops at a root (|lam - e^{i theta}| < _ROOT_TOL), a tie, a None,
+    a bracket down to adjacent floats, or after _ROOT_ITERS queries.
     """
     z = np.exp(1j * theta)
     (t_lo, lam_lo), (t_hi, lam_hi) = lo, hi
@@ -176,7 +187,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
     g_hi = wrap_angle(phase_of(lam_hi) - theta)
     best = (np.inf, None, None)
     kept = 0            # -1 / +1: the low / high end was kept at the last step
-    for _ in range(iters):
+    for _ in range(_ROOT_ITERS):
         t = t_hi - g_hi * (t_hi - t_lo) / (g_hi - g_lo)
         if not min(t_lo, t_hi) < t < max(t_lo, t_hi):
             t = 0.5 * (t_lo + t_hi)
@@ -189,7 +200,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
         dist = float(abs(lam - z))
         if dist < best[0]:
             best = (dist, t, item)
-        if dist < tol or tie:
+        if dist < _ROOT_TOL or tie:
             break
         g = wrap_angle(phase_of(lam) - theta)
         if np.sign(g) == np.sign(g_lo):
@@ -205,8 +216,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple,
 
 def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                  z: complex, x_init: np.ndarray, beta: complex, eta: complex,
-                 span: float = 0.5, coarse: int = 33, iters: int = 60,
-                 tol: float = 1e-12, accept=None):
+                 span: float = 0.5, coarse: int = 33, accept=None):
     """Root of (tracked eigenvalue phase) - arg z along the last coordinate.
 
     Starts from the eigenvalue nearest z at x_init and follows that branch
@@ -233,7 +243,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     t0 = x_init[-1]
     lam0 = nearest(t0, z)[0]
     best_d, best_t = float(abs(lam0 - z)), t0
-    if best_d < tol and accepted(t0):
+    if best_d < _ROOT_TOL and accepted(t0):
         return point_at(t0), best_d
 
     step = span / max(coarse - 1, 1)
@@ -247,16 +257,16 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
                 best_d, best_t = d_next, t_next
-            if d_next < tol and accepted(t_next):
+            if d_next < _ROOT_TOL and accepted(t_next):
                 return point_at(t_next), d_next
             # genuine crossing: signed difference flips without wrapping
             if np.sign(g_next) != np.sign(g) and abs(g_next - g) < np.pi:
                 d_root, t_root, _ = _bracket_root(nearest, theta, (t, lam),
-                                                  (t_next, lam_next), tol, iters)
-                if d_root < max(tol * 100, 1e-9) and accepted(t_root):
+                                                  (t_next, lam_next))
+                if d_root < _NEAR_ROOT and accepted(t_root):
                     return point_at(t_root), d_root
             t, lam, g = t_next, lam_next, g_next
-    if best_d < max(tol * 100, 1e-9) and accepted(best_t):
+    if best_d < _NEAR_ROOT and accepted(best_t):
         return point_at(best_t), best_d
     return None, best_d
 
@@ -284,7 +294,6 @@ class InductiveState:
     grid_theta: list
     x_map: dict
     residuals: dict
-    k_index: int
     gamma: float
     solver: object = field(default=None, repr=False, compare=False)
 
@@ -305,24 +314,21 @@ class InductiveState:
         return self.solver(phi, theta)
 
 
-def _phi_grid(center: tuple, radius: float, per_side: int) -> list:
-    """Grid over the (d-1)-box; the center node comes first."""
+def _phi_grid(center: tuple, radius: float) -> list:
+    """3-per-side grid over the (d-1)-box; the center node comes first."""
     if len(center) == 0:
         return [()]
-    axes = [np.linspace(c - radius, c + radius, per_side) for c in center]
+    axes = [np.linspace(c - radius, c + radius, 3) for c in center]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
     nodes = [tuple(float(v) for v in row) for row in mesh]
     nodes.sort(key=lambda p: sum((v - c) ** 2 for v, c in zip(p, center)))
     return nodes
 
 
-def _theta_grid(theta0: float, radius: float, count: int) -> list:
-    if count == 1:
-        return [theta0]
-    offs = np.linspace(-radius, radius, count)
-    grid = [float(theta0 + o) for o in offs]
-    grid.sort(key=lambda t: abs(t - theta0))
-    return grid
+def _theta_grid(theta0: float, radius: float) -> list:
+    """3-point arc grid around theta0, nearest first."""
+    return sorted((float(theta0 + o) for o in np.linspace(-radius, radius, 3)),
+                  key=lambda t: abs(t - theta0))
 
 
 def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
@@ -343,7 +349,7 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
     must change sign over a small phase neighborhood, so a center at the
     extremal edge of its local band (unreachable one scale up) is skipped.
     """
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
     d = f.dim
     a, b = -n0, n0
     edge_thr = schedule.proximity(n0)
@@ -355,11 +361,9 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         seq = VerblunskySequence(f, om, Phase(tuple(xv)))
         pairs = eigensolve(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
         for p in pairs:
-            u = np.abs(p.vector)
-            if float(max(u[:4].max(), u[-4:].max())) >= edge_thr:
-                continue
-            candidates.append((abs(p.value - target), p.value,
-                               tuple(float(v) for v in xv)))
+            if edge_value(p.vector) < edge_thr:
+                candidates.append((abs(p.value - target), p.value,
+                                   tuple(float(v) for v in xv)))
     if not candidates:
         raise RuntimeError(
             f"no admissible eigenpair on a {scan_grid}^{d} grid near "
@@ -389,126 +393,89 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
 
 
 def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
-                    schedule: ScaleSchedule, gamma: float,
-                    scan_grid: int = 24, grid_per_side: int = 3,
-                    theta_count: int = 3, beta: complex = 1.0 + 0j,
-                    eta: complex = 1.0 + 0j,
-                    x_hint: Phase | None = None) -> InductiveState:
+                    schedule: ScaleSchedule, gamma: float, *, x_hint: Phase,
+                    beta: complex = 1.0 + 0j,
+                    eta: complex = 1.0 + 0j) -> InductiveState:
     """Construct a depth-0 state around z0 on the window [-n0, n0].
 
-    Scans the torus for a phase whose eigenpair nearest z0 has admissible
-    edge decay (the localization-step hypothesis), solves the eigenvalue
-    equation exactly along the last coordinate, then extends the solution
-    over the (phi, z) grid by continuation.  Raises if no admissible seed
-    exists on the scan grid.  ``x_hint`` (e.g. from suggest_center) is
-    tried before scanning.
+    Starting from the seed ``x_hint`` (from ``suggest_center``), solves the
+    eigenvalue equation exactly along the last coordinate at a phase whose
+    eigenpair nearest z0 has admissible edge decay (the localization-step
+    hypothesis), then extends the solution over the 3 x 3 (phi, z) grid by
+    continuation, shrinking the grid when a node fails.  Raises if no
+    admissible root is found or the continuation fails at every size.
     """
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
-    d = f.dim
-    a, b = -n0, n0
+    om = omega_array(omega)
+    window = (-n0, n0)
     edge_thr = schedule.proximity(n0)
 
-    def nearest_edge(x: Phase):
-        """(distance, outer edge value, pair) of the pair nearest z0 at x."""
-        (p, dist), _ = _tracked_pair(f, om, (a, b), z0.z, x, beta, eta)
-        u = np.abs(p.vector)
-        return dist, float(max(u[:4].max(), u[-4:].max())), p
-
-    candidates = []
-    if x_hint is not None:
-        dist, edge, _ = nearest_edge(x_hint)
-        candidates.append((dist, tuple(x_hint.coords), edge))
-    else:
-        axes = [np.arange(scan_grid) / scan_grid] * d
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        for xv in mesh:
-            dist, edge, _ = nearest_edge(Phase(tuple(xv)))
-            if edge < edge_thr:
-                candidates.append((dist, tuple(xv), edge))
-        if not candidates:
-            raise RuntimeError(
-                f"no admissible seed on a {scan_grid}^{d} grid: every nearest "
-                f"eigenvector violates the edge bound {edge_thr:.3e}")
-        candidates.sort()
-
-    box_radius = float(schedule.overrides.get("box_radius", schedule.radius(0)))
-    arc_radius = float(schedule.overrides.get("arc_radius", schedule.radius(0)))
-
     def edge_ok(x: Phase) -> bool:
-        return nearest_edge(x)[1] < edge_thr
+        (p, _), _ = _tracked_pair(f, om, window, z0.z, x, beta, eta)
+        return edge_value(p.vector) < edge_thr
 
-    last_err = None
-    for dist, xv, edge in candidates[:12]:
-        x_init = np.array(xv)
-        sol, dsol = _solve_phase(f, om, (a, b), z0.z, x_init, beta, eta,
-                                 span=0.45, coarse=91, accept=edge_ok)
-        if sol is None:
-            last_err = f"no admissible root near seed (best dist {dsol:.3e})"
-            continue
-        p = nearest_edge(sol)[2]
-        phi_center = tuple(float(v) for v in sol.coords[:-1])
-        state = None
-        box_r, arc_r = box_radius, arc_radius
-        for _attempt in range(4):
-            grid_phi = _phi_grid(phi_center, box_r, grid_per_side)
-            grid_theta = _theta_grid(z0.theta, arc_r, theta_count)
-            trial = InductiveState(depth=0, n_scale=n0, window=(n0, n0),
-                                   z_center=z0, arc_radius=arc_r,
-                                   phi_center=phi_center, box_radius=box_r,
-                                   grid_phi=grid_phi, grid_theta=grid_theta,
-                                   x_map={(0, 0): sol}, residuals={(0, 0): dsol},
-                                   k_index=p.index, gamma=gamma)
-            trial.solver = _line_solver(f, om, (a, b), beta, eta, trial)
-            failed = False
-            for iz, theta in enumerate(grid_theta):
-                for ip, phi in enumerate(grid_phi):
-                    if (ip, iz) == (0, 0):
-                        continue
-                    node, dn = trial.solve_map(phi, theta)
-                    if node is None:
-                        failed = True
-                        break
-                    trial.x_map[(ip, iz)] = node
-                    trial.residuals[(ip, iz)] = dn
-                if failed:
-                    break
-            if not failed:
-                state = trial
+    sol, dsol = _solve_phase(f, om, window, z0.z, np.array(x_hint.coords),
+                             beta, eta, span=0.45, coarse=91, accept=edge_ok)
+    if sol is None:
+        raise RuntimeError("state construction failed: no admissible root "
+                           f"near seed (best dist {dsol:.3e})")
+    phi_center = tuple(float(v) for v in sol.coords[:-1])
+    box_r = float(schedule.overrides.get("box_radius", schedule.radius(0)))
+    arc_r = float(schedule.overrides.get("arc_radius", schedule.radius(0)))
+    for _attempt in range(_ATTEMPTS):
+        state = InductiveState(depth=0, n_scale=n0, window=(n0, n0),
+                               z_center=z0, arc_radius=arc_r,
+                               phi_center=phi_center, box_radius=box_r,
+                               grid_phi=_phi_grid(phi_center, box_r),
+                               grid_theta=_theta_grid(z0.theta, arc_r),
+                               x_map={(0, 0): sol}, residuals={(0, 0): dsol},
+                               gamma=gamma)
+        state.solver = _line_solver(f, om, window, beta, eta, state)
+        for iz, ip in product(range(len(state.grid_theta)),
+                              range(len(state.grid_phi))):
+            if (ip, iz) == (0, 0):
+                continue
+            node, dn = state.solve_map(state.grid_phi[ip], state.grid_theta[iz])
+            if node is None:
                 break
-            box_r *= 0.125
-            arc_r *= 0.125
-        if state is None:
-            last_err = "grid continuation failed"
-            continue
-        return state
-    raise RuntimeError(f"state construction failed: {last_err}")
+            state.x_map[(ip, iz)] = node
+            state.residuals[(ip, iz)] = dn
+        else:
+            return state
+        box_r *= _SHRINK
+        arc_r *= _SHRINK
+    raise RuntimeError("state construction failed: grid continuation failed")
+
+
+def _memoized(solve):
+    """``solve(phi, theta)`` cached on (phi, theta) rounded to 12 digits."""
+    cache: dict = {}
+
+    def cached(phi: tuple, theta: float):
+        key = (tuple(np.round(phi, 12)), round(theta, 12))
+        if key not in cache:
+            cache[key] = solve(phi, theta)
+        return cache[key]
+
+    return cached
 
 
 def _line_solver(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
                  beta, eta, state: InductiveState):
     """Depth-0 map evaluator: root solve along the last phase coordinate,
     seeded from the nearest solved grid node."""
-    cache: dict = {}
 
     def solve(phi: tuple, theta: float):
-        key = (tuple(np.round(phi, 12)), round(theta, 12))
-        if key in cache:
-            return cache[key]
         node = _nearest_node(state, phi, theta)
         init = np.array(list(phi) + [node.coords[-1]])
-        result = _solve_phase(f, om, window, np.exp(1j * theta), init,
-                              beta, eta, span=0.15, coarse=31)
-        cache[key] = result
-        return result
+        return _solve_phase(f, om, window, np.exp(1j * theta), init,
+                            beta, eta, span=0.15, coarse=31)
 
-    return solve
+    return _memoized(solve)
 
 
 def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
                         window: tuple[int, int], theta0: float,
-                        x_init: np.ndarray, beta, eta, tol: float = 1e-12,
-                        max_iter: int = 40, max_step: float = 2e-2,
-                        fd_step: float = 1e-7):
+                        x_init: np.ndarray, beta, eta):
     """Minimal-norm root of (nearest eigenphase - theta0) over all coordinates.
 
     Fallback for scales where the reparametrized-curve structure is too
@@ -523,31 +490,29 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
 
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
-    for _ in range(max_iter):
+    for _ in range(_GN_ITERS):
         g, dist, _ = defect(x)
         if dist < best_d:
             best_x, best_d = x.copy(), dist
-        if dist < tol:
+        if dist < _ROOT_TOL:
             return reduce_phase(x), dist
-        grad = np.array([(defect(x + e)[0] - defect(x - e)[0]) / (2 * fd_step)
-                         for e in fd_step * np.eye(d)])
+        grad = np.array([(defect(x + e)[0] - defect(x - e)[0]) / (2 * _GN_FD_STEP)
+                         for e in _GN_FD_STEP * np.eye(d)])
         n2 = float(grad @ grad)
         if n2 < 1e-18:
             break
         step = -g * grad / n2
         nrm = float(np.linalg.norm(step))
-        if nrm > max_step:
-            step *= max_step / nrm
+        if nrm > _GN_MAX_STEP:
+            step *= _GN_MAX_STEP / nrm
         x = (x + step) % 1.0
-    if best_d < 1e-9:
+    if best_d < _NEAR_ROOT:
         return reduce_phase(best_x), best_d
     return None, best_d
 
 
 def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                  theta0: float, x_init: np.ndarray, beta, eta,
-                  radius: float = 0.015, grid_n: int = 9, tol: float = 1e-12,
-                  iters: int = 60):
+                  theta0: float, x_init: np.ndarray, beta, eta):
     """Two-dimensional root search for (nearest eigenphase - theta0) = 0.
 
     Evaluates the wrapped defect on a small grid around x_init, runs
@@ -560,7 +525,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     """
     z = np.exp(1j * theta0)
     d = len(x_init)
-    offs = np.linspace(-radius, radius, grid_n)
+    offs = np.linspace(-_PLANAR_RADIUS, _PLANAR_RADIUS, _PLANAR_GRID)
     best_pos, best_neg = None, None      # (|g|, coords, lam)
     best_d, best_x = np.inf, x_init
     grid_pts = [np.array([o]) for o in offs] if d == 1 else \
@@ -570,7 +535,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         g, dist, lam = _phase_defect(f, om, window, xx, theta0, beta, eta)
         if dist < best_d:
             best_d, best_x = dist, xx.copy()
-        if dist < tol:
+        if dist < _ROOT_TOL:
             return reduce_phase(xx), dist
         if g > 0 and (best_pos is None or g < best_pos[0]):
             best_pos = (g, xx.copy(), lam)
@@ -584,13 +549,12 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
             return (*_nearest_value(f, om, window, reduce_phase(x), z, beta, eta), x)
 
         dist, _, x = _bracket_root(query, theta0, (0.0, best_neg[2]),
-                                   (1.0, best_pos[2]), tol, iters)
-        if dist < tol:
+                                   (1.0, best_pos[2]))
+        if dist < _ROOT_TOL:
             return reduce_phase(x), dist
         if dist < best_d:
             best_d, best_x = dist, x
-    return _gauss_newton_solve(f, om, window, theta0, best_x, beta, eta,
-                               tol=tol)
+    return _gauss_newton_solve(f, om, window, theta0, best_x, beta, eta)
 
 
 def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
@@ -615,14 +579,13 @@ def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
             return None
         return (*_nearest_value(f, om, big, x, np.exp(1j * eta_angle), beta, eta), x)
 
-    def curve_attempt(phi: tuple, theta: float, iters: int = 60,
-                      tol: float = 1e-12):
+    def curve_attempt(phi: tuple, theta: float):
         start = branch(phi, theta)
         if start is None:
             return None, np.inf
         lam0, _, x0 = start
         best_d = float(abs(lam0 - np.exp(1j * theta)))
-        if best_d < tol:
+        if best_d < _ROOT_TOL:
             return x0, best_d
         radius = max(4.0 * abs(wrap_angle(phase_of(lam0) - theta)),
                      4.0 * parent.arc_radius)
@@ -632,33 +595,26 @@ def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
             return None, best_d
         dist, _, x = _bracket_root(lambda t, _ref: branch(phi, t), theta,
                                    (theta - radius, ends[0][0]),
-                                   (theta + radius, ends[1][0]), tol, iters)
-        if dist < min(best_d, 1e-9):
+                                   (theta + radius, ends[1][0]))
+        if dist < min(best_d, _NEAR_ROOT):
             return x, dist
-        if best_d < 1e-9:
+        if best_d < _NEAR_ROOT:
             return x0, best_d
         return None, min(best_d, dist)
 
-    cache: dict = {}
-
     def solve(phi: tuple, theta: float):
-        key = (tuple(np.round(phi, 12)), round(theta, 12))
-        if key in cache:
-            return cache[key]
         seed_x, _ = parent.solve_map(phi, theta)
         if seed_x is None:
-            cache[key] = (None, np.inf)
-            return cache[key]
+            return None, np.inf
         result = _planar_solve(f, om, big, theta, np.array(seed_x.coords),
                                beta, eta)
         if result[0] is None:
             x, dist = curve_attempt(phi, theta)
             if x is not None:
                 result = (x, dist)
-        cache[key] = result
         return result
 
-    return solve
+    return _memoized(solve)
 
 
 # --------------------------------------------------------------------------
@@ -709,8 +665,8 @@ def _tracked_pair(f, om, window, z, x, beta, eta):
 def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
                            f: SamplingFunction, omega, samples: int = 60,
                            seed: int = 1, h_hat=None, h0=None,
-                           beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                           fd_step: float = 1e-6) -> ConditionsReport:
+                           beta: complex = 1.0 + 0j,
+                           eta: complex = 1.0 + 0j) -> ConditionsReport:
     """Evaluate the four inductive conditions on the state's grid.
 
     (A) eigenvalue-equation residual and separation margin per grid node;
@@ -721,7 +677,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     unit vector h0 (random when not supplied), gradients by central
     differences with a half-step consistency check.
     """
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
     d = f.dim
     ns = state.n_scale
     win = state.window_interval()
@@ -825,7 +781,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
         if x is None:
             hits += 1
             continue
-        grad, rich = _eigen_gradient(f, om, win, zz, x, beta, eta, fd_step)
+        grad, rich = _eigen_gradient(f, om, win, zz, x, beta, eta)
         richardson_worst = max(richardson_worst, rich)
         proj = abs(np.sum(grad * np.conj(h0_vec)))
         if not proj > 0 or np.log(proj) < floor_log:
@@ -849,18 +805,19 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
     return tuple(float(c + o) for c, o in zip(state.phi_center, off))
 
 
-def _eigen_gradient(f, om, win, z, x: Phase, beta, eta, step: float):
+def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
     """Central-difference gradient of the tracked eigenvalue, with a
     half-step consistency estimate."""
     def tracked(coords):
         return _nearest_value(f, om, win, reduce_phase(coords), z, beta, eta)[0]
 
+    h = _D_FD_STEP
     base = np.array(x.coords)
     grad = np.zeros(len(base), dtype=complex)
     rich = 0.0
     for i, e in enumerate(np.eye(len(base))):
-        g1 = (tracked(base + step * e) - tracked(base - step * e)) / (2 * step)
-        g2 = (tracked(base + 0.5 * step * e) - tracked(base - 0.5 * step * e)) / step
+        g1 = (tracked(base + h * e) - tracked(base - h * e)) / (2 * h)
+        g2 = (tracked(base + 0.5 * h * e) - tracked(base - 0.5 * h * e)) / h
         grad[i] = g2
         denom = max(abs(g2), 1e-12)
         rich = max(rich, abs(g1 - g2) / denom)
@@ -924,7 +881,7 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
     eigenvector closeness under zero-padding.  ``overrides`` pins chosen
     Verblunsky sites to fixed unimodular values in every window built here.
     """
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
 
     def make_seq(x: Phase) -> VerblunskySequence:
         return VerblunskySequence(f, om, x, overrides=overrides)
@@ -951,10 +908,8 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
     pairs0 = eigensolve(build_finite_cmv(seq0, bw_lo, bw_hi, beta=beta, eta=eta))
     p0, d0 = nearest_eigen(pairs0, z0.z)
     hyp.append(Check("(i) base eigenvalue proximity", prox, d0, d0 < prox))
-    u0 = np.abs(p0.vector)
-    edge_vals = [max(u0[i], u0[-1 - i]) for i in range(4)]
-    hyp.append(Check("(ii) base edge decay", prox, max(edge_vals),
-                     max(edge_vals) < prox))
+    edge0 = edge_value(p0.vector)
+    hyp.append(Check("(ii) base edge decay", prox, edge0, edge0 < prox))
 
     try:
         big = assemble_window(n0, subwindows)
@@ -1031,22 +986,20 @@ class AdvanceReport:
 
 def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                       f: SamplingFunction, omega, seed: int = 0,
-                      beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                      run_localization: bool = True,
-                      arc_retries: int = 3) -> tuple[InductiveState | None,
-                                                     AdvanceReport]:
+                      beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j
+                      ) -> tuple[InductiveState | None, AdvanceReport]:
     """One depth of the induction: assemble the next window, continue the
     phase map, and check the contraction inequalities.
 
     Returns (next_state, report); next_state is None when construction
     itself fails (no admissible subwindows, discontiguous union, or solver
-    divergence after shrinking the new domain ``arc_retries`` times).
+    divergence after shrinking the new domain three times).
     Inequality violations never abort: they are recorded as named failing
     checks, which is the harness's honest-failure channel.
     """
     if state.depth + 1 > schedule.s_max:
         raise ValueError("schedule exhausted: depth+1 > s_max")
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
     n0 = state.n_scale
     n1 = schedule.scale(state.depth + 1)
     x0 = state.base_x
@@ -1089,9 +1042,9 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     # micro-gaps of the localized spectrum can make an arc point
     # unattainable at the larger window; shrink the new domain and retry
     last_fail = None
-    for _attempt in range(1 + arc_retries):
-        grid_phi = _phi_grid(state.phi_center, new_box, 3)
-        grid_theta = _theta_grid(z1.theta, new_arc, len(state.grid_theta))
+    for _attempt in range(_ATTEMPTS):
+        grid_phi = _phi_grid(state.phi_center, new_box)
+        grid_theta = _theta_grid(z1.theta, new_arc)
         x_map, residuals = {}, {}
         worst_dx, worst_du = 0.0, 0.0
         sep_new = np.inf
@@ -1127,8 +1080,8 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
         if failed_node is None:
             break
         last_fail = failed_node
-        new_box *= 0.125
-        new_arc *= 0.125
+        new_box *= _SHRINK
+        new_arc *= _SHRINK
     else:
         kind, node, dist = last_fail
         return None, AdvanceReport(
@@ -1143,20 +1096,17 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     sep_req = schedule.separation(n1)
     checks.append(Check("depth+1 separation", sep_req, sep_new, sep_new > sep_req))
 
-    loc = None
-    if run_localization:
-        loc = finite_localization_step(f, om, x0, z1, n0, subwindows, schedule,
-                                       state.gamma, base_window=(-state.window[0],
-                                                                 state.window[1]),
-                                       seed=seed, beta=beta, eta=eta)
+    loc = finite_localization_step(f, om, x0, z1, n0, subwindows, schedule,
+                                   state.gamma, base_window=(-state.window[0],
+                                                             state.window[1]),
+                                   seed=seed, beta=beta, eta=eta)
 
     new_state = InductiveState(depth=state.depth + 1, n_scale=n1,
                                window=(-big[0], big[1]), z_center=z1,
                                arc_radius=new_arc, phi_center=state.phi_center,
                                box_radius=new_box, grid_phi=grid_phi,
                                grid_theta=grid_theta, x_map=x_map,
-                               residuals=residuals, k_index=state.k_index,
-                               gamma=state.gamma)
+                               residuals=residuals, gamma=state.gamma)
     new_state.solver = solver
     return new_state, AdvanceReport(subwindow_failures=[], window=big,
                                     checks=checks, localization=loc)

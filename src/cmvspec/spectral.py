@@ -191,6 +191,13 @@ def separation_gap(pairs: list[EigenPair], k: int) -> float:
     return float(min(abs(p.value - zk) for i, p in enumerate(pairs) if i != k))
 
 
+def edge_value(vector: np.ndarray) -> float:
+    """Largest |u(s)| over the four outer sites at each end of the window;
+    on fewer than 8 sites the two ends overlap."""
+    u = np.abs(vector)
+    return float(max(u[:4].max(), u[-4:].max()))
+
+
 @dataclass(frozen=True)
 class LocalizationProfile:
     sites: np.ndarray

@@ -170,6 +170,11 @@ class Frequency:
         return np.asarray(self.coords, dtype=float)
 
 
+def omega_array(omega) -> np.ndarray:
+    """The frequency vector of a Frequency or of any float sequence."""
+    return omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+
+
 # --------------------------------------------------------------------------
 # sampling functions
 
@@ -291,7 +296,7 @@ class SamplingFunction:
         """alpha(x0 + j*omega + iy) for j = 0..n-1: a vector at a Phase, an
         (N, n) array at an (N, d) array of base points, each row one (n, K)
         BLAS product as for its point alone (BLAS rounds by the row count)."""
-        om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+        om = omega_array(omega)
         single = isinstance(x0, Phase)
         pts = x0.array()[None, :] if single else np.asarray(x0, float).reshape(-1, self.dim)
         if len(self._cs) == 0:
@@ -366,6 +371,6 @@ def orbit(x0: Phase, omega, n: int) -> list[Phase]:
     """Rotation orbit x0, x0+w, ..., x0+(n-1)w, reduced mod 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    om = omega.array() if isinstance(omega, Frequency) else np.asarray(omega, float)
+    om = omega_array(omega)
     base = x0.array()
     return [reduce_phase(base + j * om, imag=x0.imag) for j in range(n)]

@@ -128,6 +128,25 @@ class TestConfigErrors:
         assert run_cli(["lyapunov", "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,extra", [
+        ("spectrum-scan", {"spectrum": {"grid": 1}}),
+        ("spectrum-scan", {"spectrum": {"grid": "x"}}),
+        ("spectrum-scan", {"spectrum": {"window": -3}}),
+        ("spectrum-scan", {"spectrum": {"phase_samples": 0}}),
+        ("spectrum-scan", {"spectrum": {"tol": "a"}}),
+        ("lyapunov", {"lyapunov": {"samples": 0}}),
+        ("lyapunov", {"lyapunov": {"scales": [0]}}),
+        ("ldt", {"ldt": {"samples": 0}}),
+        ("ldt", {"ldt": {"n_list": [0]}}),
+        ("lyapunov", {"sampling": {"preset": "constant", "value": 1.5},
+                      "lyapunov": {}}),
+    ], ids=["grid-1", "grid-x", "window", "phase_samples", "tol", "lyapunov-samples",
+            "scales", "ldt-samples", "n_list", "preset-value"])
+    def test_bad_value_exits_2(self, tmp_path, command, extra):
+        cfg = write_cfg(tmp_path, "c.json", extra)
+        assert run_cli([command, "--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+
     def test_manifest_command_mismatch(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
             "lyapunov": {"thetas": [0.5], "scales": [10], "samples": 3},
@@ -170,6 +189,21 @@ class TestLocalizeCommand:
         profile = (out / "profile.csv").read_text().splitlines()
         assert profile[0] == "s,log_abs_u"
         assert len(profile) == 26    # 25 sites for n0=12
+
+
+    def test_unreachable_edge_bound_exits_4(self, tmp_path):
+        # no window eigenvector decays to 1e-30 at its edges: a hypothesis
+        # failure, not a numeric one
+        cfg = {
+            "sampling": {"preset": "localization"},
+            "frequency": {"preset": "sqrt"},
+            "localize": {"theta": 2.5, "n0": 12, "gamma_samples": 20,
+                         "overrides": {"proximity": 1e-30}},
+        }
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run_cli(["localize", "--config", str(p),
+                        "--out", str(tmp_path / "o")]) == 4
 
 
 class TestIdentitySuite:

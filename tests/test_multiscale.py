@@ -118,6 +118,15 @@ class TestBaseState:
         u = np.abs(p.vector)
         assert max(u[:4].max(), u[-4:].max()) < sched.proximity(16)
 
+    def test_no_admissible_root_raises(self, depth0, f_loc, freq2):
+        _, z0, state = depth0
+        strict = desk_schedule()
+        strict.overrides["proximity"] = 1e-30
+        with pytest.raises(RuntimeError, match="state construction failed: "
+                                               "no admissible root near seed"):
+            find_base_state(f_loc, freq2, z0, 16, strict, state.gamma,
+                            x_hint=state.base_x)
+
 
 class TestConditions:
     def test_depth0_conditions(self, depth0, f_loc, freq2):

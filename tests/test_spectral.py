@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cmvspec.cmv import VerblunskySequence, build_finite_cmv
-from cmvspec.spectral import (eigenphases, eigensolve, localization_profile,
-                              nearest_eigen, nearest_eigenpair,
-                              perturb_eigen_check, separation_gap)
+from cmvspec.spectral import (edge_value, eigenphases, eigensolve,
+                              localization_profile, nearest_eigen,
+                              nearest_eigenpair, perturb_eigen_check,
+                              separation_gap)
 from cmvspec.torus import Phase, SamplingFunction
 from cmvspec.util import pad_vector
 from cmvspec.presets import two_mode, zero_function
@@ -181,6 +182,17 @@ class TestNearestEigenpair:
         from cmvspec.cmv import build_cut_cmv
         with pytest.raises(ValueError):
             nearest_eigenpair(build_cut_cmv(seq, 0, 10), 1.0 + 0j)
+
+
+class TestEdgeValue:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 12])
+    def test_four_outer_sites_at_each_end(self, n):
+        # below 8 sites the two ends overlap and every site is outer
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[4:n - 4] = 10.0
+        u = np.abs(v)
+        assert edge_value(v) == max(u[s] for s in range(n) if s < 4 or s >= n - 4)
 
 
 class TestLocalizationProfile:
