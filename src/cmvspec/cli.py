@@ -171,14 +171,14 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     freq = resolve_frequency(cfg, f.dim)
     thetas = block.get("thetas")
     if thetas is None:
-        grid = block.get("theta_grid", 16)
+        grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
         thetas = [2 * np.pi * g / grid for g in range(grid)]
     scales = [config_number(n, "scales", int, 1)
               for n in block.get("scales", [block.get("n", 100)])]
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     rows = []
     for theta in thetas:
-        z = SpectralPoint(float(theta))
+        z = SpectralPoint(config_number(theta, "thetas"))
         for n in scales:
             est = lyapunov_finite(f, freq, z, n, samples, seed)
             rows.append((float(z.theta), n, float(est.value),
@@ -195,13 +195,14 @@ def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
     freq = resolve_frequency(cfg, f.dim)
     beta, eta = resolve_boundary(cfg)
     arc = block.get("arc", [0.0, 2 * np.pi])
-    if len(arc) != 2:
+    if not isinstance(arc, list) or len(arc) != 2:
         raise ConfigError("'arc' must be [theta1, theta2]")
-    full_circle = abs(float(arc[1]) - float(arc[0])) >= 2 * np.pi - 1e-12
-    if (float(arc[1]) - float(arc[0])) % (2 * np.pi) == 0.0 and not full_circle:
+    lo, hi = (config_number(v, "arc") for v in arc)
+    full_circle = abs(hi - lo) >= 2 * np.pi - 1e-12
+    if (hi - lo) % (2 * np.pi) == 0.0 and not full_circle:
         raise ConfigError("'arc' endpoints coincide")
     scan = interval_coverage_scan(
-        f, freq, (float(arc[0]), float(arc[1])),
+        f, freq, (lo, hi),
         grid=config_number(block.get("grid", 360), "grid", int, 2),
         window=config_number(block.get("window", 100), "window", int, 0),
         tol=config_number(block.get("tol", 0.02), "tol"),
@@ -232,7 +233,7 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     f = resolve_sampling(cfg)
     freq = resolve_frequency(cfg, f.dim)
     beta, eta = resolve_boundary(cfg)
-    z = SpectralPoint(float(block.get("theta", 0.0)))
+    z = SpectralPoint(config_number(block.get("theta", 0.0), "theta"))
     n_list = [config_number(v, "n_list", int, 1)
               for v in block.get("n_list", [50, 100, 200])]
     tau = config_number(block.get("tau", 0.3), "tau")
@@ -252,6 +253,41 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
+def _overrides(block: dict) -> dict:
+    """The block's threshold overrides, each read as a number."""
+    overrides = block.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("'overrides' must be an object")
+    return {k: config_number(v, f"overrides.{k}") for k, v in overrides.items()}
+
+
+def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
+                      seed: int, gamma_samples: int, probe=None):
+    """(center, gamma, depth-0 state) for the block's theta: the center
+    ``suggest_center`` picks near theta, the block's gamma or else
+    L_n - 3 sigma at the center over gamma_samples draws, and
+    ``find_base_state`` around the center.  A failed search is a hypothesis
+    failure."""
+    near_theta = config_number(block.get("theta", 2.5), "theta")
+    scan_grid = config_number(block.get("scan_grid", 16), "scan_grid", int, 1)
+    gamma = block.get("gamma")
+    if gamma is not None:
+        gamma = config_number(gamma, "gamma")
+    n0 = schedule.n0
+    try:
+        z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,
+                                   scan_grid=scan_grid, beta=beta, eta=eta,
+                                   probe_halfwidth=probe)
+        if gamma is None:
+            est = lyapunov_finite(f, freq, z, max(100, 2 * n0), gamma_samples, seed)
+            gamma = float(est.value - 3 * est.std_error)
+        state = find_base_state(f, freq, z, n0, schedule, gamma,
+                                beta=beta, eta=eta, x_hint=x_hint)
+    except RuntimeError as exc:
+        raise HypothesisFailure(str(exc)) from exc
+    return z, gamma, state
+
+
 def cmd_localize(cfg: dict, outdir: Path, seed: int) -> int:
     block = cfg.get("localize")
     if not isinstance(block, dict):
@@ -259,27 +295,12 @@ def cmd_localize(cfg: dict, outdir: Path, seed: int) -> int:
     f = resolve_sampling(cfg)
     freq = resolve_frequency(cfg, f.dim)
     beta, eta = resolve_boundary(cfg)
-    near_theta = float(block.get("theta", 2.5))
-    n0 = int(block.get("n0", 16))
-    schedule = ScaleSchedule(n0=n0, s_max=0,
-                             overrides=block.get("overrides", {}))
-    try:
-        z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,
-                                   scan_grid=int(block.get("scan_grid", 16)),
-                                   beta=beta, eta=eta)
-    except RuntimeError as exc:
-        raise HypothesisFailure(str(exc)) from exc
-    gamma = block.get("gamma")
-    if gamma is None:
-        est = lyapunov_finite(f, freq, z, max(100, 2 * n0),
-                              int(block.get("gamma_samples", 100)), seed)
-        gamma = est.value - 3 * est.std_error
-    gamma = float(gamma)
-    try:
-        state = find_base_state(f, freq, z, n0, schedule, gamma,
-                                beta=beta, eta=eta, x_hint=x_hint)
-    except RuntimeError as exc:
-        raise HypothesisFailure(str(exc)) from exc
+    n0 = config_number(block.get("n0", 16), "n0", int, 1)
+    schedule = ScaleSchedule(n0=n0, s_max=0, overrides=_overrides(block))
+    gamma_samples = config_number(block.get("gamma_samples", 100), "gamma_samples",
+                                  int, 1)
+    z, gamma, state = _center_and_state(block, f, freq, beta, eta, schedule, seed,
+                                        gamma_samples)
     x = state.base_x
     seq = VerblunskySequence(f, freq, x)
     lo, hi = state.window_interval()
@@ -311,41 +332,25 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
     f = resolve_sampling(cfg)
     freq = resolve_frequency(cfg, f.dim)
     beta, eta = resolve_boundary(cfg)
-    near_theta = float(block.get("theta", 2.5))
-    n0 = int(block.get("n0", 16))
-    depth = int(block.get("depth", 0))
+    n0 = config_number(block.get("n0", 16), "n0", int, 1)
+    depth = config_number(block.get("depth", 0), "depth", int)
+    if depth not in (0, 1):
+        raise ConfigError(f"'depth' {depth} is outside the supported range 0-1")
+    samples = config_number(block.get("samples", 40), "samples", int, 1)
     sched_cfg = block.get("schedule", {})
+    if not isinstance(sched_cfg, dict):
+        raise ConfigError("'schedule' must be an object")
+    fields = {k: config_number(sched_cfg[k], k)
+              for k in ("nu_prime", "c0", "c1", "c2", "nu", "growth")
+              if sched_cfg.get(k) is not None}
     try:
-        schedule = ScaleSchedule(
-            n0=n0, s_max=max(depth, 1),
-            nu_prime=float(sched_cfg.get("nu_prime", 0.1)),
-            c0=float(sched_cfg.get("c0", 3.5)),
-            c1=float(sched_cfg.get("c1", 2.0)),
-            c2=float(sched_cfg.get("c2", 3.2)),
-            nu=float(sched_cfg.get("nu", 0.1)),
-            growth=sched_cfg.get("growth"),
-            overrides=sched_cfg.get("overrides", {}))
-        probe = schedule.scale(1) + n0 if depth >= 1 else None
+        schedule = ScaleSchedule(n0=n0, overrides=_overrides(sched_cfg), **fields)
+        probe = schedule.scale(1) + n0 if depth == 1 else None
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-    try:
-        z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,
-                                   scan_grid=int(block.get("scan_grid", 16)),
-                                   beta=beta, eta=eta, probe_halfwidth=probe)
-    except RuntimeError as exc:
-        raise HypothesisFailure(str(exc)) from exc
-    gamma = block.get("gamma")
-    if gamma is None:
-        est = lyapunov_finite(f, freq, z, max(100, 2 * n0), 100, seed)
-        gamma = est.value - 3 * est.std_error
-    gamma = float(gamma)
-    try:
-        state = find_base_state(f, freq, z, n0, schedule, gamma,
-                                beta=beta, eta=eta, x_hint=x_hint)
-    except RuntimeError as exc:
-        raise HypothesisFailure(str(exc)) from exc
-    report = verify_conditions_ABCD(state, schedule, f, freq,
-                                    samples=int(block.get("samples", 40)),
+    z, gamma, state = _center_and_state(block, f, freq, beta, eta, schedule, seed,
+                                        100, probe)
+    report = verify_conditions_ABCD(state, schedule, f, freq, samples=samples,
                                     seed=seed, beta=beta, eta=eta)
     out = {
         "theta_center": z.theta,
@@ -359,7 +364,7 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
         "gamma": gamma,
         "base_phase": [float(v) for v in state.base_x.coords],
     }
-    if depth >= 1:
+    if depth == 1:
         new_state, adv = inductive_advance(state, schedule, f, freq, seed=seed,
                                            beta=beta, eta=eta)
         out["advance"] = {
@@ -375,8 +380,8 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
 
 def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
     block = cfg.get("identity", {})
-    cases = int(block.get("cases", 25))
-    threshold = float(block.get("threshold", 1e-8))
+    cases = config_number(block.get("cases", 25), "cases", int, 1)
+    threshold = config_number(block.get("threshold", 1e-8), "threshold")
     f = resolve_sampling(cfg)
     freq = resolve_frequency(cfg, f.dim)
     results = []
@@ -499,7 +504,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.command)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else \
+            config_number(cfg.get("seed", 0), "seed", int)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         rc = COMMANDS[args.command](cfg, outdir, seed)

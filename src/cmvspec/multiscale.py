@@ -17,8 +17,9 @@ import numpy as np
 
 from .cmv import VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import (edge_value, eigensolve, nearest_eigen,
-                       nearest_eigenvalue, spectral_distance)
+from .spectral import (aligned_distance, decay_ratio, edge_value, eigensolve,
+                       nearest_eigen, nearest_eigenvalue, separation_gap,
+                       spectral_distance)
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -102,9 +103,7 @@ class ScaleSchedule:
 
     def radius(self, s: int) -> float:
         """r_s = exp(-N_s^delta), unless overridden."""
-        if "radius" in self.overrides:
-            return float(self.overrides["radius"])
-        return float(np.exp(-float(self.scale(s)) ** self.delta_hat))
+        return self.threshold("radius", np.exp(-float(self.scale(s)) ** self.delta_hat))
 
     def threshold(self, name: str, value: float) -> float:
         """Overridden value when configured, else the supplied formula value."""
@@ -278,9 +277,8 @@ class InductiveState:
     ``x_map`` holds the solved phase for every (phi index, z index) grid
     node; node (0, 0) is the box/arc center.  The window is [-n_neg, n_pos].
     ``solver`` evaluates the map at arbitrary (phi, theta): at depth 0 it
-    solves along the last phase coordinate; deeper states solve along the
-    reparametrized curve eta -> x_{s-1}(phi, eta), on which the depth-s
-    eigenvalue is a near-identity function of eta.
+    solves along the last phase coordinate; deeper states search the plane
+    around the parent map's solution (``_planar_solver``).
     """
 
     depth: int
@@ -410,7 +408,8 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
     edge_thr = schedule.proximity(n0)
 
     def edge_ok(x: Phase) -> bool:
-        (p, _), _ = _tracked_pair(f, om, window, z0.z, x, beta, eta)
+        (p, _), _ = _tracked_pair(VerblunskySequence(f, om, x), window, z0.z,
+                                  beta, eta)
         return edge_value(p.vector) < edge_thr
 
     sol, dsol = _solve_phase(f, om, window, z0.z, np.array(x_hint.coords),
@@ -419,8 +418,8 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
         raise RuntimeError("state construction failed: no admissible root "
                            f"near seed (best dist {dsol:.3e})")
     phi_center = tuple(float(v) for v in sol.coords[:-1])
-    box_r = float(schedule.overrides.get("box_radius", schedule.radius(0)))
-    arc_r = float(schedule.overrides.get("arc_radius", schedule.radius(0)))
+    box_r = schedule.threshold("box_radius", schedule.radius(0))
+    arc_r = schedule.threshold("arc_radius", schedule.radius(0))
     for _attempt in range(_ATTEMPTS):
         state = InductiveState(depth=0, n_scale=n0, window=(n0, n0),
                                z_center=z0, arc_radius=arc_r,
@@ -520,8 +519,8 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     opposite sign, then polishes with the minimal-norm Gauss-Newton step
     from the nearest point seen.  A sign change on the segment may be a jump
     of the nearest eigenvalue to another branch rather than a root; the
-    search then stops at the first tie.  Used when the one-dimensional curve
-    structure of the asymptotic argument is absent at desk scale.
+    search then stops at the first tie.  This is the whole depth-(s+1) solve:
+    at desk scale the curve structure of the asymptotic argument is absent.
     """
     z = np.exp(1j * theta0)
     d = len(x_init)
@@ -557,62 +556,19 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     return _gauss_newton_solve(f, om, window, theta0, best_x, beta, eta)
 
 
-def _curve_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
+def _planar_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
                   parent: InductiveState, beta, eta):
-    """Depth-(s+1) map evaluator along the parent curve.
-
-    For eta on the parent arc, x_parent(phi, eta) carries a small-window
-    eigenvalue exactly e^{i eta}; asymptotically the big-window eigenvalue
-    tracking it is a near-identity function of eta and the equation (big
-    eigenvalue) = e^{i theta} is solved by ``_bracket_root`` in eta.  At
-    desk scales the curve often only grazes the target (avoided crossings),
-    so the solve tries ``_planar_solve`` first, which ends in a minimal-norm
-    Gauss-Newton step over all phase coordinates; the resulting transversal
-    drift is visible to callers through the returned phase.
-    """
-
-    def branch(phi: tuple, eta_angle: float):
-        """(lam, tie, x): the big window's eigenvalue nearest e^{i eta} at the
-        parent's solution x for e^{i eta}, or None when there is none."""
-        x, _ = parent.solve_map(phi, eta_angle)
-        if x is None:
-            return None
-        return (*_nearest_value(f, om, big, x, np.exp(1j * eta_angle), beta, eta), x)
-
-    def curve_attempt(phi: tuple, theta: float):
-        start = branch(phi, theta)
-        if start is None:
-            return None, np.inf
-        lam0, _, x0 = start
-        best_d = float(abs(lam0 - np.exp(1j * theta)))
-        if best_d < _ROOT_TOL:
-            return x0, best_d
-        radius = max(4.0 * abs(wrap_angle(phase_of(lam0) - theta)),
-                     4.0 * parent.arc_radius)
-        ends = [branch(phi, theta + s * radius) for s in (-1.0, 1.0)]
-        if None in ends or len({np.sign(wrap_angle(phase_of(e[0]) - theta))
-                                for e in ends}) == 1:
-            return None, best_d
-        dist, _, x = _bracket_root(lambda t, _ref: branch(phi, t), theta,
-                                   (theta - radius, ends[0][0]),
-                                   (theta + radius, ends[1][0]))
-        if dist < min(best_d, _NEAR_ROOT):
-            return x, dist
-        if best_d < _NEAR_ROOT:
-            return x0, best_d
-        return None, min(best_d, dist)
+    """Depth-(s+1) map evaluator: ``_planar_solve`` on the big window from the
+    parent's solution at (phi, theta), whose small-window eigenvalue is
+    exactly e^{i theta}.  The Gauss-Newton polish moves all phase
+    coordinates; callers see that drift in the returned phase."""
 
     def solve(phi: tuple, theta: float):
         seed_x, _ = parent.solve_map(phi, theta)
         if seed_x is None:
             return None, np.inf
-        result = _planar_solve(f, om, big, theta, np.array(seed_x.coords),
-                               beta, eta)
-        if result[0] is None:
-            x, dist = curve_attempt(phi, theta)
-            if x is not None:
-                result = (x, dist)
-        return result
+        return _planar_solve(f, om, big, theta, np.array(seed_x.coords),
+                             beta, eta)
 
     return _memoized(solve)
 
@@ -655,8 +611,9 @@ class ConditionsReport:
                             *self.d_checks) if not c.ok]
 
 
-def _tracked_pair(f, om, window, z, x, beta, eta):
-    seq = VerblunskySequence(f, om, x)
+def _tracked_pair(seq: VerblunskySequence, window: tuple[int, int], z: complex,
+                  beta, eta):
+    """((pair nearest z, its distance), all pairs) of the window [a, b] of seq."""
     pairs = eigensolve(build_finite_cmv(seq, window[0], window[1],
                                         beta=beta, eta=eta))
     return nearest_eigen(pairs, z), pairs
@@ -686,20 +643,15 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     sep_req = schedule.separation(ns)
     max_res, min_sep = 0.0, np.inf
     decay_worst = 0.0
-    gamma = state.gamma
     for (ip, iz), x in state.x_map.items():
         zz = np.exp(1j * state.grid_theta[iz])
-        (p, dist), pairs = _tracked_pair(f, om, win, zz, x, beta, eta)
+        (p, dist), pairs = _tracked_pair(VerblunskySequence(f, om, x), win, zz,
+                                         beta, eta)
         max_res = max(max_res, dist)
-        sep = min(abs(q.value - p.value) for q in pairs if q.index != p.index)
-        min_sep = min(min_sep, sep)
-        sites = np.arange(win[0], win[1] + 1)
-        u = np.abs(p.vector)
-        mask = np.abs(sites) >= ns / 4.0
-        if mask.any():
-            ratio = float(np.max(u[mask] / np.exp(-gamma * np.abs(sites[mask]) / 10.0)))
-            decay_worst = max(decay_worst, ratio)
-    solver_tol = float(schedule.overrides.get("solver_tol", 1e-9))
+        min_sep = min(min_sep, separation_gap(pairs, p.index))
+        decay_worst = max(decay_worst,
+                          decay_ratio(p.vector, win, ns / 4.0, state.gamma, 10.0))
+    solver_tol = schedule.threshold("solver_tol", 1e-9)
     a_checks.append(Check("(A)-(1) eigenvalue residual", solver_tol, max_res,
                           max_res <= solver_tol))
     a_checks.append(Check("(A)-(2) separation", sep_req, min_sep, min_sep > sep_req))
@@ -889,7 +841,6 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
     hyp: list = []
     if base_window is None:
         base_window = (-n0, n0)
-    bw_lo, bw_hi = base_window
 
     good = schedule.good_dist(n0)
     prox = schedule.proximity(n0)
@@ -904,9 +855,7 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
                                                   eta=eta), z0.z)
         hyp.append(Check(f"J_{m} spectral margin", good, dist, dist >= good))
 
-    seq0 = make_seq(x0)
-    pairs0 = eigensolve(build_finite_cmv(seq0, bw_lo, bw_hi, beta=beta, eta=eta))
-    p0, d0 = nearest_eigen(pairs0, z0.z)
+    (p0, d0), _ = _tracked_pair(make_seq(x0), base_window, z0.z, beta, eta)
     hyp.append(Check("(i) base eigenvalue proximity", prox, d0, d0 < prox))
     edge0 = edge_value(p0.vector)
     hyp.append(Check("(ii) base edge decay", prox, edge0, edge0 < prox))
@@ -922,7 +871,6 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
     track_req = float(np.exp(-gamma * n0 / 40.0))
     sep_req = float(np.exp(-float(n0) ** schedule.beta_hat)) / 8.0
     sep_req = schedule.threshold("step_separation", sep_req)
-    big_sites = np.arange(big[0], big[1] + 1)
     disp = schedule.proximity(n0)
     worst = dict(track=0.0, sep=np.inf, decay=0.0, close=0.0)
     for s in range(x_samples):
@@ -930,24 +878,14 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
             (counter_rng(seed, s).random(f.dim) - 0.5) * 2 * disp * 0.99
         x = x0.shift(delta)
         seqx = make_seq(x)
-        pairs_small = eigensolve(build_finite_cmv(seqx, bw_lo, bw_hi,
-                                                  beta=beta, eta=eta))
-        ps, _ = nearest_eigen(pairs_small, z0.z)
-        pairs_big = eigensolve(build_finite_cmv(seqx, big[0], big[1],
-                                                beta=beta, eta=eta))
-        pb, _ = nearest_eigen(pairs_big, ps.value)
+        (ps, _), _ = _tracked_pair(seqx, base_window, z0.z, beta, eta)
+        (pb, _), pairs_big = _tracked_pair(seqx, big, ps.value, beta, eta)
         worst["track"] = max(worst["track"], abs(pb.value - ps.value))
-        sep = min(abs(q.value - pb.value) for q in pairs_big if q.index != pb.index)
-        worst["sep"] = min(worst["sep"], sep)
-        ub = np.abs(pb.vector)
-        mask = np.abs(big_sites) >= 3.0 * n0 / 4.0
-        ratios = ub[mask] / np.exp(-gamma * np.abs(big_sites[mask]) / 20.0)
-        worst["decay"] = max(worst["decay"], float(ratios.max()))
-        small_padded = pad_vector(ps.vector, (bw_lo, bw_hi), big)
-        overlap = np.vdot(pb.vector, small_padded)
-        aligned = pb.vector * (overlap / abs(overlap)) if overlap != 0 else pb.vector
-        worst["close"] = max(worst["close"],
-                             float(np.linalg.norm(small_padded - aligned)))
+        worst["sep"] = min(worst["sep"], separation_gap(pairs_big, pb.index))
+        worst["decay"] = max(worst["decay"],
+                             decay_ratio(pb.vector, big, 3.0 * n0 / 4.0, gamma, 20.0))
+        worst["close"] = max(worst["close"], aligned_distance(
+            pad_vector(ps.vector, base_window, big), pb.vector))
     concl.append(Check("(1) eigenvalue tracking", track_req, worst["track"],
                        worst["track"] < track_req))
     concl.append(Check("(2) separation", sep_req, worst["sep"],
@@ -1033,11 +971,11 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                                    window=None, checks=[], localization=None)
 
     checks: list = []
-    new_box = float(schedule.overrides.get("box_radius", schedule.radius(state.depth + 1)))
-    new_arc = float(schedule.overrides.get("arc_radius", schedule.radius(state.depth + 1)))
+    new_box = schedule.threshold("box_radius", schedule.radius(state.depth + 1))
+    new_arc = schedule.threshold("arc_radius", schedule.radius(state.depth + 1))
     track_x = float(np.exp(-state.gamma * n0 / 50.0))
     track_u = float(np.exp(-state.gamma * n0 / 500.0))
-    solver = _curve_solver(f, om, big, state, beta, eta)
+    solver = _planar_solver(f, om, big, state, beta, eta)
 
     # micro-gaps of the localized spectrum can make an arc point
     # unattainable at the larger window; shrink the new domain and retry
@@ -1065,16 +1003,14 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                 dx = np.linalg.norm(_torus_diff(sol.array(), old_x.array()))
                 worst_dx = max(worst_dx, float(dx))
 
-                (p_new, _), pairs_new = _tracked_pair(f, om, big, zz, sol, beta, eta)
-                sep_new = min(sep_new, min(abs(q.value - p_new.value)
-                                           for q in pairs_new if q.index != p_new.index))
-                (p_old, _), _ = _tracked_pair(f, om, state.window_interval(), zz,
-                                              old_x, beta, eta)
-                padded = pad_vector(p_old.vector,
-                                    (-state.window[0], state.window[1]), big)
-                ov = np.vdot(p_new.vector, padded)
-                aligned = p_new.vector * (ov / abs(ov)) if ov != 0 else p_new.vector
-                worst_du = max(worst_du, float(np.linalg.norm(padded - aligned)))
+                (p_new, _), pairs_new = _tracked_pair(
+                    VerblunskySequence(f, om, sol), big, zz, beta, eta)
+                sep_new = min(sep_new, separation_gap(pairs_new, p_new.index))
+                (p_old, _), _ = _tracked_pair(VerblunskySequence(f, om, old_x),
+                                              state.window_interval(), zz, beta, eta)
+                worst_du = max(worst_du, aligned_distance(
+                    pad_vector(p_old.vector, state.window_interval(), big),
+                    p_new.vector))
             if failed_node:
                 break
         if failed_node is None:
@@ -1097,8 +1033,7 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     checks.append(Check("depth+1 separation", sep_req, sep_new, sep_new > sep_req))
 
     loc = finite_localization_step(f, om, x0, z1, n0, subwindows, schedule,
-                                   state.gamma, base_window=(-state.window[0],
-                                                             state.window[1]),
+                                   state.gamma, base_window=state.window_interval(),
                                    seed=seed, beta=beta, eta=eta)
 
     new_state = InductiveState(depth=state.depth + 1, n_scale=n1,

@@ -33,8 +33,9 @@ def two_mode(coupling: float = 0.45) -> SamplingFunction:
     """alpha(x) = c (e^{2pi i x1} + e^{2pi i x2}); sup |alpha| = 2c.
 
     coupling 0.45 gives the sup-0.9 example; 0.475 the sup-0.95 one used in
-    localization experiments.  The top exponent is positive on the arcs
-    around theta ~ 1.5 and ~ 2.5 (measured, not proven).
+    localization experiments.  The top exponent is positive around
+    theta ~ 1.5 and ~ 2.5, but both are gap points; on the covered arcs the
+    measured exponent is about 0 (L_800 of 0.001-0.004).
     """
     return SamplingFunction(dim=2, coeffs={(1, 0): coupling, (0, 1): coupling})
 

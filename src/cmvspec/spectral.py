@@ -198,6 +198,26 @@ def edge_value(vector: np.ndarray) -> float:
     return float(max(u[:4].max(), u[-4:].max()))
 
 
+def decay_ratio(vector: np.ndarray, interval: tuple[int, int], cut: float,
+                gamma: float, divisor: float) -> float:
+    """max |u(s)| / exp(-gamma |s| / divisor) over the sites |s| >= cut of the
+    window [a, b], or 0 when it has none: below 1 exactly when u lies under
+    that bound on every such site."""
+    sites = np.arange(interval[0], interval[1] + 1)
+    mask = np.abs(sites) >= cut
+    bound = np.exp(-gamma * np.abs(sites[mask]) / divisor)
+    return float(np.max(np.abs(vector)[mask] / bound, initial=0.0))
+
+
+def aligned_distance(target: np.ndarray, vector: np.ndarray) -> float:
+    """||target - c vector|| for the unimodular c = <vector, target> /
+    |<vector, target>| that best aligns the phase of vector to target
+    (c = 1 when the two are orthogonal)."""
+    inner = np.vdot(vector, target)
+    aligned = vector * (inner / abs(inner)) if inner != 0 else vector
+    return float(np.linalg.norm(target - aligned))
+
+
 @dataclass(frozen=True)
 class LocalizationProfile:
     sites: np.ndarray
@@ -230,15 +250,9 @@ def localization_profile(vector: np.ndarray, interval: tuple[int, int],
     mask = np.abs(sites) >= cut
     if not mask.any():
         raise ValueError("window has no sites with |s| >= 3 n0 / 4")
-    passes = True
-    worst = None
-    worst_excess = -np.inf
-    for s, mag in zip(sites[mask], mags[mask]):
-        bound = np.exp(-gamma * abs(s) / 20.0)
-        if mag >= bound:
-            passes = False
-            if mag - bound > worst_excess:
-                worst_excess, worst = mag - bound, int(s)
+    passes = decay_ratio(u, interval, cut, gamma, 20.0) < 1.0
+    excess = mags[mask] - np.exp(-gamma * np.abs(sites[mask]) / 20.0)
+    worst = None if passes else int(sites[mask][int(np.argmax(excess))])
     A = np.vstack([np.abs(sites[mask]), np.ones(mask.sum())]).T
     slope = float(np.linalg.lstsq(A, log_abs[mask], rcond=None)[0][0])
     return LocalizationProfile(sites=sites, log_abs=log_abs, center=center,
@@ -307,10 +321,7 @@ def perturb_eigen_check(A: np.ndarray, phi: np.ndarray, z: complex,
         return PerturbReport(**report, isolated_count=len(inside),
                              part_b_applicable=False, aligned_distance=None,
                              part_b_ok=None)
-    psi = pairs[inside[0]].vector
-    inner = np.vdot(psi, phi)
-    aligned = psi * (inner / abs(inner)) if inner != 0 else psi
-    dist = float(np.linalg.norm(phi - aligned))
+    dist = aligned_distance(phi, pairs[inside[0]].vector)
     return PerturbReport(**report, isolated_count=1, part_b_applicable=True,
                          aligned_distance=dist,
                          part_b_ok=bool(dist < np.sqrt(2.0) * eps_tilde / eps_hat))

@@ -309,12 +309,6 @@ class SamplingFunction:
             out = np.exp(ph, out=ph) @ self._cs
         return out[0] if single else out
 
-    @property
-    def degree(self) -> int:
-        if len(self._ks) == 0:
-            return 0
-        return int(np.abs(self._ks).sum(axis=1).max())
-
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:
         items = [{"k": list(map(int, k)), "re": float(c.real), "im": float(c.imag)}

@@ -292,3 +292,49 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cmvspec" in proc.stdout
+
+
+LOCALIZATION = {"sampling": {"preset": "localization"}, "frequency": {"preset": "sqrt"}}
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("localize", {**LOCALIZATION, "localize": {"gamma_samples": 0}}),
+    ("localize", {**LOCALIZATION, "localize": {"gamma": "x"}}),
+    ("localize", {**LOCALIZATION, "localize": {"n0": "x"}}),
+    ("localize", {**LOCALIZATION, "localize": {"overrides": {"proximity": "x"}}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"n0": "x"}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"theta": "x"}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"samples": 0}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"gamma": "x"}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"scan_grid": "x"}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"schedule": {"nu_prime": "x"}}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"schedule": {"growth": "x"}}}),
+    ("multiscale", {**LOCALIZATION, "multiscale": {
+        "schedule": {"overrides": {"box_radius": "x"}}}}),
+    ("identity-suite", {"identity": {"cases": "x"}}),
+    ("identity-suite", {"identity": {"threshold": "x"}}),
+    ("lyapunov", {"lyapunov": {"theta_grid": "x"}}),
+    ("lyapunov", {"lyapunov": {"thetas": ["x"]}}),
+    ("ldt", {"ldt": {"theta": "x"}}),
+    ("spectrum-scan", {"spectrum": {"arc": ["a", "b"]}}),
+    ("lyapunov", {"seed": "x", "lyapunov": {"thetas": [0.5], "samples": 3}}),
+], ids=["localize-gamma_samples", "localize-gamma", "localize-n0",
+        "localize-overrides", "multiscale-n0", "multiscale-theta",
+        "multiscale-samples", "multiscale-gamma", "multiscale-scan_grid",
+        "schedule-nu_prime", "schedule-growth", "schedule-overrides",
+        "identity-cases", "identity-threshold", "theta_grid", "thetas",
+        "ldt-theta", "arc", "seed"])
+def test_every_config_number_exits_2(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path, "c.json", extra)
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [-1, 2])
+def test_multiscale_depth_outside_0_1_exits_2(tmp_path, capsys, depth):
+    cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION,
+                                         "multiscale": {"n0": 10, "depth": depth}})
+    assert run_cli(["multiscale", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "supported range 0-1" in capsys.readouterr().err

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cmvspec.cmv import VerblunskySequence, build_finite_cmv
-from cmvspec.spectral import (edge_value, eigenphases, eigensolve,
-                              localization_profile, nearest_eigen,
-                              nearest_eigenpair, perturb_eigen_check,
-                              separation_gap)
+from cmvspec.spectral import (aligned_distance, decay_ratio, edge_value,
+                              eigenphases, eigensolve, localization_profile,
+                              nearest_eigen, nearest_eigenpair,
+                              perturb_eigen_check, separation_gap)
 from cmvspec.torus import Phase, SamplingFunction
 from cmvspec.util import pad_vector
 from cmvspec.presets import two_mode, zero_function
@@ -282,3 +282,45 @@ class TestPerturbCheck:
         phi[0] = 1.0
         with pytest.raises(ValueError, match="hypothesis"):
             perturb_eigen_check(A, phi, np.exp(0.5j), 1e-12, 1e-3)
+
+
+class TestMeasurementHelpers:
+    def test_aligned_distance_ignores_a_unimodular_factor(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+            c = np.exp(2j * np.pi * rng.random())
+            assert aligned_distance(v, c * v) == pytest.approx(0.0, abs=1e-13)
+        e0, e1 = np.eye(2, dtype=complex)
+        assert aligned_distance(e0, e1) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+
+    def test_aligned_distance_is_perturb_part_b(self, seq):
+        A = build_finite_cmv(seq, -10, 10).dense()
+        pairs = eigensolve(A)
+        rng = np.random.default_rng(7)
+        for p in pairs[::5]:
+            phi = p.vector * np.exp(0.7j) + 1e-7 * rng.standard_normal(len(p.vector))
+            phi = phi / np.linalg.norm(phi)
+            res = np.linalg.norm(A @ phi - p.value * phi)
+            eps_hat = 0.5 * separation_gap(pairs, p.index)
+            rep = perturb_eigen_check(A, phi, p.value, 2 * res, eps_hat)
+            assert rep.part_b_applicable
+            assert rep.aligned_distance == aligned_distance(phi, p.vector)
+
+    def test_decay_ratio_below_one_exactly_when_profile_passes(self, freq2):
+        n0, interval = 12, (-16, 16)
+        vectors = [p.vector for p in eigensolve(build_finite_cmv(
+            VerblunskySequence(two_mode(0.475), freq2, Phase((0.2, 0.6))), -16, 16))]
+        sites = np.abs(np.arange(-16, 17))
+        on_bound = np.exp(-0.5 * sites / 20.0).astype(complex)
+        vectors.append(on_bound)            # |u(s)| equals the bound: fails
+        vectors.append(np.nextafter(on_bound.real, 0.0).astype(complex))
+        outcomes = set()
+        for u in vectors:
+            for gamma in (0.05, 0.25, 0.5, 2.0):
+                ratio = decay_ratio(u, interval, 3.0 * n0 / 4.0, gamma, 20.0)
+                passes = localization_profile(u, interval, n0, gamma).passes
+                assert (ratio < 1.0) == passes
+                outcomes.add(passes)
+        assert outcomes == {True, False}
+        assert decay_ratio(on_bound, interval, 9.0, 0.5, 20.0) == 1.0
