@@ -84,6 +84,13 @@ def config_number(value, name: str, cast=float, low=None):
     return out
 
 
+def config_list(value, name: str) -> list:
+    """A list-valued config value; anything else is a config error."""
+    if not isinstance(value, list):
+        raise ConfigError(f"'{name}' must be a list, got {value!r}")
+    return value
+
+
 def resolve_sampling(cfg: dict) -> SamplingFunction:
     spec = cfg.get("sampling")
     if spec is None:
@@ -173,11 +180,11 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     if thetas is None:
         grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
         thetas = [2 * np.pi * g / grid for g in range(grid)]
-    scales = [config_number(n, "scales", int, 1)
-              for n in block.get("scales", [block.get("n", 100)])]
+    scales = [config_number(n, "scales", int, 1) for n in
+              config_list(block.get("scales", [block.get("n", 100)]), "scales")]
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     rows = []
-    for theta in thetas:
+    for theta in config_list(thetas, "thetas"):
         z = SpectralPoint(config_number(theta, "thetas"))
         for n in scales:
             est = lyapunov_finite(f, freq, z, n, samples, seed)
@@ -235,7 +242,7 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     beta, eta = resolve_boundary(cfg)
     z = SpectralPoint(config_number(block.get("theta", 0.0), "theta"))
     n_list = [config_number(v, "n_list", int, 1)
-              for v in block.get("n_list", [50, 100, 200])]
+              for v in config_list(block.get("n_list", [50, 100, 200]), "n_list")]
     tau = config_number(block.get("tau", 0.3), "tau")
     samples = config_number(block.get("samples", 500), "samples", int, 1)
     scan = ldt_measure_scan(f, freq, z, n_list, tau, samples, seed)
@@ -380,6 +387,8 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
 
 def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
     block = cfg.get("identity", {})
+    if not isinstance(block, dict):
+        raise ConfigError("'identity' must be an object")
     cases = config_number(block.get("cases", 25), "cases", int, 1)
     threshold = config_number(block.get("threshold", 1e-8), "threshold")
     f = resolve_sampling(cfg)

@@ -238,14 +238,15 @@ def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:
 
 
 def apply_cmv(m: FiniteCMV, v: np.ndarray) -> np.ndarray:
-    """Banded matrix-vector product."""
+    """Banded product E v of a vector, or of each column of an (n, k) block."""
     v = np.asarray(v, dtype=complex)
-    if v.shape != (m.size,):
-        raise ValueError(f"vector length {v.shape} != window size {m.size}")
-    out = np.zeros(m.size, dtype=complex)
+    if v.shape[:1] != (m.size,) or v.ndim > 2:
+        raise ValueError(f"vector shape {v.shape} does not fit window size {m.size}")
+    out = np.zeros(v.shape, dtype=complex)
     n = m.size
+    bands = m.bands if v.ndim == 1 else m.bands[:, :, None]
     for off in range(-2, 3):
-        d = m.bands[off + 2]
+        d = bands[off + 2]
         i0, i1 = max(0, -off), min(n, n - off)
         if i0 < i1:
             out[i0:i1] += d[i0:i1] * v[i0 + off:i1 + off]

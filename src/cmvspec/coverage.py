@@ -5,9 +5,11 @@ spectrum comes within tolerance of z and whose matching eigenvector decays
 at the window edges.  Finding one marks z covered; the summary reports the
 maximal covered sub-arcs.
 
-The scan precomputes full spectra only for the seeded phase samples; all
-local refinement work runs through shift-invert iteration on the
-tridiagonal pencil z L* - M, which costs O(window) per probe.
+The scan computes full spectra only for the seeded phase samples, from one
+symmetric eigensolve of the window's Hermitian part each
+(``spectral.hermitian_eigenphases``); all local refinement work runs
+through shift-invert iteration on the tridiagonal pencil z L* - M, which
+costs O(window) per probe.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cmv import FiniteCMV, VerblunskySequence, apply_cmv, build_finite_cmv
-from .spectral import edge_value
+from .spectral import edge_value, hermitian_eigenphases
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import TWO_PI, counter_rng, phase_of, wrap_angle
 
@@ -107,8 +109,8 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     difference of the locally nearest eigenvalue.
     Covered additionally requires the matched eigenvector's outer edge
     entries to stay below sqrt(tol); that vector comes from inverse
-    iteration shifted at the matched eigenvalue (the dense one of the
-    seeded sample, or the best refinement probe's).
+    iteration shifted at the matched eigenvalue (the seeded sample's, from
+    ``hermitian_eigenphases``, or the best refinement probe's).
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -126,9 +128,8 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         x = Phase(tuple(counter_rng(seed, s).random(d)))
         seq = VerblunskySequence(f, om, x)
         m = build_finite_cmv(seq, a, b, beta=beta, eta=eta)
-        w = np.linalg.eigvals(m.dense())
         xs.append(x)
-        spectra.append(w / np.abs(w))
+        spectra.append(hermitian_eigenphases(m))
         matrices.append(m)
 
     def build_at(coords: np.ndarray) -> FiniteCMV:

@@ -4,7 +4,10 @@ The pentadiagonal windows are normal matrices, so a complex Schur
 factorization delivers an orthonormal eigenbasis directly (the triangular
 factor is numerically diagonal).  Eigenvalues are projected onto the circle
 and pairs are ordered by phase; eigenvector gauge fixes the first
-largest-magnitude entry to be real positive.  Queries for the single
+largest-magnitude entry to be real positive.  Full spectra without
+vectors come either from a dense non-Hermitian solve (``eigenphases``) or,
+faster, from one symmetric eigensolve of the Hermitian part (E + E*) / 2
+(``hermitian_eigenphases``).  Queries for the single
 eigenvalue nearest a point use a banded Hermitian companion of the window
 (``nearest_eigenpair``, ``nearest_eigenvalue``) and need no dense solve.
 """
@@ -14,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, schur, solve_banded
+from scipy.linalg import eigh, eigvals_banded, schur, solve_banded
 
 from .cmv import FiniteCMV, apply_cmv
 from .util import phase_of
 
 DEFAULT_MAX_DIM = 4096
-_GAP_TOL = 1e-9     # top-two gap of H below which nearest_eigenpair goes dense
-_RES_TOL = 1e-9     # residual above which nearest_eigenpair goes dense
+_GAP_TOL = 1e-9     # eigenvalues of H this close tie or share a cluster
+_RES_TOL = 1e-9     # residual above which the Hermitian paths go dense
 
 
 @dataclass
@@ -87,9 +90,51 @@ def eigenphases(m, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     A = m.dense() if isinstance(m, FiniteCMV) else np.asarray(m, dtype=complex)
     if A.shape[0] > max_dim:
         raise ValueError(f"window size {A.shape[0]} exceeds max_dim={max_dim}")
-    w = np.linalg.eigvals(A)
+    return _on_circle_by_phase(np.linalg.eigvals(A))
+
+
+def _on_circle_by_phase(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues projected to the unit circle, sorted by phase in [0, 2 pi)."""
     w = w / np.abs(w)
     return w[np.argsort(np.angle(w) % (2 * np.pi), kind="stable")]
+
+
+def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
+    """``eigenphases`` of a unitary window from the Hermitian part of E.
+
+    E is normal, so H = (E + E*) / 2 has E's eigenvectors, with eigenvalues
+    cos(theta_k).  One symmetric eigensolve of H (real when E is) gives an
+    orthonormal basis V; eigenvalues of H within 1e-9 of each other form a
+    cluster (each pair e^{+-i theta} of a real window is one), and the values
+    of E on a cluster's columns V_c are the eigenvalues of B = V_c* E V_c.
+    Since E is normal, each is within ||E V_c - V_c B||_F of spec E; when that
+    exceeds 1e-9 for any cluster, the dense ``eigenphases`` is returned.
+    """
+    if m.beta is None or m.eta is None:
+        raise ValueError("hermitian_eigenphases needs a unitary window")
+    n = m.size
+    H = m.dense()
+    for off in range(3):                # H in place: only five diagonals change
+        rows = np.arange(n - off)
+        h = 0.5 * (H[rows, rows + off] + np.conj(H[rows + off, rows]))
+        H[rows, rows + off] = h
+        H[rows + off, rows] = np.conj(h)
+    if not m.bands.imag.any():          # a real solve: faster, half the memory
+        H = H.real.copy()
+    # H.T is Fortran-ordered, so eigh overwrites it in place; it is conj(H)
+    h, V = eigh(H.T, overwrite_a=True, driver="evr", check_finite=False)
+    del H
+    np.conjugate(V, out=V)
+    bounds = np.r_[0, np.flatnonzero(np.diff(h) > _GAP_TOL) + 1, n]
+    w = np.empty(n, dtype=complex)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        Vc = V[:, s:e]
+        EV = apply_cmv(m, Vc)
+        B = Vc.conj().T @ EV
+        if not np.linalg.norm(EV - Vc @ B) <= _RES_TOL:
+            return eigenphases(m, n)
+        w[s:e] = B[0, 0] if e - s == 1 else np.linalg.eigvals(B)
+    return _on_circle_by_phase(w)
 
 
 def _banded_nearest(m: FiniteCMV, z: complex):

@@ -331,6 +331,19 @@ def test_every_config_number_exits_2(tmp_path, capsys, command, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("lyapunov", {"lyapunov": {"thetas": 0.5, "samples": 3}}),
+    ("lyapunov", {"lyapunov": {"thetas": [0.5], "scales": 20, "samples": 3}}),
+    ("ldt", {"ldt": {"n_list": 20, "samples": 3}}),
+    ("identity-suite", {"identity": [1]}),
+], ids=["thetas", "scales", "n_list", "identity"])
+def test_every_config_list_exits_2(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path, "c.json", extra)
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("depth", [-1, 2])
 def test_multiscale_depth_outside_0_1_exits_2(tmp_path, capsys, depth):
     cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION,

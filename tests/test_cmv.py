@@ -152,6 +152,16 @@ class TestApply:
             v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
             assert np.max(np.abs(apply_cmv(m, v) - E @ v)) <= 1e-13 * np.max(np.abs(v))
 
+    def test_block_is_column_by_column(self, seq):
+        m = build_finite_cmv(seq, -5, 44)
+        rng = np.random.default_rng(8)
+        V = rng.standard_normal((50, 7)) + 1j * rng.standard_normal((50, 7))
+        block = apply_cmv(m, V)
+        for k in range(7):
+            assert np.array_equal(block[:, k], apply_cmv(m, V[:, k]))
+        with pytest.raises(ValueError):
+            apply_cmv(m, V[:40])
+
     def test_dimension_mismatch(self, seq):
         m = build_finite_cmv(seq, 0, 10)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmvspec.cmv import VerblunskySequence, apply_cmv, build_finite_cmv
+from cmvspec import spectral
 from cmvspec.coverage import interval_coverage_scan, nearest_eigen_banded
 from cmvspec.spectral import eigenphases, eigensolve
 from cmvspec.torus import Phase
@@ -82,6 +83,15 @@ class TestCoverageScan:
                                       window=60, tol=0.05, phase_samples=1,
                                       seed=0)
         assert all(p.covered for p in scan.points)   # inside the band
+
+    def test_no_window_size_limit(self, f_const, freq1, monkeypatch):
+        # the seed spectra, dense fallback included, ignore eigenphases' max_dim
+        monkeypatch.setattr(spectral.eigenphases, "__defaults__", (10,))
+        monkeypatch.setattr(spectral, "_RES_TOL", 0.0)
+        scan = interval_coverage_scan(f_const, freq1, (2.0, 3.0), grid=20,
+                                      window=60, tol=0.05, phase_samples=1,
+                                      seed=0)
+        assert all(p.covered for p in scan.points)
 
     def test_grid_guard(self, f_const, freq1):
         with pytest.raises(ValueError):

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from cmvspec.cmv import VerblunskySequence, build_finite_cmv
+from cmvspec import spectral
 from cmvspec.spectral import (aligned_distance, decay_ratio, edge_value,
-                              eigenphases, eigensolve, localization_profile,
-                              nearest_eigen, nearest_eigenpair,
-                              perturb_eigen_check, separation_gap)
+                              eigenphases, eigensolve, hermitian_eigenphases,
+                              localization_profile, nearest_eigen,
+                              nearest_eigenpair, perturb_eigen_check,
+                              separation_gap)
 from cmvspec.torus import Phase, SamplingFunction
 from cmvspec.util import pad_vector
-from cmvspec.presets import two_mode, zero_function
+from cmvspec.presets import (constant_function, localization_example,
+                             strong_coupling, two_mode, zero_function)
 
 
 def haar_unitary(n, rng):
@@ -182,6 +185,57 @@ class TestNearestEigenpair:
         from cmvspec.cmv import build_cut_cmv
         with pytest.raises(ValueError):
             nearest_eigenpair(build_cut_cmv(seq, 0, 10), 1.0 + 0j)
+
+
+class TestHermitianEigenphases:
+    """Spectra from the Hermitian part against the dense ``eigenphases``."""
+
+    PRESETS = {"constant": lambda: constant_function(0.5, dim=1),
+               "zero": lambda: zero_function(dim=1),
+               "strong_coupling": strong_coupling,
+               "localization": localization_example,
+               "two_mode": two_mode}
+
+    @pytest.mark.parametrize("complex_boundary", [False, True],
+                             ids=["real-boundary", "complex-boundary"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_dense(self, freq1, freq2, preset, complex_boundary, monkeypatch):
+        def no_fallback(*args):
+            raise AssertionError("certificate failed, dense fallback taken")
+        monkeypatch.setattr(spectral, "eigenphases", no_fallback)
+        f = self.PRESETS[preset]()
+        rng = np.random.default_rng(len(preset) + 7 * complex_boundary)
+        for n in (3, 4, 5, 8, 21, 90, 161, 321):
+            beta, eta = ((complex(np.exp(2j * np.pi * rng.random())) for _ in range(2))
+                         if complex_boundary else (1.0 + 0j, 1.0 + 0j))
+            s = VerblunskySequence(f, freq1 if f.dim == 1 else freq2,
+                                   Phase(tuple(rng.random(f.dim))))
+            m = build_finite_cmv(s, -(n // 2), n - 1 - n // 2, beta=beta, eta=eta)
+            dense, fast = eigenphases(m), hermitian_eigenphases(m)
+            assert np.max(np.abs(np.abs(fast) - 1.0)) <= 1e-15
+            assert np.max(np.abs(fast - dense)) <= 1e-12
+
+    def test_real_window_pairs_take_the_cluster_split(self, freq1, f_const, monkeypatch):
+        # a real window's eigenvalues e^{+-i theta} share cos(theta)
+        sizes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda B: sizes.append(B.shape[-1]) or eigvals(B))
+        m = build_finite_cmv(VerblunskySequence(f_const, freq1, Phase((0.3,))), 0, 40)
+        hermitian_eigenphases(m)
+        assert sizes and set(sizes) == {2}
+
+    def test_failed_certificate_falls_back_to_dense(self, seq, monkeypatch):
+        # the fallback has no size limit: eigenphases' default max_dim is not used
+        monkeypatch.setattr(spectral.eigenphases, "__defaults__", (10,))
+        m = build_finite_cmv(seq, 0, 60, beta=np.exp(0.4j), eta=np.exp(-1.3j))
+        monkeypatch.setattr(spectral, "_RES_TOL", 0.0)
+        assert np.array_equal(hermitian_eigenphases(m), eigenphases(m, m.size))
+
+    def test_rejects_pure_truncation(self, seq):
+        from cmvspec.cmv import build_cut_cmv
+        with pytest.raises(ValueError):
+            hermitian_eigenphases(build_cut_cmv(seq, 0, 10))
 
 
 class TestEdgeValue:
