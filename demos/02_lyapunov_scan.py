@@ -27,8 +27,9 @@ def floquet_exponent(theta, a=0.5):
 
 print("constant alpha = 0.5: Monte-Carlo L_200 vs closed form")
 print("theta      L_200     exact")
-for theta in np.linspace(0.0, np.pi, 7):
-    est = lyapunov_finite(f_const, w1, SpectralPoint(theta), 200, 30, seed=0)
+thetas = np.linspace(0.0, np.pi, 7)
+ests = lyapunov_finite(f_const, w1, [SpectralPoint(t) for t in thetas], 200, 30, seed=0)
+for theta, est in zip(thetas, ests):
     print(f"{theta:6.3f}  {est.value:8.5f}  {floquet_exponent(theta):8.5f}")
 
 f_qp = strong_coupling()

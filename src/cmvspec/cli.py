@@ -142,13 +142,21 @@ def resolve_frequency(cfg: dict, dim: int) -> Frequency:
 
 def resolve_boundary(cfg: dict):
     spec = cfg.get("boundary", {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'boundary' must be an object, got {spec!r}")
+
     def unit(v, name):
-        c = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+        if not isinstance(v, list):
+            c = config_number(v, name, complex)
+        elif len(v) == 2:
+            c = complex(*(config_number(u, name) for u in v))
+        else:
+            raise ConfigError(f"'{name}' must be [re, im] or a number, got {v!r}")
         if abs(abs(c) - 1.0) > 1e-12:
             raise ConfigError(f"|{name}| must be 1")
         return c
-    beta = unit(spec.get("beta", [1.0, 0.0]), "beta")
-    eta = unit(spec.get("eta", [1.0, 0.0]), "eta")
+    beta = unit(spec.get("beta", [1.0, 0.0]), "boundary.beta")
+    eta = unit(spec.get("eta", [1.0, 0.0]), "boundary.eta")
     return beta, eta
 
 
@@ -183,13 +191,16 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     scales = [config_number(n, "scales", int, 1) for n in
               config_list(block.get("scales", [block.get("n", 100)]), "scales")]
     samples = config_number(block.get("samples", 100), "samples", int, 1)
+    points = [SpectralPoint(config_number(theta, "thetas"))
+              for theta in config_list(thetas, "thetas")]
+    # one batched pass over every point per scale
+    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed)
+                for n in scales] if points else []
     rows = []
-    for theta in config_list(thetas, "thetas"):
-        z = SpectralPoint(config_number(theta, "thetas"))
-        for n in scales:
-            est = lyapunov_finite(f, freq, z, n, samples, seed)
-            rows.append((float(z.theta), n, float(est.value),
-                         float(est.std_error), est.method))
+    for k, z in enumerate(points):
+        for n, ests in zip(scales, by_scale):
+            rows.append((float(z.theta), n, float(ests[k].value),
+                         float(ests[k].std_error), ests[k].method))
     write_csv(outdir / "lyapunov.csv", "theta,n,L_n,std_error,method", rows)
     return 0
 

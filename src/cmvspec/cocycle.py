@@ -2,8 +2,11 @@
 
 Products of the determinant-1 one-step map are accumulated with the largest
 entry stripped into a running log every step, so norms of products with
-tens of thousands of factors stay representable.  All Monte-Carlo phase
-averages use counter-based seeding and are reproducible bit for bit.
+tens of thousands of factors stay representable.  One kernel advances an
+(N, d) array of phases at K spectral points together: the alpha-orbit is
+evaluated once for all K points, and each product equals that of its phase
+and point alone bit for bit.  All Monte-Carlo phase averages use
+counter-based seeding and are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class CocycleProduct:
     exp(log_norm) * matrix.  ``log_det_abs`` accumulates log|det| factor by
     factor (each factor has det 1 up to rounding), giving an overflow-free
     determinant diagnostic.  For an (N, d) array of base phases ``matrix``
-    is (N, 2, 2) and the other fields and properties are (N,) arrays.
+    is (N, 2, 2) and the other fields and properties are (N,) arrays.  For
+    a sequence of K spectral points ``point`` is their tuple and every array
+    field and property gets a leading K axis: (K, N, 2, 2) and (K, N).
     """
 
     n: int
@@ -74,16 +79,18 @@ class CocycleProduct:
     log_det_abs: float
     base: Phase
     omega: np.ndarray
-    point: SpectralPoint
+    point: SpectralPoint | tuple[SpectralPoint, ...]
 
     @property
     def log_norm2(self) -> float:
         """log of the spectral norm of the full product."""
-        m = self.matrix
+        # (row, column) leading, as the kernel holds entries
+        re, im = (np.moveaxis(p, (-2, -1), (0, 1)) for p in (self.matrix.real,
+                                                             self.matrix.imag))
         # a numpy float scalar squares by libm pow, as float_power does (x * x may differ)
-        a2 = np.float_power(np.hypot(m.real, m.imag), 2)
-        fro2 = a2[..., 0, 0] + a2[..., 0, 1] + a2[..., 1, 0] + a2[..., 1, 1]
-        det2 = np.float_power(_abs_det(m.real, m.imag), 2)
+        a2 = np.float_power(np.hypot(re, im), 2)
+        fro2 = a2[0, 0] + a2[0, 1] + a2[1, 0] + a2[1, 1]
+        det2 = np.float_power(_abs_det(re, im), 2)
         disc = np.maximum(fro2 * fro2 - 4 * det2, 0.0)
         return self.log_norm + 0.5 * np.log(0.5 * (fro2 + np.sqrt(disc)))
 
@@ -93,7 +100,8 @@ class CocycleProduct:
         return self.log_norm2 / self.n
 
 
-# sample-steps per chunk and entries per block of steps: temporaries near 2 MB
+# sample-steps per chunk, sample-points per step and entries per block of
+# steps: temporaries near 2 MB
 _CHUNK = 2 ** 15
 _BLOCK = 8192
 
@@ -104,47 +112,59 @@ def _mul(ar, ai, br, bi):
 
 
 def _abs_det(re, im):
-    """|m00 m11 - m01 m10| of 2x2 matrices (last two axes) given by parts."""
-    pr, pi = _mul(re[..., 0, 0], im[..., 0, 0], re[..., 1, 1], im[..., 1, 1])
-    qr, qi = _mul(re[..., 0, 1], im[..., 0, 1], re[..., 1, 0], im[..., 1, 0])
+    """|m00 m11 - m01 m10| of 2x2 matrices given by parts, (row, column) the
+    first two axes."""
+    pr, pi = _mul(re[0, 0], im[0, 0], re[1, 1], im[1, 1])
+    qr, qi = _mul(re[0, 1], im[0, 1], re[1, 0], im[1, 0])
     return np.hypot(pr - qr, pi - qi)
 
 
-def transfer_product(f: SamplingFunction, omega, z: SpectralPoint, x,
-                     n: int) -> CocycleProduct:
+def transfer_product(f: SamplingFunction, omega, z, x, n: int) -> CocycleProduct:
     """Ordered product M(x+(n-1)w) ... M(x), renormalized every step.
 
     ``x`` is one Phase (strip phases included) or an (N, d) array of real
-    phases.  The N products advance together, each renormalized by its own
-    largest entry, and each row equals the product of its phase alone bit
-    for bit.
+    phases; ``z`` is one SpectralPoint or a sequence of K of them.  All K N
+    products advance together, each renormalized by its own largest entry,
+    with the alpha-orbit of the phases evaluated once for every point.  Each
+    product equals that of its phase and point alone bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     om = omega_array(omega)
+    one_point = isinstance(z, SpectralPoint)
+    points = (z,) if one_point else tuple(z)
+    if not points:
+        raise ValueError("transfer_product needs at least one spectral point")
     single = isinstance(x, Phase)
     pts = x.array()[None, :] if single else np.asarray(x, dtype=float).reshape(-1, f.dim)
     if len(pts) == 0:
         raise ValueError("transfer_product needs at least one phase")
     y = x.imag_array() if single and x.imag is not None and any(x.imag) else None
-    width = max(1, _CHUNK // n)
-    parts = [_products(f, om, z, pts[lo:lo + width], y, n)
+    # Python complex division per point: a numpy complex quotient may round differently
+    sz = np.array([[p.sqrt_z] for p in points])
+    iz = np.array([[1.0 / p.sqrt_z] for p in points])
+    width = max(1, _CHUNK // max(n, len(points)))
+    parts = [_products(f, om, sz, iz, pts[lo:lo + width], y, n)
              for lo in range(0, len(pts), width)]
-    matrix, log_norm, log_det = (np.concatenate(v) for v in zip(*parts))
+    matrix, log_norm, log_det = (np.concatenate(v, axis=1) for v in zip(*parts))
     if single:
+        matrix, log_norm, log_det = matrix[:, 0], log_norm[:, 0], log_det[:, 0]
+    if one_point:
         matrix, log_norm, log_det = matrix[0], log_norm[0], log_det[0]
-    return CocycleProduct(n=n, matrix=matrix, log_norm=log_norm,
-                          log_det_abs=log_det, base=x, omega=om, point=z)
+    return CocycleProduct(n=n, matrix=matrix, log_norm=log_norm, log_det_abs=log_det,
+                          base=x, omega=om, point=z if one_point else points)
 
 
-def _products(f, om, z, pts, y, n):
-    """Matrices, log norms and log|det| of the n-step products at pts.
+def _products(f, om, sz, iz, pts, y, n):
+    """Matrices (K, c, 2, 2), log norms and log|det| (K, c) of the n-step
+    products at the c phases pts and the K points with roots sz, iz (K, 1).
 
     Entries are kept as real and imaginary parts and combined as numpy
     complex scalars would combine them; a numpy complex array product
-    (fused multiply-add) rounds differently.  Logs are summed step by step.
+    (fused multiply-add) rounds differently.  Entries are (row, column)
+    leading with the K c products last and contiguous.  Logs are summed
+    step by step.
     """
-    sz, iz = z.sqrt_z, 1.0 / z.sqrt_z
     if y is None:
         alphas = f.alpha_orbit(pts, om, n)
         alpha_bars = None                   # conj(alphas), read off alphas
@@ -153,36 +173,38 @@ def _products(f, om, z, pts, y, n):
         alphas = f.alpha_orbit(pts, om, n, y=y)
         alpha_bars = np.conj(f.alpha_orbit(pts, om, n, y=-y))
         rhos = np.sqrt(1.0 - alphas * alpha_bars)
-    c = len(pts)
-    mr, mi = np.tile(np.eye(2), (c, 1, 1)), np.zeros((c, 2, 2))
-    log_norm, log_det = np.zeros(c), np.zeros(c)
-    block = max(1, _BLOCK // c)
+    k, c = len(sz), len(pts)
+    rows = k * c
+    mr, mi = np.zeros((2, 2, rows)), np.zeros((2, 2, rows))
+    mr[0, 0] = mr[1, 1] = 1.0
+    log_norm, log_det = np.zeros(rows), np.zeros(rows)
+    block = max(1, _BLOCK // rows)
     for j0 in range(0, n, block):
         steps = slice(j0, j0 + block)
-        s = _step_entries(alphas[:, steps].T, rhos[:, steps].T, sz, iz,
-                          None if alpha_bars is None else alpha_bars[:, steps].T)
-        scale = np.empty((len(s), c))
-        for j in range(len(s)):
-            sr, si = s[j, 0][..., None], s[j, 1][..., None]
-            mr, mi = mr[:, None], mi[:, None]
-            pr = sr * mr - si * mi          # (sample, row, inner, column)
+        a, r = (v[:, steps].T[:, None] for v in (alphas, rhos))   # (step, 1, sample)
+        ab = None if alpha_bars is None else alpha_bars[:, steps].T[:, None]
+        s = _step_entries(a, r, sz, iz, ab)
+        scale = np.empty((s.shape[3], rows))
+        for j in range(len(scale)):
+            sr, si = s[0, :, :, j, None], s[1, :, :, j, None]
+            pr = sr * mr - si * mi          # (row, inner, column, product)
             pi = sr * mi + si * mr
-            nr, ni = pr[:, :, 0] + pr[:, :, 1], pi[:, :, 0] + pi[:, :, 1]
-            scale[j] = np.hypot(nr, ni).reshape(c, 4).max(axis=1)
-            inv = (1.0 / scale[j])[:, None, None]
+            nr, ni = pr[:, 0] + pr[:, 1], pi[:, 0] + pi[:, 1]
+            scale[j] = np.hypot(nr, ni).reshape(4, rows).max(axis=0)
+            inv = 1.0 / scale[j]
             mr, mi = nr * inv, ni * inv
         log_norm = np.add.accumulate(np.vstack((log_norm, np.log(scale))))[-1]
-        dets = _abs_det(s[:, 0], s[:, 1])
+        dets = _abs_det(s[0], s[1])
         log_det = np.add.accumulate(np.vstack((log_det, np.log(dets))))[-1]
-    return mr + 1j * mi, log_norm, log_det
+    matrix = (mr + 1j * mi).reshape(2, 2, k, c).transpose(2, 3, 0, 1)
+    return matrix, log_norm.reshape(k, c), log_det.reshape(k, c)
 
 
 def _step_entries(a, r, sz, iz, ab=None):
     """Parts of the one-step maps (1/r) [[sz, -ab iz], [-a sz, iz]], ab = conj(a)
-    unless given: s[step, 0] real and s[step, 1] imaginary, (sample, row, column)."""
-    if ab is not None:                      # strip phase: complex rho
-        ents = [(e.real, e.imag) for e in (sz / r, -ab * iz / r, -a * sz / r, iz / r)]
-    else:
+    unless given, for a, r (step, 1, sample) and sz, iz (point, 1):
+    s[part, row, column, step, point * sample], part 0 real and 1 imaginary."""
+    if ab is None:
         # a numpy complex scalar divided by a real rounds as a product with
         # 1/r; a Python complex divided by a float is a true division
         inv = 1.0 / r
@@ -190,8 +212,17 @@ def _step_entries(a, r, sz, iz, ab=None):
                 tuple(v * inv for v in _mul(-a.real, a.imag, iz.real, iz.imag)),
                 tuple(v * inv for v in _mul(-a.real, -a.imag, sz.real, sz.imag)),
                 (iz.real / r, iz.imag / r)]
-    # (row, column, part, step, sample) -> (step, part, sample, row, column)
-    return np.array(ents).reshape(2, 2, 2, *r.shape).transpose(3, 2, 4, 0, 1)
+    else:
+        # strip phase: complex rho, also combined by parts, so that no numpy
+        # complex array product makes the rounding depend on the layout
+        d = r.real * r.real + r.imag * r.imag
+        ir, ii = r.real / d, -r.imag / d
+        ents = [_mul(er, ei, ir, ii) for er, ei in (
+            (sz.real, sz.imag), _mul(-ab.real, -ab.imag, iz.real, iz.imag),
+            _mul(-a.real, -a.imag, sz.real, sz.imag), (iz.real, iz.imag))]
+    # (row, column, part, step, point, sample) -> (part, row, column, step, product)
+    ents = np.array(ents)
+    return ents.reshape(2, 2, 2, ents.shape[2], -1).transpose(2, 0, 1, 3, 4)
 
 
 def transfer_log_norms(f: SamplingFunction, omega, z: SpectralPoint, x,
@@ -212,15 +243,21 @@ class LyapunovEstimate:
     method: str
 
 
-def lyapunov_finite(f: SamplingFunction, omega, z: SpectralPoint, n: int,
-                    samples: int, seed: int) -> LyapunovEstimate:
-    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)||."""
+def lyapunov_finite(f: SamplingFunction, omega, z, n: int, samples: int,
+                    seed: int) -> LyapunovEstimate | list[LyapunovEstimate]:
+    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)||.
+
+    For a sequence of points, one estimate per point in order, all from one
+    product over the same phases; each equals the estimate at its point alone.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     vals = transfer_product(f, omega, z, counter_phases(f.dim, samples, seed), n).u_n
-    err = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return LyapunovEstimate(n=n, value=float(vals.mean()), sample_count=samples,
-                            std_error=err, method="direct")
+    ests = [LyapunovEstimate(
+        n=n, value=float(v.mean()), sample_count=samples,
+        std_error=float(v.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
+        method="direct") for v in np.reshape(vals, (-1, samples))]
+    return ests[0] if isinstance(z, SpectralPoint) else ests
 
 
 # --------------------------------------------------------------------------

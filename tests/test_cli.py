@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from cmvspec.cli import main
+from cmvspec.cocycle import SpectralPoint, lyapunov_finite
+from cmvspec.presets import sqrt_frequency, strong_coupling
+from cmvspec.util import format_float
 
 BASE = {
     "sampling": {"preset": "constant", "value": 0.5, "dim": 1},
@@ -61,6 +64,27 @@ class TestLyapunov:
                (out2 / "lyapunov.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == \
                (out2 / "manifest.json").read_bytes()
+
+    def test_rows_are_the_per_theta_estimates(self, tmp_path):
+        thetas, scales, samples, seed = [2.0, 0.5, 2.0, 7.0, 0.0], [30, 12], 6, 9
+        cfg = write_cfg(tmp_path, "c.json", {
+            "sampling": {"preset": "strong_coupling"},
+            "frequency": {"preset": "sqrt"},
+            "lyapunov": {"thetas": thetas, "scales": scales, "samples": samples},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["lyapunov", "--config", str(cfg), "--out", str(out),
+                        "--seed", str(seed)]) == 0
+        f, freq = strong_coupling(), sqrt_frequency()
+        want = ["theta,n,L_n,std_error,method"]
+        for theta in thetas:
+            z = SpectralPoint(theta)
+            for n in scales:
+                est = lyapunov_finite(f, freq, z, n, samples, seed)
+                want.append(",".join([format_float(z.theta), str(n),
+                                      format_float(est.value),
+                                      format_float(est.std_error), est.method]))
+        assert (out / "lyapunov.csv").read_text().splitlines() == want
 
     def test_workers_environment_variable_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMVSPEC_WORKERS", "not-a-number")
@@ -340,6 +364,20 @@ def test_every_config_number_exits_2(tmp_path, capsys, command, extra):
 def test_every_config_list_exits_2(tmp_path, capsys, command, extra):
     cfg = write_cfg(tmp_path, "c.json", extra)
     assert run_cli([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("boundary", [
+    {"beta": "x"}, {"beta": [1]}, {"beta": [1, "x"]}, {"beta": None},
+    {"eta": "x"}, {"eta": [1]}, {"eta": [1, "x"]}, {"eta": None}, [1],
+], ids=["beta-string", "beta-short", "beta-part", "beta-null", "eta-string",
+        "eta-short", "eta-part", "eta-null", "not-object"])
+def test_every_boundary_value_exits_2(tmp_path, capsys, boundary):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "boundary": boundary,
+        "spectrum": {"arc": [0.0, 1.0], "grid": 4, "window": 10}})
+    assert run_cli(["spectrum-scan", "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
 

@@ -423,3 +423,61 @@ class TestAvalancheReuse:
             vals[s] = (sum(pair_logs) - sum(log_norms[1:chain - 1])) / (chain * n)
         assert est.value == float(vals.mean())
         assert est.std_error == float(vals.std(ddof=1) / np.sqrt(samples))
+
+
+# --------------------------------------------------------------------------
+# many spectral points in one pass
+
+
+def _thetas(count, rng):
+    """count points, 0 and pi first, the rest random."""
+    return [0.0, np.pi, *(2 * np.pi * rng.random(max(count - 2, 0)))][:count]
+
+
+class TestManyPoints:
+    """A sequence of K points runs every product of every point together."""
+
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_slices_match_single_point_bitwise(self, f_two_mode, freq2, count):
+        from cmvspec.cocycle import _BLOCK, _CHUNK
+        rng = np.random.default_rng(200 + count)
+        points = [SpectralPoint(t) for t in _thetas(count, rng)]
+        strip = Phase((0.3, 0.7), imag=tuple(0.2 * f_two_mode.strip_width * np.ones(2)))
+        cases = [
+            (1, rng.random((_CHUNK // count + 1, 2))),   # N K crosses a chunk
+            (400, rng.random((_CHUNK // 400 + 1, 2))),   # n crosses a chunk
+            (_BLOCK // count + 1, rng.random((1, 2))),    # n crosses a block
+            (65, rng.random((7, 2))),
+            (65, Phase((0.1, 0.2))),
+            (3, strip),
+            (130, strip),
+        ]
+        for n, x in cases:
+            batch = transfer_product(f_two_mode, freq2, points, x, n)
+            shape = (count,) if isinstance(x, Phase) else (count, len(x))
+            assert batch.matrix.shape == (*shape, 2, 2)
+            assert batch.log_norm2.shape == batch.u_n.shape == shape
+            for k, z in enumerate(points):
+                one = transfer_product(f_two_mode, freq2, z, x, n)
+                for got, want in zip(_fields(batch), _fields(one)):
+                    assert np.array_equal(got[k], want), (n, k)
+
+    def test_one_product_with_an_int_step_count(self, f_two_mode, freq2):
+        points = [SpectralPoint(t) for t in (0.5, 2.0, 0.5)]
+        xs = np.random.default_rng(1).random((4, 2))
+        pr = transfer_product(f_two_mode, freq2, points, xs, 20)
+        assert type(pr.n) is int and pr.n == 20
+        assert pr.point == tuple(points)
+        assert pr.matrix.shape == (3, 4, 2, 2)
+        assert pr.log_det_abs.shape == (3, 4)
+        with pytest.raises(ValueError):
+            transfer_product(f_two_mode, freq2, [], Phase((0.1, 0.2)), 20)
+
+    @pytest.mark.parametrize("samples", [1, 2, 50])
+    def test_lyapunov_over_points_is_the_single_estimates(self, f_two_mode, freq2, samples):
+        points = [SpectralPoint(t) for t in (0.0, np.pi, 1.0, 1.0, 5.5)]
+        batch = lyapunov_finite(f_two_mode, freq2, points, 60, samples, seed=4)
+        assert batch == [lyapunov_finite(f_two_mode, freq2, z, 60, samples, seed=4)
+                         for z in points]
+        assert isinstance(lyapunov_finite(f_two_mode, freq2, points[0], 60, samples, 4),
+                          type(batch[0]))
