@@ -218,18 +218,21 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
         elif abs(abs(complex(v)) - 1.0) > 1e-12:
             raise ValueError(f"|{name}| must be 1, got {abs(complex(v))}")
 
-    al = seq.values(a - 1, b)
-    rh = _rho_of(al)
-    sampled = _rho_of(seq.raw_values(a, b)) if seq.overrides else rh[1:].copy()
+    # alpha and rho on sites a-2..b+1, zero at the two outer sites: those
+    # reach only entries outside the window, cut below
+    al = np.zeros(b - a + 4, dtype=complex)
+    rh = np.zeros(b - a + 4)
+    al[1:-1] = seq.values(a - 1, b)
+    rh[1:-1] = _rho_of(al[1:-1])
+    sampled = _rho_of(seq.raw_values(a, b)) if seq.overrides else rh[2:-1].copy()
     if beta is not None:
-        al[0], rh[0] = beta, 0.0
+        al[1], rh[1] = beta, 0.0
     if eta is not None:
-        al[-1], rh[-1] = eta, 0.0
-    # sites a-2 and b+1 reach only entries outside the window, cut here
-    bands = _cmv_bands(np.pad(al, 1), np.pad(rh, 1), a)
+        al[-2], rh[-2] = eta, 0.0
+    bands = _cmv_bands(al, rh, a)
     bands[0, :2] = bands[1, :1] = bands[3, -1:] = bands[4, -2:] = 0.0
-    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al, rho=rh,
-                     sampled_rho=sampled)
+    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al[1:-1],
+                     rho=rh[1:-1], sampled_rho=sampled)
 
 
 def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:

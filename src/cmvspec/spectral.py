@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvals_banded, schur, solve_banded
+from scipy.linalg import eigh, lapack, schur
 
 from .cmv import FiniteCMV, apply_cmv
 from .util import phase_of
@@ -25,6 +25,9 @@ from .util import phase_of
 DEFAULT_MAX_DIM = 4096
 _GAP_TOL = 1e-9     # eigenvalues of H this close tie or share a cluster
 _RES_TOL = 1e-9     # residual above which the Hermitian paths go dense
+_ABSTOL = 2 * lapack.dlamch("s")    # zhbevx tolerance, as eigvals_banded sets it
+# inverse-iteration start: _START[:n] is default_rng(1234).standard_normal(n)
+_START = np.random.default_rng(1234).standard_normal(DEFAULT_MAX_DIM)
 
 
 @dataclass
@@ -138,40 +141,42 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
 
 
 def _banded_nearest(m: FiniteCMV, z: complex):
-    """(value, gauged vector, residual) from H = (conj(u) E + u E*) / 2, or
-    why not: "tie" when the top two eigenvalues of H nearly coincide, "fail"
+    """(value, vector, residual) from H = (conj(u) E + u E*) / 2, or why
+    not: "tie" when the top two eigenvalues of H nearly coincide, "fail"
     when the shift is exactly singular or the residual is not small."""
     n = m.size
     u = z / abs(z)
-    ab = np.zeros((5, n), dtype=complex)      # H in solve_banded layout (2, 2)
+    ab = np.zeros((7, n), dtype=complex)      # H in zgbtrf layout (kl = ku = 2)
     for off in range(3):
         d = 0.5 * (np.conj(u) * m.bands[2 + off][:n - off]
                    + u * np.conj(m.bands[2 - off][off:]))
-        ab[2 - off, off:] = d
-        ab[2 + off, :n - off] = np.conj(d)
-    top = eigvals_banded(ab[:3], select="i", select_range=(n - 2, n - 1),
-                         check_finite=False)
-    if top[1] - top[0] <= _GAP_TOL:
+        ab[4 - off, off:] = d
+        ab[4 + off, :n - off] = np.conj(d)
+    w, _, _, _, info = lapack.zhbevx(ab[2:5], 0.0, 1.0, n - 1, n, compute_v=0,
+                                     range=2, lower=0, abstol=_ABSTOL, mmax=1)
+    if info:
+        raise np.linalg.LinAlgError(f"zhbevx did not converge (info={info})")
+    if w[1] - w[0] <= _GAP_TOL:
         return "tie"
-    ab[2] -= top[1]
-    v = np.random.default_rng(1234).standard_normal(n)
-    try:
-        for _ in range(2):
-            v = solve_banded((2, 2), ab, v, check_finite=False)
-            v /= np.linalg.norm(v)
-    except np.linalg.LinAlgError:       # exactly singular shift
+    ab[4] -= w[1]
+    lub, piv, info = lapack.zgbtrf(ab, 2, 2)
+    if info:                            # exactly singular shift
         return "fail"
+    v = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
+    for _ in range(2):
+        v = lapack.zgbtrs(lub, 2, 2, v, piv)[0]
+        v /= np.linalg.norm(v)
     ev = apply_cmv(m, v)
     lam = complex(np.vdot(v, ev))
     lam /= abs(lam)
     res = float(np.linalg.norm(ev - lam * v))
     if not res <= _RES_TOL:
         return "fail"
-    return lam, _gauge(v), res
+    return lam, v, res
 
 
 def _nearest(m: FiniteCMV, z: complex):
-    """(value, vector, residual, tie) behind ``nearest_eigenpair``."""
+    """(value, ungauged vector, residual, tie) behind ``nearest_eigenpair``."""
     if m.beta is None or m.eta is None:
         raise ValueError("nearest_eigenpair needs a unitary window")
     pair = _banded_nearest(m, z) if m.size >= 3 and z != 0 else "fail"
@@ -189,8 +194,9 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     cos(theta_k - arg z), and the top one belongs to the eigenvalue of E
     nearest z (for any z != 0, on or inside the circle).  The top two
     eigenvalues of H come from a banded solver, the vector from two steps of
-    inverse iteration at the top one, and the eigenvalue from the Rayleigh
-    quotient of E, projected to the circle; sqrt(2 - 2 lambda_max) alone
+    inverse iteration at the top one, lambda_max (one LU factorization of
+    H - lambda_max, two triangular solves), and the eigenvalue from the
+    Rayleigh quotient of E, projected to the circle; sqrt(2 - 2 lambda_max) alone
     would be too coarse near z.  Since E is normal,
     dist(z, spec E) <= |value - z| + residual.
 
@@ -200,7 +206,8 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     from z; ties then go to the lower phase, as in ``nearest_eigen``), or
     when the residual exceeds 1e-9.
     """
-    return _nearest(m, z)[:3]
+    value, vector, residual, _ = _nearest(m, z)
+    return value, None if vector is None else _gauge(vector), residual
 
 
 def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
@@ -213,7 +220,7 @@ def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
 
 def spectral_distance(m: FiniteCMV, z: complex) -> float:
     """dist(z, spec E) of a unitary window, from ``nearest_eigenpair``."""
-    return float(abs(nearest_eigenpair(m, z)[0] - z))
+    return float(abs(_nearest(m, z)[0] - z))
 
 
 def nearest_eigen(pairs: list[EigenPair], z: complex) -> tuple[EigenPair, float]:
