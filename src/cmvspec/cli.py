@@ -85,9 +85,12 @@ def config_number(value, name: str, cast=float, low=None):
 
 
 def config_list(value, name: str) -> list:
-    """A list-valued config value; anything else is a config error."""
+    """A list-valued config value with at least one item; anything else is a
+    config error."""
     if not isinstance(value, list):
         raise ConfigError(f"'{name}' must be a list, got {value!r}")
+    if not value:
+        raise ConfigError(f"'{name}' must not be empty")
     return value
 
 
@@ -194,8 +197,7 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
     # one batched pass over every point per scale
-    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed)
-                for n in scales] if points else []
+    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed) for n in scales]
     rows = []
     for k, z in enumerate(points):
         for n, ests in zip(scales, by_scale):
@@ -256,13 +258,16 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
               for v in config_list(block.get("n_list", [50, 100, 200]), "n_list")]
     tau = config_number(block.get("tau", 0.3), "tau")
     samples = config_number(block.get("samples", 500), "samples", int, 1)
+    determinant = block.get("determinant", False)
+    if not isinstance(determinant, bool):
+        raise ConfigError(f"'determinant' must be true or false, got {determinant!r}")
     scan = ldt_measure_scan(f, freq, z, n_list, tau, samples, seed)
     rows = [(e.n, float(e.estimate), float(e.interval.lo), float(e.interval.hi),
              float(scan.l_values[e.n])) for e in scan.estimates]
     write_csv(outdir / "ldt_matrix.csv", "n,estimate,wilson_lo,wilson_hi,L_n", rows)
-    if block.get("determinant", False):
+    if determinant:
         dscan = ldt_determinant_scan(f, freq, z, n_list, tau, samples, seed,
-                                     beta=beta, eta=eta, l_values=scan.l_values)
+                                     beta=beta, eta=eta, measure=scan)
         rows = [(e.n, float(e.estimate), float(e.interval.lo),
                  float(e.interval.hi), float(dscan.l_values[e.n]))
                 for e in dscan.estimates]

@@ -33,17 +33,25 @@ def _rho_of(alpha: np.ndarray) -> np.ndarray:
 class VerblunskySequence:
     """Coefficients alpha_n = alpha(x + n w), with optional unimodular overrides.
 
-    ``values(lo, hi)`` evaluates a whole range of sites in one call of the
-    sampling function; the single-site accessors wrap it.  Overrides replace
-    the sampled value exactly and must have unit modulus (they represent
-    boundary conditions).
+    ``base`` is one Phase or an (N, d) array of real base phases; for the
+    array, ``raw_values`` and ``values`` return (N, sites) arrays whose rows
+    equal those of each phase alone bit for bit, and overrides apply to every
+    row.  ``values(lo, hi)`` evaluates a whole range of sites in one call of
+    the sampling function; the single-site accessors wrap it and need one
+    Phase.  Overrides replace the sampled value exactly and must have unit
+    modulus (they represent boundary conditions).
     """
 
-    def __init__(self, sampling: SamplingFunction, frequency, base: Phase,
+    def __init__(self, sampling: SamplingFunction, frequency, base,
                  overrides: dict | None = None):
         self.sampling = sampling
         self.omega = omega_array(frequency)
-        self.base = base
+        if isinstance(base, Phase):
+            self.base = base
+            self._origin, self._imag = base.array(), base.imag
+        else:
+            self.base = np.asarray(base, dtype=float).reshape(-1, sampling.dim)
+            self._origin, self._imag = self.base[:, None], None
         self.overrides = {}
         if overrides:
             for n, v in overrides.items():
@@ -61,15 +69,17 @@ class VerblunskySequence:
     def raw_values(self, lo: int, hi: int) -> np.ndarray:
         """Sampled alpha(x + n w) for n = lo..hi, ignoring overrides."""
         n = np.arange(lo, hi + 1)
-        points = reduce_phase(self.base.array() + n[:, None] * self.omega)
-        return self.sampling.alpha(points, self.base.imag)
+        points = self._origin + n[:, None] * self.omega       # (..., sites, d)
+        vals = self.sampling.alpha(reduce_phase(points.reshape(-1, points.shape[-1])),
+                                   self._imag)
+        return vals.reshape(points.shape[:-1])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """Effective alpha_n for n = lo..hi (overrides applied)."""
         vals = self.raw_values(lo, hi)
         for n, v in self.overrides.items():
             if lo <= n <= hi:
-                vals[n - lo] = v
+                vals[..., n - lo] = v
         return vals
 
     def raw_value(self, n: int) -> complex:
@@ -94,25 +104,26 @@ class VerblunskySequence:
 def _cmv_bands(al: np.ndarray, rh: np.ndarray, first: int) -> np.ndarray:
     """Rows first..first+n-1 of the doubly-infinite operator as five diagonals.
 
-    ``al`` and ``rh`` hold alpha_s and rho_s on sites first-2..first+n;
-    ``bands[off+2][i]`` is the entry (first+i, first+i+off).  Even rows
-    carry conj(a_s) r_{s-1}, conj(a_{s+1}) r_s, r_{s+1} r_s right of
-    -conj(a_s) a_{s-1}; odd rows carry r_{s-1} r_{s-2}, -r_{s-1} a_{s-2}
-    left of it and -r_s a_{s-1} right of it.
+    ``al`` and ``rh`` hold alpha_s and rho_s on sites first-2..first+n on
+    their last axis, any leading axes being a batch; ``bands[..., off+2, i]``
+    is the entry (first+i, first+i+off).  Even rows carry conj(a_s) r_{s-1},
+    conj(a_{s+1}) r_s, r_{s+1} r_s right of -conj(a_s) a_{s-1}; odd rows
+    carry r_{s-1} r_{s-2}, -r_{s-1} a_{s-2} left of it and -r_s a_{s-1}
+    right of it.
     """
-    n = len(al) - 3
-    a2, a1, a0, ap = al[:-3], al[1:-2], al[2:-1], al[3:]
-    r2, r1, r0, rp = rh[:-3], rh[1:-2], rh[2:-1], rh[3:]
+    n = al.shape[-1] - 3
+    a2, a1, a0, ap = al[..., :-3], al[..., 1:-2], al[..., 2:-1], al[..., 3:]
+    r2, r1, r0, rp = rh[..., :-3], rh[..., 1:-2], rh[..., 2:-1], rh[..., 3:]
     ev = slice(first % 2, None, 2)          # rows of even sites
     od = slice(1 - first % 2, None, 2)
-    bands = np.zeros((5, n), dtype=complex)
-    bands[2] = -np.conj(a0) * a1
-    bands[1, ev] = np.conj(a0[ev]) * r1[ev]
-    bands[3, ev] = np.conj(ap[ev]) * r0[ev]
-    bands[4, ev] = rp[ev] * r0[ev]
-    bands[0, od] = r1[od] * r2[od]
-    bands[1, od] = -r1[od] * a2[od]
-    bands[3, od] = -r0[od] * a1[od]
+    bands = np.zeros(al.shape[:-1] + (5, n), dtype=complex)
+    bands[..., 2, :] = -np.conj(a0) * a1
+    bands[..., 1, ev] = np.conj(a0[..., ev]) * r1[..., ev]
+    bands[..., 3, ev] = np.conj(ap[..., ev]) * r0[..., ev]
+    bands[..., 4, ev] = rp[..., ev] * r0[..., ev]
+    bands[..., 0, od] = r1[..., od] * r2[..., od]
+    bands[..., 1, od] = -r1[..., od] * a2[..., od]
+    bands[..., 3, od] = -r0[..., od] * a1[..., od]
     return bands
 
 
@@ -126,7 +137,9 @@ class FiniteCMV:
     values in place (rho exactly 0 at a unimodular cut).  They give the
     factors E = L M: L carries the rotation blocks of the even sites and M
     those of the odd ones, and the blocks at a-1 and b are cut to their
-    corner inside the window.
+    corner inside the window.  A window built from a batch of N phases
+    carries a leading N axis on ``bands``, ``alpha``, ``rho`` and
+    ``sampled_rho``; the methods below take one window.
     """
 
     a: int
@@ -207,7 +220,9 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
 
     beta/eta must be unimodular; passing None keeps the sampled coefficient
     at the corresponding cut (producing the non-unitary pure truncation used
-    by determinant identities) and requires ``_allow_natural``.
+    by determinant identities) and requires ``_allow_natural``.  A sequence
+    over an (N, d) array of phases gives the N windows at once, with a
+    leading N axis on every array, each row equal to its window alone.
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -220,19 +235,20 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
 
     # alpha and rho on sites a-2..b+1, zero at the two outer sites: those
     # reach only entries outside the window, cut below
-    al = np.zeros(b - a + 4, dtype=complex)
-    rh = np.zeros(b - a + 4)
-    al[1:-1] = seq.values(a - 1, b)
-    rh[1:-1] = _rho_of(al[1:-1])
-    sampled = _rho_of(seq.raw_values(a, b)) if seq.overrides else rh[2:-1].copy()
+    vals = seq.values(a - 1, b)
+    al = np.zeros(vals.shape[:-1] + (b - a + 4,), dtype=complex)
+    rh = np.zeros(al.shape)
+    al[..., 1:-1] = vals
+    rh[..., 1:-1] = _rho_of(vals)
+    sampled = _rho_of(seq.raw_values(a, b)) if seq.overrides else rh[..., 2:-1].copy()
     if beta is not None:
-        al[1], rh[1] = beta, 0.0
+        al[..., 1], rh[..., 1] = beta, 0.0
     if eta is not None:
-        al[-2], rh[-2] = eta, 0.0
+        al[..., -2], rh[..., -2] = eta, 0.0
     bands = _cmv_bands(al, rh, a)
-    bands[0, :2] = bands[1, :1] = bands[3, -1:] = bands[4, -2:] = 0.0
-    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al[1:-1],
-                     rho=rh[1:-1], sampled_rho=sampled)
+    bands[..., 0, :2] = bands[..., 1, :1] = bands[..., 3, -1:] = bands[..., 4, -2:] = 0.0
+    return FiniteCMV(a=a, b=b, beta=beta, eta=eta, bands=bands, alpha=al[..., 1:-1],
+                     rho=rh[..., 1:-1], sampled_rho=sampled)
 
 
 def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:

@@ -22,7 +22,9 @@ from .torus import Phase, SamplingFunction, reduce_phase
 
 @dataclass(frozen=True)
 class CharDet:
-    """det(z - E) for a window, in overflow-safe form."""
+    """det(z - E) for a window, in overflow-safe form; for a batch of windows
+    ``log_abs``, ``phase``, ``singular`` and ``log_rho`` are per-row arrays
+    (``value`` takes one window)."""
 
     a: int
     b: int
@@ -41,26 +43,42 @@ class CharDet:
         return complex(np.exp(self.log_abs) * self.phase)
 
 
-def _banded_logdet(bands: np.ndarray, z: complex, n: int) -> tuple[float, complex, bool]:
-    """log|det|, phase, singular flag of (z - E) from pentadiagonal storage."""
+def _rows(v):
+    """A per-row array as it is, its 0-d form as a Python scalar."""
+    return v.item() if v.ndim == 0 else v
+
+
+def _banded_logdet(bands: np.ndarray, z: complex):
+    """log|det|, phase, singular flag of (z - E) from pentadiagonal storage,
+    one LU per window of a (..., 5, n) stack; (...) arrays, log|det| -inf
+    and phase 1 where singular."""
     kl = ku = 2
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-    ab[kl + ku] = z
+    lead, n = bands.shape[:-2], bands.shape[-1]
+    bands = bands.reshape(-1, 5, n)
+    ab = np.zeros((len(bands), 2 * kl + ku + 1, n), dtype=complex)
+    ab[:, kl + ku] = z
     for off in range(-2, 3):
         # entry (i, i+off) of z - E sits at ab[kl+ku-off, i+off]
         lo, hi = max(0, -off), n - max(0, off)
-        ab[kl + ku - off, lo + off:hi + off] -= bands[off + 2, lo:hi]
-    lub, ipiv, info = lapack.zgbtrf(ab, kl, ku)
-    if info < 0:
-        raise RuntimeError(f"zgbtrf failed with info={info}")
-    diag = lub[kl + ku, :]
-    if info > 0 or np.any(diag == 0):
-        return -np.inf, 1.0 + 0j, True
-    # scipy returns 0-based pivot indices
-    nswap = int(np.sum(ipiv != np.arange(n)))
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    phase = complex(np.prod(diag / np.abs(diag)) * (-1.0) ** nswap)
-    return log_abs, phase, False
+        ab[:, kl + ku - off, lo + off:hi + off] -= bands[:, off + 2, lo:hi]
+    diag = np.empty((len(ab), n), dtype=complex)
+    ipiv = np.empty((len(ab), n), dtype=np.int32)
+    singular = np.empty(len(ab), dtype=bool)
+    for i, rows in enumerate(ab):
+        lub, ipiv[i], info = lapack.zgbtrf(rows, kl, ku)
+        if info < 0:
+            raise RuntimeError(f"zgbtrf failed with info={info}")
+        diag[i] = lub[kl + ku]
+        singular[i] = info > 0
+    singular |= np.any(diag == 0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # scipy returns 0-based pivot indices
+        nswap = np.sum(ipiv != np.arange(n), axis=1)
+        log_abs = np.sum(np.log(np.abs(diag)), axis=1)
+        phase = np.prod(diag / np.abs(diag), axis=1) * (-1.0) ** nswap
+    log_abs = np.where(singular, -np.inf, log_abs).reshape(lead)
+    phase = np.where(singular, 1.0 + 0j, phase).reshape(lead)
+    return log_abs, phase, singular.reshape(lead)
 
 
 def char_det(seq: VerblunskySequence, a: int, b: int, z: complex,
@@ -69,14 +87,18 @@ def char_det(seq: VerblunskySequence, a: int, b: int, z: complex,
     """Characteristic determinant of the [a,b] window at z.
 
     beta/eta as in build_finite_cmv; None keeps the sampled coefficient at
-    that cut.  Empty windows (a > b) give the constant 1.
+    that cut.  Empty windows (a > b) give the constant 1.  A sequence over
+    an (N, d) array of phases gives the N determinants at once: each field
+    of the result is then an (N,) array whose rows equal the single-phase
+    values bit for bit, with one LU per window.
     """
     if a > b:
         return CharDet(a=a, b=b, z=z, log_abs=0.0, phase=1.0 + 0j, singular=False)
     m = build_finite_cmv(seq, a, b, beta=beta, eta=eta, _allow_natural=True)
-    log_abs, phase, singular = _banded_logdet(m.bands, z, m.size)
-    return CharDet(a=a, b=b, z=z, log_abs=log_abs, phase=phase, singular=singular,
-                   log_rho=float(np.sum(np.log(m.sampled_rho))))
+    log_abs, phase, singular = _banded_logdet(m.bands, z)
+    return CharDet(a=a, b=b, z=z, log_abs=_rows(log_abs), phase=_rows(phase),
+                   singular=_rows(singular),
+                   log_rho=_rows(np.sum(np.log(m.sampled_rho), axis=-1)))
 
 
 def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
@@ -100,14 +122,13 @@ def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
 
 def log_normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
                        beta: complex | None = 1.0 + 0j,
-                       eta: complex | None = 1.0 + 0j) -> float:
-    """log |normalized phi|; -inf at an exact eigenvalue."""
+                       eta: complex | None = 1.0 + 0j):
+    """log |normalized phi|; -inf at an exact eigenvalue.  Per row, an (N,)
+    array, for a sequence over an (N, d) array of phases."""
     if a > b:
         return 0.0
     det = char_det(seq, a, b, z, beta=beta, eta=eta)
-    if det.singular:
-        return -np.inf
-    return det.log_abs - det.log_rho
+    return _rows(np.where(det.singular, -np.inf, det.log_abs - det.log_rho))
 
 
 def relation_residual(f: SamplingFunction, omega, z: SpectralPoint, x,

@@ -40,28 +40,41 @@ class LdtScan:
     l_values: dict
     trend_ok: bool
     vacuous: bool
+    phases: dict         # n -> the (samples, d) phases drawn for that n
+
+
+# sample-sites per batched window build of the determinant statistic:
+# temporaries near 1 MB
+_CHUNK = 2 ** 12
 
 
 def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
           samples: int, seed: int, statistic, label: str,
-          l_known: dict | None = None) -> LdtScan:
+          measure: LdtScan | None = None) -> LdtScan:
     """Shared scan: fraction of phases with |stat(x) - n L_n| > n^{1-tau}.
 
     ``statistic(xs, n, products)`` maps the (samples, d) array of phases to
     their statistics; it receives their transfer products M_n, computed here
     in one batch for u_n, so it need not compute them again.  Given
-    ``l_known`` (L_n for every n), no product is computed and it gets None.
+    ``measure``, a scan over the same (n_list, samples, seed), its phases
+    and L_n are reused: no phase is drawn, no product is computed and the
+    statistic gets None.
     """
     n_list = sorted(set(int(n) for n in n_list))
     estimates = []
     l_values = {}
+    phases = {}
     vacuous = False
     for n in n_list:
-        xs = counter_phases(f.dim, samples, seed, n)
-        product = transfer_product(f, omega, z, xs, n) if l_known is None else None
+        if measure is None:
+            xs = counter_phases(f.dim, samples, seed, n)
+            product = transfer_product(f, omega, z, xs, n)
+            ln = float(product.u_n.mean())
+        else:
+            xs, product, ln = measure.phases[n], None, float(measure.l_values[n])
         stats = statistic(xs, n, product)
-        ln = float(product.u_n.mean()) if l_known is None else float(l_known[n])
         l_values[n] = ln
+        phases[n] = xs
         if ln <= 1e-9:
             vacuous = True
         thr = float(n) ** (1.0 - tau)
@@ -72,7 +85,7 @@ def _scan(f: SamplingFunction, omega, z: SpectralPoint, n_list, tau: float,
     trend = all(estimates[i + 1].interval.lo <= estimates[i].interval.hi
                 for i in range(len(estimates) - 1))
     return LdtScan(estimates=estimates, l_values=l_values,
-                   trend_ok=trend, vacuous=vacuous)
+                   trend_ok=trend, vacuous=vacuous, phases=phases)
 
 
 def ldt_measure_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
@@ -87,20 +100,24 @@ def ldt_determinant_scan(f: SamplingFunction, omega, z: SpectralPoint, n_list,
                          tau: float, samples: int, seed: int,
                          beta: complex = 1.0 + 0j,
                          eta: complex = 1.0 + 0j,
-                         l_values: dict | None = None) -> LdtScan:
+                         measure: LdtScan | None = None) -> LdtScan:
     """Deviation-set estimates for log |phi_{[0,n-1]}(x)| around n L_n.
 
     Exact eigenvalue hits give log|phi| = -inf and count as deviations.
-    ``l_values``, the L_n of a measure scan over the same (n_list, samples,
-    seed), spares recomputing its transfer products.
+    The windows of one n are built and factored in batches of about
+    ``_CHUNK`` sample-sites.  ``measure``, a measure scan over the same
+    (n_list, samples, seed), spares drawing its phases again and
+    recomputing its transfer products.
     """
     def stat(xs: np.ndarray, n: int, products) -> np.ndarray:
-        vals = np.array([log_normalized_phi(VerblunskySequence(f, omega, Phase(tuple(x))),
-                                            0, n - 1, z.z, beta=beta, eta=eta)
-                         for x in xs])
+        width = max(1, _CHUNK // n)
+        vals = np.concatenate([
+            log_normalized_phi(VerblunskySequence(f, omega, xs[lo:lo + width]),
+                               0, n - 1, z.z, beta=beta, eta=eta)
+            for lo in range(0, len(xs), width)])
         return np.where(np.isfinite(vals), vals, -np.inf)
     return _scan(f, omega, z, n_list, tau, samples, seed, stat, "log|phi|",
-                 l_known=l_values)
+                 measure=measure)
 
 
 @dataclass(frozen=True)

@@ -389,3 +389,28 @@ def test_multiscale_depth_outside_0_1_exits_2(tmp_path, capsys, depth):
     assert run_cli(["multiscale", "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
     assert "supported range 0-1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", "true", 1, 0, None, [True]],
+                         ids=["string-false", "string-true", "one", "zero", "null",
+                              "list"])
+def test_ldt_determinant_must_be_boolean(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "ldt": {"n_list": [10], "samples": 3, "determinant": value}})
+    out = tmp_path / "o"
+    assert run_cli(["ldt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'determinant' must be true or false" in capsys.readouterr().err
+    assert not (out / "ldt_determinant.csv").exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("ldt", {"ldt": {"n_list": [], "samples": 3}}),
+    ("lyapunov", {"lyapunov": {"thetas": [0.5], "scales": [], "samples": 3}}),
+    ("lyapunov", {"lyapunov": {"thetas": [], "scales": [10], "samples": 3}}),
+], ids=["n_list", "scales", "thetas"])
+def test_empty_config_list_exits_2(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path, "c.json", extra)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "must not be empty" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
