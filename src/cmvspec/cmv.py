@@ -139,7 +139,8 @@ class FiniteCMV:
     those of the odd ones, and the blocks at a-1 and b are cut to their
     corner inside the window.  A window built from a batch of N phases
     carries a leading N axis on ``bands``, ``alpha``, ``rho`` and
-    ``sampled_rho``; the methods below take one window.
+    ``sampled_rho``; ``row(k)`` gives window k, and the other methods below
+    take one window.
     """
 
     a: int
@@ -154,6 +155,12 @@ class FiniteCMV:
     @property
     def size(self) -> int:
         return self.b - self.a + 1
+
+    def row(self, k: int) -> "FiniteCMV":
+        """Window k of a batch, as one window (views of the batch arrays)."""
+        return FiniteCMV(a=self.a, b=self.b, beta=self.beta, eta=self.eta,
+                         bands=self.bands[k], alpha=self.alpha[k], rho=self.rho[k],
+                         sampled_rho=self.sampled_rho[k])
 
     def dense(self) -> np.ndarray:
         n = self.size

@@ -11,11 +11,11 @@ named inequality is a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
-from .cmv import VerblunskySequence, build_finite_cmv
+from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
 from .spectral import (aligned_distance, decay_ratio, edge_value, eigensolve,
                        nearest_eigen, nearest_eigenvalue, separation_gap,
@@ -149,22 +149,25 @@ class Check:
         return f"[{flag}] {self.name}: measured {self.measured:.4g} vs {self.required:.4g}"
 
 
+def _windows(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
+             points, beta, eta) -> FiniteCMV:
+    """The windows E^{beta,eta} on [a, b] at the rows of the (N, d) phase
+    array ``points`` (reduced mod 1) from one batched build; ``row(k)`` is
+    the window at points[k], equal to its window alone bit for bit."""
+    seq = VerblunskySequence(f, om, reduce_phase(np.reshape(points, (-1, f.dim))))
+    return build_finite_cmv(seq, window[0], window[1], beta=beta, eta=eta)
+
+
 def _nearest_value(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                   x: Phase, z: complex, beta, eta) -> tuple[complex, bool]:
-    """Eigenvalue nearest z of the window E^{beta,eta} on [a, b] at phase x,
-    and whether two eigenvalues tie as nearest (``nearest_eigenvalue``)."""
-    seq = VerblunskySequence(f, om, x)
-    m = build_finite_cmv(seq, window[0], window[1], beta=beta, eta=eta)
-    return nearest_eigenvalue(m, z)
+                   coords, z: complex, beta, eta) -> tuple[complex, bool]:
+    """Eigenvalue nearest z of the window on [a, b] at the phase coords, and
+    whether two eigenvalues tie as nearest (``nearest_eigenvalue``)."""
+    return nearest_eigenvalue(_windows(f, om, window, coords, beta, eta).row(0), z)
 
 
-def _phase_defect(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                  coords: np.ndarray, theta0: float, beta, eta):
-    """(wrapped phase of the eigenvalue nearest e^{i theta0}, minus theta0;
-    its distance to e^{i theta0}; the eigenvalue) at the phase coords."""
-    z = np.exp(1j * theta0)
-    lam, _ = _nearest_value(f, om, window, reduce_phase(coords), z, beta, eta)
-    return wrap_angle(phase_of(lam) - theta0), float(abs(lam - z)), lam
+def _phase_gap(lam: complex, theta: float) -> float:
+    """Wrapped arg lam - theta."""
+    return wrap_angle(phase_of(lam) - theta)
 
 
 def _bracket_root(query, theta: float, lo: tuple, hi: tuple):
@@ -182,8 +185,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple):
     """
     z = np.exp(1j * theta)
     (t_lo, lam_lo), (t_hi, lam_hi) = lo, hi
-    g_lo = wrap_angle(phase_of(lam_lo) - theta)
-    g_hi = wrap_angle(phase_of(lam_hi) - theta)
+    g_lo, g_hi = _phase_gap(lam_lo, theta), _phase_gap(lam_hi, theta)
     best = (np.inf, None, None)
     kept = 0            # -1 / +1: the low / high end was kept at the last step
     for _ in range(_ROOT_ITERS):
@@ -201,7 +203,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple):
             best = (dist, t, item)
         if dist < _ROOT_TOL or tie:
             break
-        g = wrap_angle(phase_of(lam) - theta)
+        g = _phase_gap(lam, theta)
         if np.sign(g) == np.sign(g_lo):
             t_lo, lam_lo, g_lo = t, lam, g
             g_hi *= 0.5 if kept == 1 else 1.0
@@ -224,17 +226,23 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     tracked phase crosses arg z, the crossing is refined by ``_bracket_root``
     with the same tracking.  Returns (x, dist) for the first accepted root,
     or (None, best_dist); an ``accept`` callback can reject a converged root
-    (e.g. an edge-localized state), sending the march onward.
+    (e.g. an edge-localized state), sending the march onward.  The step
+    phases of a direction do not depend on the tracked values, so their
+    windows are built in one batch before the march queries them in order.
     """
     theta = phase_of(z)
 
+    def coords_at(ts) -> np.ndarray:
+        """One row of x_init per t, its last coordinate set to t."""
+        coords = np.tile(x_init, (len(ts), 1))
+        coords[:, -1] = ts
+        return coords
+
     def point_at(t: float) -> Phase:
-        coords = x_init.copy()
-        coords[-1] = t
-        return reduce_phase(coords)
+        return reduce_phase(coords_at([t])[0])
 
     def nearest(t: float, ref: complex):
-        return (*_nearest_value(f, om, window, point_at(t), ref, beta, eta), None)
+        return (*_nearest_value(f, om, window, coords_at([t]), ref, beta, eta), None)
 
     def accepted(t: float) -> bool:
         return accept is None or accept(point_at(t))
@@ -247,12 +255,13 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
 
     step = span / max(coarse - 1, 1)
     for dirn in (1.0, -1.0):
+        ts = list(accumulate([t0] + [dirn * step] * coarse))[1:]
+        rows = _windows(f, om, window, coords_at(ts), beta, eta)
         t, lam = t0, lam0
-        g = wrap_angle(phase_of(lam) - theta)
-        for _ in range(coarse):
-            t_next = t + dirn * step
-            lam_next = nearest(t_next, lam)[0]
-            g_next = wrap_angle(phase_of(lam_next) - theta)
+        g = _phase_gap(lam, theta)
+        for k, t_next in enumerate(ts):
+            lam_next = nearest_eigenvalue(rows.row(k), lam)[0]
+            g_next = _phase_gap(lam_next, theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
                 best_d, best_t = d_next, t_next
@@ -355,10 +364,9 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
     candidates = []
     axes = [np.arange(scan_grid) / scan_grid] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    for xv in mesh:
-        seq = VerblunskySequence(f, om, Phase(tuple(xv)))
-        pairs = eigensolve(build_finite_cmv(seq, a, b, beta=beta, eta=eta))
-        for p in pairs:
+    scan = _windows(f, om, (a, b), mesh, beta, eta)
+    for k, xv in enumerate(mesh):
+        for p in eigensolve(scan.row(k)):
             if edge_value(p.vector) < edge_thr:
                 candidates.append((abs(p.value - target), p.value,
                                    tuple(float(v) for v in xv)))
@@ -378,11 +386,10 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         offsets += [np.array([0.01, 0.01]), np.array([0.01, -0.01])]
     for d_t, value, xv in candidates[:40]:
         theta_c = phase_of(value)
-        gs = []
-        for off in offsets:
-            lam, _ = _nearest_value(f, om, (-probe_halfwidth, probe_halfwidth),
-                                    reduce_phase(np.array(xv) + off), value, beta, eta)
-            gs.append(wrap_angle(phase_of(lam) - theta_c))
+        probes = _windows(f, om, (-probe_halfwidth, probe_halfwidth),
+                          np.array(xv) + np.array(offsets), beta, eta)
+        gs = [_phase_gap(nearest_eigenvalue(probes.row(k), value)[0], theta_c)
+              for k in range(len(offsets))]
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
     raise RuntimeError(
@@ -480,23 +487,24 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     Fallback for scales where the reparametrized-curve structure is too
     weak: each step moves x along the gradient of the scalar wrapped phase
     defect by the Gauss-Newton minimal-norm increment, with a trust-region
-    cap.  Returns (Phase, dist) or (None, best dist).
+    cap.  The windows at x and at its 2d central-difference neighbours are
+    built in one batch per step.  Returns (Phase, dist) or (None, best dist).
     """
-    d = len(x_init)
-
-    def defect(coords: np.ndarray):
-        return _phase_defect(f, om, window, coords, theta0, beta, eta)
-
+    z = np.exp(1j * theta0)
+    fd = _GN_FD_STEP * np.eye(len(x_init))
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
     for _ in range(_GN_ITERS):
-        g, dist, _ = defect(x)
+        rows = _windows(f, om, window, np.vstack([x, x + fd, x - fd]), beta, eta)
+        lam, _ = nearest_eigenvalue(rows.row(0), z)
+        g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
         if dist < best_d:
             best_x, best_d = x.copy(), dist
         if dist < _ROOT_TOL:
             return reduce_phase(x), dist
-        grad = np.array([(defect(x + e)[0] - defect(x - e)[0]) / (2 * _GN_FD_STEP)
-                         for e in _GN_FD_STEP * np.eye(d)])
+        gs = np.array([_phase_gap(nearest_eigenvalue(rows.row(k), z)[0], theta0)
+                       for k in range(1, 2 * len(x) + 1)])
+        grad = (gs[:len(x)] - gs[len(x):]) / (2 * _GN_FD_STEP)
         n2 = float(grad @ grad)
         if n2 < 1e-18:
             break
@@ -521,31 +529,34 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     of the nearest eigenvalue to another branch rather than a root; the
     search then stops at the first tie.  This is the whole depth-(s+1) solve:
     at desk scale the curve structure of the asymptotic argument is absent.
+    The grid's windows are built in one batch.
     """
     z = np.exp(1j * theta0)
     d = len(x_init)
     offs = np.linspace(-_PLANAR_RADIUS, _PLANAR_RADIUS, _PLANAR_GRID)
+    grid = offs[:, None] if d == 1 else \
+        np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    points = x_init + np.pad(grid, ((0, 0), (d - grid.shape[1], 0)))
+    rows = _windows(f, om, window, points, beta, eta)
     best_pos, best_neg = None, None      # (|g|, coords, lam)
     best_d, best_x = np.inf, x_init
-    grid_pts = [np.array([o]) for o in offs] if d == 1 else \
-        [np.array([o1, o2]) for o1 in offs for o2 in offs]
-    for off in grid_pts:
-        xx = x_init + np.pad(off, (d - len(off), 0))
-        g, dist, lam = _phase_defect(f, om, window, xx, theta0, beta, eta)
+    for k, xx in enumerate(points):
+        lam, _ = nearest_eigenvalue(rows.row(k), z)
+        g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
         if dist < best_d:
-            best_d, best_x = dist, xx.copy()
+            best_d, best_x = dist, xx
         if dist < _ROOT_TOL:
             return reduce_phase(xx), dist
         if g > 0 and (best_pos is None or g < best_pos[0]):
-            best_pos = (g, xx.copy(), lam)
+            best_pos = (g, xx, lam)
         if g < 0 and (best_neg is None or -g < best_neg[0]):
-            best_neg = (-g, xx.copy(), lam)
+            best_neg = (-g, xx, lam)
     if best_pos is not None and best_neg is not None:
         lo, hi = best_neg[1], best_pos[1]
 
         def query(t: float, _ref):
             x = lo + t * (hi - lo)
-            return (*_nearest_value(f, om, window, reduce_phase(x), z, beta, eta), x)
+            return (*_nearest_value(f, om, window, x, z, beta, eta), x)
 
         dist, _, x = _bracket_root(query, theta0, (0.0, best_neg[2]),
                                    (1.0, best_pos[2]))
@@ -655,9 +666,10 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     a_checks.append(Check("(A)-(1) eigenvalue residual", solver_tol, max_res,
                           max_res <= solver_tol))
     a_checks.append(Check("(A)-(2) separation", sep_req, min_sep, min_sep > sep_req))
-    strip_ok = all(x.imag is None or max(map(abs, x.imag)) < f.strip_width / 2
-                   for x in state.x_map.values())
-    a_checks.append(Check("(A) strip containment", f.strip_width / 2, 0.0, strip_ok))
+    strip = max((abs(v) for x in state.x_map.values() for v in x.imag or ()),
+                default=0.0)
+    a_checks.append(Check("(A) strip containment", f.strip_width / 2, strip,
+                          strip < f.strip_width / 2))
     b_checks.append(Check("(B) decay ratio max |u|/bound", 1.0, decay_worst,
                           decay_worst < 1.0))
 
@@ -759,17 +771,20 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
 
 def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
     """Central-difference gradient of the tracked eigenvalue, with a
-    half-step consistency estimate."""
-    def tracked(coords):
-        return _nearest_value(f, om, win, reduce_phase(coords), z, beta, eta)[0]
-
+    half-step consistency estimate; the 4d windows are one batch."""
     h = _D_FD_STEP
     base = np.array(x.coords)
-    grad = np.zeros(len(base), dtype=complex)
+    d = len(base)
+    e = np.eye(d)
+    rows = _windows(f, om, win, np.vstack([base + h * e, base - h * e,
+                                           base + 0.5 * h * e, base - 0.5 * h * e]),
+                    beta, eta)
+    lam = [nearest_eigenvalue(rows.row(k), z)[0] for k in range(4 * d)]
+    grad = np.zeros(d, dtype=complex)
     rich = 0.0
-    for i, e in enumerate(np.eye(len(base))):
-        g1 = (tracked(base + h * e) - tracked(base - h * e)) / (2 * h)
-        g2 = (tracked(base + 0.5 * h * e) - tracked(base - 0.5 * h * e)) / h
+    for i in range(d):
+        g1 = (lam[i] - lam[d + i]) / (2 * h)
+        g2 = (lam[2 * d + i] - lam[3 * d + i]) / h
         grad[i] = g2
         denom = max(abs(g2), 1e-12)
         rich = max(rich, abs(g1 - g2) / denom)
@@ -990,9 +1005,9 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
         for iz, theta in enumerate(grid_theta):
             zz = np.exp(1j * theta)
             for ip, phi in enumerate(grid_phi):
-                old_x, _ = state.solve_map(phi, theta)
+                old_x, old_dist = state.solve_map(phi, theta)
                 if old_x is None:
-                    failed_node = ("parent map divergence", (ip, iz), np.inf)
+                    failed_node = ("parent map divergence", (ip, iz), old_dist)
                     break
                 sol, dist = solver(phi, theta)
                 if sol is None:
@@ -1022,7 +1037,7 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
         kind, node, dist = last_fail
         return None, AdvanceReport(
             subwindow_failures=[], window=big,
-            checks=[Check(f"{kind} at node {node}", 0.0, dist, False)],
+            checks=[Check(f"{kind} at node {node}", _NEAR_ROOT, dist, False)],
             localization=None)
 
     checks.append(Check("bulk-(1) phase-map contraction |x1 - x0|",
