@@ -36,7 +36,7 @@ from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
 from .spectral import eigensolve, localization_profile, nearest_eigen
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from . import presets
-from .util import counter_rng, format_float
+from .util import counter_phases, counter_rng, format_float
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -196,8 +196,10 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
-    # one batched pass over every point per scale
-    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed) for n in scales]
+    # one draw of phases, one batched pass over every point per scale
+    phases = counter_phases(f.dim, samples, seed)
+    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed, phases)
+                for n in scales]
     rows = []
     for k, z in enumerate(points):
         for n, ests in zip(scales, by_scale):

@@ -139,7 +139,8 @@ class FiniteCMV:
     those of the odd ones, and the blocks at a-1 and b are cut to their
     corner inside the window.  A window built from a batch of N phases
     carries a leading N axis on ``bands``, ``alpha``, ``rho`` and
-    ``sampled_rho``; ``row(k)`` gives window k, and the other methods below
+    ``sampled_rho``; ``row(k)`` gives window k (a slice k gives a smaller
+    batch), ``dense()`` the (N, n, n) stack, and the other methods below
     take one window.
     """
 
@@ -164,11 +165,11 @@ class FiniteCMV:
 
     def dense(self) -> np.ndarray:
         n = self.size
-        E = np.zeros((n, n), dtype=complex)
+        E = np.zeros(self.bands.shape[:-2] + (n, n), dtype=complex)
         i = np.arange(n)
         for off in range(-2, 3):
             rows = i[max(0, -off):n - max(0, off)]
-            E[rows, rows + off] = self.bands[off + 2][rows]
+            E[..., rows, rows + off] = self.bands[..., off + 2, rows]
         return E
 
     def _factor(self, parity: int) -> tuple[np.ndarray, np.ndarray]:

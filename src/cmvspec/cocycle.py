@@ -244,15 +244,20 @@ class LyapunovEstimate:
 
 
 def lyapunov_finite(f: SamplingFunction, omega, z, n: int, samples: int,
-                    seed: int) -> LyapunovEstimate | list[LyapunovEstimate]:
+                    seed: int, phases: np.ndarray | None = None
+                    ) -> LyapunovEstimate | list[LyapunovEstimate]:
     """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)||.
 
     For a sequence of points, one estimate per point in order, all from one
     product over the same phases; each equals the estimate at its point alone.
+    The phases are ``counter_phases(f.dim, samples, seed)``; a caller that
+    estimates several scales over the same draw passes them as ``phases``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    vals = transfer_product(f, omega, z, counter_phases(f.dim, samples, seed), n).u_n
+    if phases is None:
+        phases = counter_phases(f.dim, samples, seed)
+    vals = transfer_product(f, omega, z, phases, n).u_n
     ests = [LyapunovEstimate(
         n=n, value=float(v.mean()), sample_count=samples,
         std_error=float(v.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,

@@ -11,15 +11,15 @@ named inequality is a first-class outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, product
+from itertools import accumulate, chain, islice, product
 
 import numpy as np
 
 from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import (aligned_distance, decay_ratio, edge_value, eigensolve,
-                       nearest_eigen, nearest_eigenvalue, separation_gap,
-                       spectral_distance)
+from .spectral import (aligned_distance, decay_ratio, edge_candidates, edge_value,
+                       eigensolve, nearest_eigen, nearest_eigenvalue,
+                       nearest_eigenvalues, separation_gap, spectral_distance)
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -350,46 +350,50 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
     near_theta}.  The induction chooses its center where the conditions
     hold; this helper makes that choice explicit and reproducible.
 
+    The scan windows are built in one batch and screened by
+    ``edge_candidates``: stacked Hermitian solves of (E + E*)/2 give each
+    window's eigenvalues (Rayleigh quotients with a certified residual) and
+    edge values, a window they cannot certify (an H eigenvalue gap below
+    1e-9, as in every real window, or a residual above 1e-10) falls back
+    to ``eigensolve``, and every candidate is confirmed by ``eigensolve`` on
+    its own window before it is used, so z0 is always an ``eigensolve``
+    value.
+
     When ``probe_halfwidth`` is given (typically the next scale), each
     candidate is additionally screened for attainability at that window
     size: the wrapped phase defect of the probe window's nearest eigenvalue
     must change sign over a small phase neighborhood, so a center at the
     extremal edge of its local band (unreachable one scale up) is skipped.
+    Each candidate's probe windows are one batch and one batched query.
     """
     om = omega_array(omega)
     d = f.dim
     a, b = -n0, n0
     edge_thr = schedule.proximity(n0)
     target = np.exp(1j * float(near_theta))
-    candidates = []
     axes = [np.arange(scan_grid) / scan_grid] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     scan = _windows(f, om, (a, b), mesh, beta, eta)
-    for k, xv in enumerate(mesh):
-        for p in eigensolve(scan.row(k)):
-            if edge_value(p.vector) < edge_thr:
-                candidates.append((abs(p.value - target), p.value,
-                                   tuple(float(v) for v in xv)))
-    if not candidates:
+    found = ((value, tuple(float(v) for v in mesh[k]))
+             for _, value, k in edge_candidates(scan, target, edge_thr))
+    first = next(found, None)
+    if first is None:
         raise RuntimeError(
             f"no admissible eigenpair on a {scan_grid}^{d} grid near "
             f"theta={near_theta}: every window state violates the edge "
             f"bound {edge_thr:.3e}")
-    candidates.sort(key=lambda c: c[0])
     if probe_halfwidth is None:
-        d_t, value, xv = candidates[0]
-        return SpectralPoint.from_z(value), Phase(xv)
+        return SpectralPoint.from_z(first[0]), Phase(first[1])
 
     step = 0.01 * np.eye(d)
     offsets = [np.zeros(d), *step, *-step]
     if d == 2:
         offsets += [np.array([0.01, 0.01]), np.array([0.01, -0.01])]
-    for d_t, value, xv in candidates[:40]:
+    for value, xv in islice(chain([first], found), 40):
         theta_c = phase_of(value)
         probes = _windows(f, om, (-probe_halfwidth, probe_halfwidth),
                           np.array(xv) + np.array(offsets), beta, eta)
-        gs = [_phase_gap(nearest_eigenvalue(probes.row(k), value)[0], theta_c)
-              for k in range(len(offsets))]
+        gs = [_phase_gap(lam, theta_c) for lam, _ in nearest_eigenvalues(probes, value)]
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
     raise RuntimeError(
@@ -488,7 +492,8 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     weak: each step moves x along the gradient of the scalar wrapped phase
     defect by the Gauss-Newton minimal-norm increment, with a trust-region
     cap.  The windows at x and at its 2d central-difference neighbours are
-    built in one batch per step.  Returns (Phase, dist) or (None, best dist).
+    built in one batch per step, and the neighbours are one batched query
+    after x's own.  Returns (Phase, dist) or (None, best dist).
     """
     z = np.exp(1j * theta0)
     fd = _GN_FD_STEP * np.eye(len(x_init))
@@ -502,8 +507,8 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
             best_x, best_d = x.copy(), dist
         if dist < _ROOT_TOL:
             return reduce_phase(x), dist
-        gs = np.array([_phase_gap(nearest_eigenvalue(rows.row(k), z)[0], theta0)
-                       for k in range(1, 2 * len(x) + 1)])
+        gs = np.array([_phase_gap(lam, theta0) for lam, _ in
+                       nearest_eigenvalues(rows.row(slice(1, None)), z)])
         grad = (gs[:len(x)] - gs[len(x):]) / (2 * _GN_FD_STEP)
         n2 = float(grad @ grad)
         if n2 < 1e-18:
@@ -529,7 +534,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     of the nearest eigenvalue to another branch rather than a root; the
     search then stops at the first tie.  This is the whole depth-(s+1) solve:
     at desk scale the curve structure of the asymptotic argument is absent.
-    The grid's windows are built in one batch.
+    The grid's windows are built in one batch and queried in one call.
     """
     z = np.exp(1j * theta0)
     d = len(x_init)
@@ -537,11 +542,10 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     grid = offs[:, None] if d == 1 else \
         np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     points = x_init + np.pad(grid, ((0, 0), (d - grid.shape[1], 0)))
-    rows = _windows(f, om, window, points, beta, eta)
+    values = nearest_eigenvalues(_windows(f, om, window, points, beta, eta), z)
     best_pos, best_neg = None, None      # (|g|, coords, lam)
     best_d, best_x = np.inf, x_init
-    for k, xx in enumerate(points):
-        lam, _ = nearest_eigenvalue(rows.row(k), z)
+    for xx, (lam, _) in zip(points, values):
         g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
         if dist < best_d:
             best_d, best_x = dist, xx
@@ -771,7 +775,8 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
 
 def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
     """Central-difference gradient of the tracked eigenvalue, with a
-    half-step consistency estimate; the 4d windows are one batch."""
+    half-step consistency estimate; the 4d windows are one batch and one
+    batched query."""
     h = _D_FD_STEP
     base = np.array(x.coords)
     d = len(base)
@@ -779,7 +784,7 @@ def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
     rows = _windows(f, om, win, np.vstack([base + h * e, base - h * e,
                                            base + 0.5 * h * e, base - 0.5 * h * e]),
                     beta, eta)
-    lam = [nearest_eigenvalue(rows.row(k), z)[0] for k in range(4 * d)]
+    lam = [value for value, _ in nearest_eigenvalues(rows, z)]
     grad = np.zeros(d, dtype=complex)
     rich = 0.0
     for i in range(d):

@@ -7,14 +7,19 @@ and pairs are ordered by phase; eigenvector gauge fixes the first
 largest-magnitude entry to be real positive.  Full spectra without
 vectors come either from a dense non-Hermitian solve (``eigenphases``) or,
 faster, from one symmetric eigensolve of the Hermitian part (E + E*) / 2
-(``hermitian_eigenphases``).  Queries for the single
+(``hermitian_eigenphases``).  A batch of windows that needs only
+eigenvalues and edge values is screened by stacked Hermitian solves
+(``eigen_screen``, ``edge_candidates``).  Queries for the single
 eigenvalue nearest a point use a banded Hermitian companion of the window
-(``nearest_eigenpair``, ``nearest_eigenvalue``) and need no dense solve.
+(``nearest_eigenpair``, ``nearest_eigenvalue``, ``nearest_eigenvalues``
+for a batch) and need no dense solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import heapq
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh, lapack, schur
@@ -25,6 +30,9 @@ from .util import phase_of
 DEFAULT_MAX_DIM = 4096
 _GAP_TOL = 1e-9     # eigenvalues of H this close tie or share a cluster
 _RES_TOL = 1e-9     # residual above which the Hermitian paths go dense
+_CHUNK = 8          # windows per stacked eigh and per band assembly of a batch
+_SCREEN_RES_TOL = 1e-10     # column residual above which a screened window goes to eigensolve
+_SCREEN_MARGIN = 1e-9       # screened distances or edges this close to a decision are confirmed
 _ABSTOL = 2 * lapack.dlamch("s")    # zhbevx tolerance, as eigvals_banded sets it
 # inverse-iteration start: _START[:n] is default_rng(1234).standard_normal(n)
 _START = np.random.default_rng(1234).standard_normal(DEFAULT_MAX_DIM)
@@ -140,50 +148,184 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
     return _on_circle_by_phase(w)
 
 
-def _banded_nearest(m: FiniteCMV, z: complex):
-    """(value, vector, residual) from H = (conj(u) E + u E*) / 2, or why
-    not: "tie" when the top two eigenvalues of H nearly coincide, "fail"
-    when the shift is exactly singular or the residual is not small."""
-    n = m.size
+def eigen_screen(m: FiniteCMV) -> list:
+    """Eigenvalues and edge values of each window of the batch m, without
+    a Schur factorization.
+
+    E is normal, so H = (E + E*) / 2 has E's eigenvectors, and a column v
+    of H's eigenbasis is one of them when H's eigenvalues are simple; its
+    eigenvalue is the Rayleigh quotient v* E v, within the residual
+    ||E v - (v* E v) v|| of spec E.  Two eigenvalues of E with nearly equal
+    cosines mix in H's eigenbasis V, so B = V* E V is diagonal only up to
+    that mixing, and one first-order step V (I + C), C_jk = B_jk /
+    (B_kk - B_jj) off the diagonal, removes it before the quotients, the
+    residuals and the edge values are read.  The windows go through one
+    stacked ``np.linalg.eigh`` per chunk of _CHUNK.  Row k is (values,
+    edges): the quotients projected to the circle and sorted by phase, as
+    in ``eigensolve``, and ``edge_value`` of each column; or None when two
+    eigenvalues of H lie within _GAP_TOL (each pair e^{+-i theta} of a real
+    window does) or a column residual exceeds _SCREEN_RES_TOL, where only
+    ``eigensolve`` describes the window.
+    """
+    out = []
+    for s in range(0, len(m.bands), _CHUNK):
+        E = m.row(slice(s, s + _CHUNK)).dense()
+        h, V = np.linalg.eigh(0.5 * (E + np.conj(np.swapaxes(E, 1, 2))))
+        B = np.conj(np.swapaxes(V, 1, 2)) @ (E @ V)
+        diag = np.arange(E.shape[-1])
+        lam = B[:, diag, diag]
+        D = lam[:, None, :] - lam[:, :, None]
+        D[:, diag, diag] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            C = B / D                   # a zero gap gives nan: the residual fails
+        C[:, diag, diag] = 1.0
+        V = V @ C
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        EV = E @ V
+        lam = np.einsum("kij,kij->kj", np.conj(V), EV)
+        res = np.linalg.norm(EV - V * lam[:, None, :], axis=1)
+        U = np.abs(V)
+        edges = np.maximum(U[:, :4].max(axis=1), U[:, -4:].max(axis=1))
+        for k in range(len(E)):
+            if np.diff(h[k]).min(initial=np.inf) <= _GAP_TOL \
+                    or not res[k].max() <= _SCREEN_RES_TOL:
+                out.append(None)
+                continue
+            w = lam[k] / np.abs(lam[k])
+            order = np.argsort(np.angle(w) % (2 * np.pi), kind="stable")
+            out.append((w[order], edges[k, order]))
+    return out
+
+
+def edge_candidates(m: FiniteCMV, z: complex, edge_thr: float):
+    """Yield (|value - z|, value, k) for each eigenpair of the windows of the
+    batch m whose ``edge_value`` is below edge_thr, nearest z first, ties in
+    window then phase order: exactly what ``eigensolve`` on every window
+    would give, values included.
+
+    The windows are screened by ``eigen_screen``.  A screened eigenvalue
+    and the ``eigensolve`` one each lie within their residual (at most
+    1e-10) of spec E, and the screened edge values agree with
+    ``eigensolve``'s to about 1e-14, so ``eigensolve`` confirms a window
+    before any pair is decided on a screened number closer than
+    _SCREEN_MARGIN to the decision: a window the screen cannot describe, or
+    with an edge value that close to edge_thr, at the start; a window with
+    a screened candidate that close to the nearest one left, before that
+    one is yielded.  Only confirmed pairs are yielded.
+    """
+    exact, screened = [], []    # heap of (dist, k, index, value); sorted (dist, k)
+
+    def confirm(k: int) -> None:
+        for p in eigensolve(m.row(k)):
+            if edge_value(p.vector) < edge_thr:
+                heapq.heappush(exact, (abs(p.value - z), k, p.index, p.value))
+
+    for k, screen in enumerate(eigen_screen(m)):
+        if screen is None or (np.abs(screen[1] - edge_thr) <= _SCREEN_MARGIN).any():
+            confirm(k)
+        else:
+            values, edges = screen
+            screened += [(abs(v - z), k) for v in values[edges < edge_thr]]
+    screened.sort()
+    while exact or screened:
+        top = min(exact[0][0] if exact else np.inf,
+                  screened[0][0] if screened else np.inf)
+        near = {k for _, k in screened[:bisect.bisect_right(
+            screened, (top + _SCREEN_MARGIN, np.inf))]}
+        if near:
+            for k in sorted(near):
+                confirm(k)
+            screened = [c for c in screened if c[1] not in near]
+            continue
+        dist, k, _, value = heapq.heappop(exact)
+        yield dist, value, k
+
+
+def _apply_rows(bands: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """E v for each window of a (c, 5, n) band stack and the row v of V,
+    bit for bit ``apply_cmv`` of the window alone."""
+    n = V.shape[-1]
+    out = np.zeros(V.shape, dtype=complex)
+    for off in range(-2, 3):
+        i0, i1 = max(0, -off), min(n, n - off)
+        if i0 < i1:
+            out[:, i0:i1] += bands[:, off + 2, i0:i1] * V[:, i0 + off:i1 + off]
+    return out
+
+
+def _banded_nearest(bands: np.ndarray, z: complex) -> list:
+    """Per window of an (N, 5, n) band stack: (value, vector, residual) from
+    H = (conj(u) E + u E*) / 2, or why not: "tie" when the top two
+    eigenvalues of H nearly coincide, "fail" when the shift is exactly
+    singular or the residual is not small.  H's band is assembled and E v
+    formed once per chunk of _CHUNK windows; the LAPACK calls, the Rayleigh
+    quotient and the residual are per window, each as for the window alone."""
+    n = bands.shape[-1]
     u = z / abs(z)
-    ab = np.zeros((7, n), dtype=complex)      # H in zgbtrf layout (kl = ku = 2)
-    for off in range(3):
-        d = 0.5 * (np.conj(u) * m.bands[2 + off][:n - off]
-                   + u * np.conj(m.bands[2 - off][off:]))
-        ab[4 - off, off:] = d
-        ab[4 + off, :n - off] = np.conj(d)
-    w, _, _, _, info = lapack.zhbevx(ab[2:5], 0.0, 1.0, n - 1, n, compute_v=0,
-                                     range=2, lower=0, abstol=_ABSTOL, mmax=1)
-    if info:
-        raise np.linalg.LinAlgError(f"zhbevx did not converge (info={info})")
-    if w[1] - w[0] <= _GAP_TOL:
-        return "tie"
-    ab[4] -= w[1]
-    lub, piv, info = lapack.zgbtrf(ab, 2, 2)
-    if info:                            # exactly singular shift
-        return "fail"
-    v = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
-    for _ in range(2):
-        v = lapack.zgbtrs(lub, 2, 2, v, piv)[0]
-        v /= np.linalg.norm(v)
-    ev = apply_cmv(m, v)
-    lam = complex(np.vdot(v, ev))
-    lam /= abs(lam)
-    res = float(np.linalg.norm(ev - lam * v))
-    if not res <= _RES_TOL:
-        return "fail"
-    return lam, v, res
+    start = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
+    out = []
+    for s in range(0, len(bands), _CHUNK):
+        chunk = bands[s:s + _CHUNK]
+        ab = np.zeros((len(chunk), 7, n), dtype=complex)    # zgbtrf layout, kl = ku = 2
+        for off in range(3):
+            d = 0.5 * (np.conj(u) * chunk[:, 2 + off, :n - off]
+                       + u * np.conj(chunk[:, 2 - off, off:]))
+            ab[:, 4 - off, off:] = d
+            ab[:, 4 + off, :n - off] = np.conj(d)
+        V = np.zeros((len(chunk), n), dtype=complex)
+        why = []
+        for k, abk in enumerate(ab):
+            w, _, _, _, info = lapack.zhbevx(abk[2:5], 0.0, 1.0, n - 1, n, compute_v=0,
+                                             range=2, lower=0, abstol=_ABSTOL, mmax=1)
+            if info:
+                raise np.linalg.LinAlgError(f"zhbevx did not converge (info={info})")
+            if w[1] - w[0] <= _GAP_TOL:
+                why.append("tie")
+                continue
+            abk[4] -= w[1]
+            lub, piv, info = lapack.zgbtrf(abk, 2, 2)
+            if info:                        # exactly singular shift
+                why.append("fail")
+                continue
+            v = start
+            for _ in range(2):
+                v = lapack.zgbtrs(lub, 2, 2, v, piv)[0]
+                v /= np.linalg.norm(v)
+            V[k] = v
+            why.append(None)
+        EV = _apply_rows(chunk, V)
+        for v, ev, reason in zip(V, EV, why):
+            if reason is None:
+                lam = complex(np.vdot(v, ev))
+                lam /= abs(lam)
+                res = float(np.linalg.norm(ev - lam * v))
+                reason = (lam, v, res) if res <= _RES_TOL else "fail"
+            out.append(reason)
+    return out
 
 
-def _nearest(m: FiniteCMV, z: complex):
-    """(value, ungauged vector, residual, tie) behind ``nearest_eigenpair``."""
+def _nearest(m: FiniteCMV, z: complex) -> list:
+    """(value, ungauged vector, residual, tie) behind ``nearest_eigenpair``,
+    per window of the batch m."""
     if m.beta is None or m.eta is None:
         raise ValueError("nearest_eigenpair needs a unitary window")
-    pair = _banded_nearest(m, z) if m.size >= 3 and z != 0 else "fail"
-    if not isinstance(pair, str):
-        return (*pair, False)
-    w = eigenphases(m)
-    return complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, pair == "tie"
+    found = _banded_nearest(m.bands, z) if m.size >= 3 and z != 0 \
+        else ["fail"] * len(m.bands)
+    out = []
+    for k, pair in enumerate(found):
+        if isinstance(pair, str):
+            w = eigenphases(m.row(k))
+            pair = (complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, pair == "tie")
+        else:
+            pair = (*pair, False)
+        out.append(pair)
+    return out
+
+
+def _one(m: FiniteCMV) -> FiniteCMV:
+    """The window m as a batch of one."""
+    return replace(m, bands=m.bands[None], alpha=m.alpha[None], rho=m.rho[None],
+                   sampled_rho=m.sampled_rho[None])
 
 
 def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | None, float]:
@@ -206,7 +348,7 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     from z; ties then go to the lower phase, as in ``nearest_eigen``), or
     when the residual exceeds 1e-9.
     """
-    value, vector, residual, _ = _nearest(m, z)
+    value, vector, residual, _ = _nearest(_one(m), z)[0]
     return value, None if vector is None else _gauge(vector), residual
 
 
@@ -214,13 +356,19 @@ def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
     """The value of ``nearest_eigenpair`` and whether it is a tie: two
     eigenvalues about equally far from z (the top two eigenvalues of H
     within 1e-9), where a path of phases jumps from one branch to another."""
-    value, _, _, tie = _nearest(m, z)
-    return value, tie
+    return nearest_eigenvalues(_one(m), z)[0]
+
+
+def nearest_eigenvalues(m: FiniteCMV, z: complex) -> list[tuple[complex, bool]]:
+    """``nearest_eigenvalue`` of each window of the batch m, in order, each
+    bit for bit that of the window alone, with one band assembly of H and
+    one E v per chunk of windows."""
+    return [(value, tie) for value, _, _, tie in _nearest(m, z)]
 
 
 def spectral_distance(m: FiniteCMV, z: complex) -> float:
     """dist(z, spec E) of a unitary window, from ``nearest_eigenpair``."""
-    return float(abs(_nearest(m, z)[0] - z))
+    return float(abs(_nearest(_one(m), z)[0][0] - z))
 
 
 def nearest_eigen(pairs: list[EigenPair], z: complex) -> tuple[EigenPair, float]:
