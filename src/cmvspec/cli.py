@@ -65,11 +65,13 @@ def load_config(path: str, command: str) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if "config" in data and "command" in data:    # manifest re-run
+    if isinstance(data, dict) and "config" in data and "command" in data:    # manifest re-run
         if data["command"] != command:
             raise ConfigError(
                 f"manifest was written by '{data['command']}', not '{command}'")
-        return data["config"]
+        data = data["config"]
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {data!r}")
     return data
 
 

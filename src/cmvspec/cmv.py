@@ -264,20 +264,25 @@ def build_cut_cmv(seq: VerblunskySequence, a: int, b: int) -> FiniteCMV:
     return build_finite_cmv(seq, a, b, beta=None, eta=None, _allow_natural=True)
 
 
+def band_product(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E v for each window of a (c, 5, n) band stack and its row of v:
+    a (c, n) vector per window, or a (c, n, k) block of columns."""
+    n = bands.shape[-1]
+    d = bands if v.ndim == 2 else bands[..., None]
+    out = np.zeros(v.shape, dtype=complex)
+    for off in range(-2, 3):
+        i0, i1 = max(0, -off), min(n, n - off)
+        if i0 < i1:
+            out[:, i0:i1] += d[:, off + 2, i0:i1] * v[:, i0 + off:i1 + off]
+    return out
+
+
 def apply_cmv(m: FiniteCMV, v: np.ndarray) -> np.ndarray:
     """Banded product E v of a vector, or of each column of an (n, k) block."""
     v = np.asarray(v, dtype=complex)
     if v.shape[:1] != (m.size,) or v.ndim > 2:
         raise ValueError(f"vector shape {v.shape} does not fit window size {m.size}")
-    out = np.zeros(v.shape, dtype=complex)
-    n = m.size
-    bands = m.bands if v.ndim == 1 else m.bands[:, :, None]
-    for off in range(-2, 3):
-        d = bands[off + 2]
-        i0, i1 = max(0, -off), min(n, n - off)
-        if i0 < i1:
-            out[i0:i1] += d[i0:i1] * v[i0 + off:i1 + off]
-    return out
+    return band_product(m.bands[None], v[None])[0]
 
 
 def cmv_row_window(seq: VerblunskySequence, center: int, halfwidth: int) -> np.ndarray:

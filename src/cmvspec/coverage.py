@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cmv import FiniteCMV, VerblunskySequence, apply_cmv, build_finite_cmv
-from .spectral import edge_value, hermitian_eigenphases
+from .spectral import edge_value, hermitian_eigenphases, rayleigh_value
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import TWO_PI, counter_rng, phase_of, wrap_angle
 
@@ -87,10 +87,7 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex):
             continue
         v = w / nrm
         if it >= 2:
-            ev = apply_cmv(m, v)
-            lam = complex(np.vdot(v, ev))
-            lam /= abs(lam)
-            res = float(np.linalg.norm(ev - lam * v))
+            lam, res = rayleigh_value(v, apply_cmv(m, v))
             if res < _PROBE_RES_TOL:
                 break
     return lam, v, res

@@ -20,7 +20,7 @@ from .cocycle import SpectralPoint
 from .spectral import (aligned_distance, decay_ratio, edge_candidates, edge_value,
                        eigensolve, nearest_eigen, nearest_eigenvalue,
                        nearest_eigenvalues, separation_gap, spectral_distance)
-from .torus import Phase, SamplingFunction, omega_array, reduce_phase
+from .torus import Phase, SamplingFunction, _dist_to_integer, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
 _ROOT_TOL = 1e-12       # |lam - e^{i theta}| at which a root search stops
@@ -681,15 +681,12 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     c_checks: list = []
     c_est = None
     ups_floor = schedule.upsilon_floor(ns)
-    orbit_pts = [reduce_phase(n * om).array() for n in range(-int(3 * ns / 2),
-                                                             int(3 * ns / 2) + 1)]
-
-    def torus_dist(p, q):
-        diff = np.abs(p - q) % 1.0
-        return float(np.max(np.minimum(diff, 1.0 - diff)))
+    orbit_pts = np.array([reduce_phase(n * om).array()
+                          for n in range(-int(3 * ns / 2), int(3 * ns / 2) + 1)])
 
     def upsilon_dist(h):
-        return min(torus_dist(h, pt) for pt in orbit_pts)
+        # sup-norm torus distance from h to the nearest orbit point
+        return float(_dist_to_integer(np.abs(h - orbit_pts)).max(axis=1).min())
 
     if h_hat is not None:
         h_vec = np.asarray(h_hat, dtype=float) % 1.0
@@ -1020,7 +1017,7 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                     break
                 x_map[(ip, iz)] = sol
                 residuals[(ip, iz)] = dist
-                dx = np.linalg.norm(_torus_diff(sol.array(), old_x.array()))
+                dx = np.linalg.norm(_dist_to_integer(sol.array() - old_x.array()))
                 worst_dx = max(worst_dx, float(dx))
 
                 (p_new, _), pairs_new = _tracked_pair(
@@ -1100,8 +1097,3 @@ def _nearest_node(state: InductiveState, phi: tuple, theta: float) -> Phase:
                                     zip(state.grid_phi[key[0]], phi))
                                 + (state.grid_theta[key[1]] - theta) ** 2))
     return state.x_map[best]
-
-
-def _torus_diff(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    diff = (p - q) % 1.0
-    return np.minimum(diff, 1.0 - diff)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, lapack, schur
 
-from .cmv import FiniteCMV, apply_cmv
+from .cmv import FiniteCMV, apply_cmv, band_product as _apply_rows
 from .util import phase_of
 
 DEFAULT_MAX_DIM = 4096
@@ -241,91 +241,75 @@ def edge_candidates(m: FiniteCMV, z: complex, edge_thr: float):
         yield dist, value, k
 
 
-def _apply_rows(bands: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """E v for each window of a (c, 5, n) band stack and the row v of V,
-    bit for bit ``apply_cmv`` of the window alone."""
-    n = V.shape[-1]
-    out = np.zeros(V.shape, dtype=complex)
-    for off in range(-2, 3):
-        i0, i1 = max(0, -off), min(n, n - off)
-        if i0 < i1:
-            out[:, i0:i1] += bands[:, off + 2, i0:i1] * V[:, i0 + off:i1 + off]
-    return out
-
-
-def _banded_nearest(bands: np.ndarray, z: complex) -> list:
-    """Per window of an (N, 5, n) band stack: (value, vector, residual) from
-    H = (conj(u) E + u E*) / 2, or why not: "tie" when the top two
-    eigenvalues of H nearly coincide, "fail" when the shift is exactly
-    singular or the residual is not small.  H's band is assembled and E v
-    formed once per chunk of _CHUNK windows; the LAPACK calls, the Rayleigh
-    quotient and the residual are per window, each as for the window alone."""
-    n = bands.shape[-1]
-    u = z / abs(z)
-    start = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
-    out = []
-    for s in range(0, len(bands), _CHUNK):
-        chunk = bands[s:s + _CHUNK]
-        ab = np.zeros((len(chunk), 7, n), dtype=complex)    # zgbtrf layout, kl = ku = 2
-        for off in range(3):
-            d = 0.5 * (np.conj(u) * chunk[:, 2 + off, :n - off]
-                       + u * np.conj(chunk[:, 2 - off, off:]))
-            ab[:, 4 - off, off:] = d
-            ab[:, 4 + off, :n - off] = np.conj(d)
-        V = np.zeros((len(chunk), n), dtype=complex)
-        why = []
-        for k, abk in enumerate(ab):
-            w, _, _, _, info = lapack.zhbevx(abk[2:5], 0.0, 1.0, n - 1, n, compute_v=0,
-                                             range=2, lower=0, abstol=_ABSTOL, mmax=1)
-            if info:
-                raise np.linalg.LinAlgError(f"zhbevx did not converge (info={info})")
-            if w[1] - w[0] <= _GAP_TOL:
-                why.append("tie")
-                continue
-            abk[4] -= w[1]
-            lub, piv, info = lapack.zgbtrf(abk, 2, 2)
-            if info:                        # exactly singular shift
-                why.append("fail")
-                continue
-            v = start
-            for _ in range(2):
-                v = lapack.zgbtrs(lub, 2, 2, v, piv)[0]
-                v /= np.linalg.norm(v)
-            V[k] = v
-            why.append(None)
-        EV = _apply_rows(chunk, V)
-        for v, ev, reason in zip(V, EV, why):
-            if reason is None:
-                lam = complex(np.vdot(v, ev))
-                lam /= abs(lam)
-                res = float(np.linalg.norm(ev - lam * v))
-                reason = (lam, v, res) if res <= _RES_TOL else "fail"
-            out.append(reason)
-    return out
+def rayleigh_value(v: np.ndarray, ev: np.ndarray) -> tuple[complex, float]:
+    """The Rayleigh quotient v* E v of a unit vector v, projected to the
+    circle, and its residual ||E v - value v||, from ev = E v.  For a normal
+    E, dist(z, spec E) <= |value - z| + residual."""
+    lam = complex(np.vdot(v, ev))
+    lam /= abs(lam)
+    return lam, float(np.linalg.norm(ev - lam * v))
 
 
 def _nearest(m: FiniteCMV, z: complex) -> list:
     """(value, ungauged vector, residual, tie) behind ``nearest_eigenpair``,
-    per window of the batch m."""
+    per window of m, one window or a batch.
+
+    H = (conj(u) E + u E*) / 2 is assembled in band form and E v formed once
+    per chunk of _CHUNK windows; the LAPACK calls, the certificate and the
+    dense fallback are per window, each as for the window alone.  A window
+    goes to ``eigenphases`` (vector None, residual 0) when it has fewer than
+    3 sites or z = 0, when the top two eigenvalues of H tie (tie True), when
+    the shift is exactly singular, or when the residual exceeds _RES_TOL.
+    """
     if m.beta is None or m.eta is None:
         raise ValueError("nearest_eigenpair needs a unitary window")
-    found = _banded_nearest(m.bands, z) if m.size >= 3 and z != 0 \
-        else ["fail"] * len(m.bands)
+    n = m.size
+    bands = m.bands.reshape(-1, 5, n)
+    banded = n >= 3 and z != 0
+    if banded:
+        u = z / abs(z)
+        start = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
     out = []
-    for k, pair in enumerate(found):
-        if isinstance(pair, str):
-            w = eigenphases(m.row(k))
-            pair = (complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, pair == "tie")
-        else:
-            pair = (*pair, False)
-        out.append(pair)
+    for s in range(0, len(bands), _CHUNK):
+        chunk = bands[s:s + _CHUNK]
+        tie = [False] * len(chunk)
+        solved = [False] * len(chunk)
+        if banded:
+            ab = np.zeros((len(chunk), 7, n), dtype=complex)    # zgbtrf layout, kl = ku = 2
+            for off in range(3):
+                d = 0.5 * (np.conj(u) * chunk[:, 2 + off, :n - off]
+                           + u * np.conj(chunk[:, 2 - off, off:]))
+                ab[:, 4 - off, off:] = d
+                ab[:, 4 + off, :n - off] = np.conj(d)
+            V = np.zeros((len(chunk), n), dtype=complex)
+            for k, abk in enumerate(ab):
+                w, _, _, _, info = lapack.zhbevx(abk[2:5], 0.0, 1.0, n - 1, n, compute_v=0,
+                                                 range=2, lower=0, abstol=_ABSTOL, mmax=1)
+                if info:
+                    raise np.linalg.LinAlgError(f"zhbevx did not converge (info={info})")
+                tie[k] = bool(w[1] - w[0] <= _GAP_TOL)
+                if tie[k]:
+                    continue
+                abk[4] -= w[1]
+                lub, piv, info = lapack.zgbtrf(abk, 2, 2)
+                if info:                        # exactly singular shift
+                    continue
+                v = start
+                for _ in range(2):
+                    v = lapack.zgbtrs(lub, 2, 2, v, piv)[0]
+                    v /= np.linalg.norm(v)
+                V[k] = v
+                solved[k] = True
+            EV = _apply_rows(chunk, V)
+        for k in range(len(chunk)):
+            if solved[k]:
+                lam, res = rayleigh_value(V[k], EV[k])
+                if res <= _RES_TOL:
+                    out.append((lam, V[k], res, False))
+                    continue
+            w = eigenphases(m if m.bands.ndim == 2 else m.row(s + k))
+            out.append((complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, tie[k]))
     return out
-
-
-def _one(m: FiniteCMV) -> FiniteCMV:
-    """The window m as a batch of one."""
-    return replace(m, bands=m.bands[None], alpha=m.alpha[None], rho=m.rho[None],
-                   sampled_rho=m.sampled_rho[None])
 
 
 def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | None, float]:
@@ -348,7 +332,7 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     from z; ties then go to the lower phase, as in ``nearest_eigen``), or
     when the residual exceeds 1e-9.
     """
-    value, vector, residual, _ = _nearest(_one(m), z)[0]
+    value, vector, residual, _ = _nearest(m, z)[0]
     return value, None if vector is None else _gauge(vector), residual
 
 
@@ -356,7 +340,8 @@ def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
     """The value of ``nearest_eigenpair`` and whether it is a tie: two
     eigenvalues about equally far from z (the top two eigenvalues of H
     within 1e-9), where a path of phases jumps from one branch to another."""
-    return nearest_eigenvalues(_one(m), z)[0]
+    value, _, _, tie = _nearest(m, z)[0]
+    return value, tie
 
 
 def nearest_eigenvalues(m: FiniteCMV, z: complex) -> list[tuple[complex, bool]]:
@@ -368,7 +353,7 @@ def nearest_eigenvalues(m: FiniteCMV, z: complex) -> list[tuple[complex, bool]]:
 
 def spectral_distance(m: FiniteCMV, z: complex) -> float:
     """dist(z, spec E) of a unitary window, from ``nearest_eigenpair``."""
-    return float(abs(_nearest(_one(m), z)[0][0] - z))
+    return float(abs(_nearest(m, z)[0][0] - z))
 
 
 def nearest_eigen(pairs: list[EigenPair], z: complex) -> tuple[EigenPair, float]:

@@ -414,3 +414,17 @@ def test_empty_config_list_exits_2(tmp_path, capsys, command, extra):
     assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "must not be empty" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("top", [[1, 2], "x", 3, "config command", None],
+                         ids=["list", "string", "number", "key-string", "null"])
+@pytest.mark.parametrize("manifest", [False, True], ids=["config", "manifest"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, top, manifest):
+    # a manifest's 'config' is checked like a config file's top level
+    body = {"command": "lyapunov", "config": top, "seed": 0} if manifest else top
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "o"
+    assert run_cli(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
