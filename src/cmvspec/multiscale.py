@@ -17,9 +17,9 @@ import numpy as np
 
 from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint
-from .spectral import (aligned_distance, decay_ratio, edge_candidates, edge_value,
-                       eigensolve, nearest_eigen, nearest_eigenvalue,
-                       nearest_eigenvalues, separation_gap, spectral_distance)
+from .spectral import (_CHUNK, aligned_distance, decay_ratio, edge_candidates,
+                       edge_value, nearest_eigenvalue, nearest_eigenvalues,
+                       spectral_distance, tracked_eigenpair)
 from .torus import Phase, SamplingFunction, _dist_to_integer, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -228,7 +228,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     or (None, best_dist); an ``accept`` callback can reject a converged root
     (e.g. an edge-localized state), sending the march onward.  The step
     phases of a direction do not depend on the tracked values, so their
-    windows are built in one batch before the march queries them in order.
+    windows are built in batches of _CHUNK as the march reaches them.
     """
     theta = phase_of(z)
 
@@ -256,11 +256,12 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     step = span / max(coarse - 1, 1)
     for dirn in (1.0, -1.0):
         ts = list(accumulate([t0] + [dirn * step] * coarse))[1:]
-        rows = _windows(f, om, window, coords_at(ts), beta, eta)
         t, lam = t0, lam0
         g = _phase_gap(lam, theta)
         for k, t_next in enumerate(ts):
-            lam_next = nearest_eigenvalue(rows.row(k), lam)[0]
+            if k % _CHUNK == 0:
+                rows = _windows(f, om, window, coords_at(ts[k:k + _CHUNK]), beta, eta)
+            lam_next = nearest_eigenvalue(rows.row(k % _CHUNK), lam)[0]
             g_next = _phase_gap(lam_next, theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
@@ -419,9 +420,9 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
     edge_thr = schedule.proximity(n0)
 
     def edge_ok(x: Phase) -> bool:
-        (p, _), _ = _tracked_pair(VerblunskySequence(f, om, x), window, z0.z,
-                                  beta, eta)
-        return edge_value(p.vector) < edge_thr
+        _, vector, _, _ = _tracked_pair(VerblunskySequence(f, om, x), window, z0.z,
+                                        beta, eta)
+        return edge_value(vector) < edge_thr
 
     sol, dsol = _solve_phase(f, om, window, z0.z, np.array(x_hint.coords),
                              beta, eta, span=0.45, coarse=91, accept=edge_ok)
@@ -628,10 +629,10 @@ class ConditionsReport:
 
 def _tracked_pair(seq: VerblunskySequence, window: tuple[int, int], z: complex,
                   beta, eta):
-    """((pair nearest z, its distance), all pairs) of the window [a, b] of seq."""
-    pairs = eigensolve(build_finite_cmv(seq, window[0], window[1],
-                                        beta=beta, eta=eta))
-    return nearest_eigen(pairs, z), pairs
+    """``tracked_eigenpair`` (value, vector, distance, separation) of the
+    window [a, b] of seq at z."""
+    return tracked_eigenpair(build_finite_cmv(seq, window[0], window[1],
+                                              beta=beta, eta=eta), z)
 
 
 def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
@@ -660,12 +661,12 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     decay_worst = 0.0
     for (ip, iz), x in state.x_map.items():
         zz = np.exp(1j * state.grid_theta[iz])
-        (p, dist), pairs = _tracked_pair(VerblunskySequence(f, om, x), win, zz,
-                                         beta, eta)
+        _, vector, dist, sep = _tracked_pair(VerblunskySequence(f, om, x), win, zz,
+                                             beta, eta)
         max_res = max(max_res, dist)
-        min_sep = min(min_sep, separation_gap(pairs, p.index))
+        min_sep = min(min_sep, sep)
         decay_worst = max(decay_worst,
-                          decay_ratio(p.vector, win, ns / 4.0, state.gamma, 10.0))
+                          decay_ratio(vector, win, ns / 4.0, state.gamma, 10.0))
     solver_tol = schedule.threshold("solver_tol", 1e-9)
     a_checks.append(Check("(A)-(1) eigenvalue residual", solver_tol, max_res,
                           max_res <= solver_tol))
@@ -872,9 +873,9 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
                                                   eta=eta), z0.z)
         hyp.append(Check(f"J_{m} spectral margin", good, dist, dist >= good))
 
-    (p0, d0), _ = _tracked_pair(make_seq(x0), base_window, z0.z, beta, eta)
+    _, v0, d0, _ = _tracked_pair(make_seq(x0), base_window, z0.z, beta, eta)
     hyp.append(Check("(i) base eigenvalue proximity", prox, d0, d0 < prox))
-    edge0 = edge_value(p0.vector)
+    edge0 = edge_value(v0)
     hyp.append(Check("(ii) base edge decay", prox, edge0, edge0 < prox))
 
     try:
@@ -895,14 +896,14 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
             (counter_rng(seed, s).random(f.dim) - 0.5) * 2 * disp * 0.99
         x = x0.shift(delta)
         seqx = make_seq(x)
-        (ps, _), _ = _tracked_pair(seqx, base_window, z0.z, beta, eta)
-        (pb, _), pairs_big = _tracked_pair(seqx, big, ps.value, beta, eta)
-        worst["track"] = max(worst["track"], abs(pb.value - ps.value))
-        worst["sep"] = min(worst["sep"], separation_gap(pairs_big, pb.index))
+        value_s, vector_s, _, _ = _tracked_pair(seqx, base_window, z0.z, beta, eta)
+        value_b, vector_b, _, sep_b = _tracked_pair(seqx, big, value_s, beta, eta)
+        worst["track"] = max(worst["track"], abs(value_b - value_s))
+        worst["sep"] = min(worst["sep"], sep_b)
         worst["decay"] = max(worst["decay"],
-                             decay_ratio(pb.vector, big, 3.0 * n0 / 4.0, gamma, 20.0))
+                             decay_ratio(vector_b, big, 3.0 * n0 / 4.0, gamma, 20.0))
         worst["close"] = max(worst["close"], aligned_distance(
-            pad_vector(ps.vector, base_window, big), pb.vector))
+            pad_vector(vector_s, base_window, big), vector_b))
     concl.append(Check("(1) eigenvalue tracking", track_req, worst["track"],
                        worst["track"] < track_req))
     concl.append(Check("(2) separation", sep_req, worst["sep"],
@@ -1020,14 +1021,13 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                 dx = np.linalg.norm(_dist_to_integer(sol.array() - old_x.array()))
                 worst_dx = max(worst_dx, float(dx))
 
-                (p_new, _), pairs_new = _tracked_pair(
-                    VerblunskySequence(f, om, sol), big, zz, beta, eta)
-                sep_new = min(sep_new, separation_gap(pairs_new, p_new.index))
-                (p_old, _), _ = _tracked_pair(VerblunskySequence(f, om, old_x),
-                                              state.window_interval(), zz, beta, eta)
+                _, u_new, _, sep = _tracked_pair(VerblunskySequence(f, om, sol), big,
+                                                 zz, beta, eta)
+                sep_new = min(sep_new, sep)
+                _, u_old, _, _ = _tracked_pair(VerblunskySequence(f, om, old_x),
+                                               state.window_interval(), zz, beta, eta)
                 worst_du = max(worst_du, aligned_distance(
-                    pad_vector(p_old.vector, state.window_interval(), big),
-                    p_new.vector))
+                    pad_vector(u_old, state.window_interval(), big), u_new))
             if failed_node:
                 break
         if failed_node is None:

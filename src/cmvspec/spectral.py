@@ -12,7 +12,9 @@ eigenvalues and edge values is screened by stacked Hermitian solves
 (``eigen_screen``, ``edge_candidates``).  Queries for the single
 eigenvalue nearest a point use a banded Hermitian companion of the window
 (``nearest_eigenpair``, ``nearest_eigenvalue``, ``nearest_eigenvalues``
-for a batch) and need no dense solve.
+for a batch) and need no dense solve.  A tracked eigenpair with its
+separation from the rest of the spectrum (``tracked_eigenpair``) comes
+from two such queries, with an ``eigensolve`` fallback.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def rayleigh_value(v: np.ndarray, ev: np.ndarray) -> tuple[complex, float]:
     return lam, float(np.linalg.norm(ev - lam * v))
 
 
-def _nearest(m: FiniteCMV, z: complex) -> list:
+def _nearest(m: FiniteCMV, z: complex, gap: bool = False) -> list:
     """(value, ungauged vector, residual, tie) behind ``nearest_eigenpair``,
     per window of m, one window or a batch.
 
@@ -260,12 +262,16 @@ def _nearest(m: FiniteCMV, z: complex) -> list:
     goes to ``eigenphases`` (vector None, residual 0) when it has fewer than
     3 sites or z = 0, when the top two eigenvalues of H tie (tie True), when
     the shift is exactly singular, or when the residual exceeds _RES_TOL.
+    With ``gap``, each row carries a fifth field, sqrt(2 - 2 w0) for the
+    second-largest eigenvalue w0 of H: the distance from u to the
+    second-nearest eigenvalue of E (nan on a row that falls back).
     """
     if m.beta is None or m.eta is None:
         raise ValueError("nearest_eigenpair needs a unitary window")
     n = m.size
     bands = m.bands.reshape(-1, 5, n)
     banded = n >= 3 and z != 0
+    width = 5 if gap else 4
     if banded:
         u = z / abs(z)
         start = _START[:n] if n <= len(_START) else np.random.default_rng(1234).standard_normal(n)
@@ -274,6 +280,7 @@ def _nearest(m: FiniteCMV, z: complex) -> list:
         chunk = bands[s:s + _CHUNK]
         tie = [False] * len(chunk)
         solved = [False] * len(chunk)
+        second = [np.nan] * len(chunk)
         if banded:
             ab = np.zeros((len(chunk), 7, n), dtype=complex)    # zgbtrf layout, kl = ku = 2
             for off in range(3):
@@ -290,6 +297,7 @@ def _nearest(m: FiniteCMV, z: complex) -> list:
                 tie[k] = bool(w[1] - w[0] <= _GAP_TOL)
                 if tie[k]:
                     continue
+                second[k] = float(np.sqrt(2.0 - 2.0 * w[0]))
                 abk[4] -= w[1]
                 lub, piv, info = lapack.zgbtrf(abk, 2, 2)
                 if info:                        # exactly singular shift
@@ -305,10 +313,11 @@ def _nearest(m: FiniteCMV, z: complex) -> list:
             if solved[k]:
                 lam, res = rayleigh_value(V[k], EV[k])
                 if res <= _RES_TOL:
-                    out.append((lam, V[k], res, False))
+                    out.append((lam, V[k], res, False, second[k])[:width])
                     continue
             w = eigenphases(m if m.bands.ndim == 2 else m.row(s + k))
-            out.append((complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, tie[k]))
+            out.append((complex(w[int(np.argmin(np.abs(w - z)))]), None, 0.0, tie[k],
+                        np.nan)[:width])
     return out
 
 
@@ -334,6 +343,28 @@ def nearest_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray | N
     """
     value, vector, residual, _ = _nearest(m, z)[0]
     return value, None if vector is None else _gauge(vector), residual
+
+
+def tracked_eigenpair(m: FiniteCMV, z: complex) -> tuple[complex, np.ndarray, float, float]:
+    """(value, gauged vector, |value - z|, separation) of the eigenpair of a
+    unitary window nearest z; separation is the distance from value to the
+    nearest other eigenvalue.
+
+    Two queries of ``_nearest``: at z for the value and its vector, then at
+    u = value, where the top eigenvalue of H belongs to value's own state,
+    so the second-nearest eigenvalue of E is the nearest other one.  When
+    either query falls back (a tie, fewer than 3 sites, z = 0, an exactly
+    singular shift, or a residual above _RES_TOL), the pair comes from
+    ``eigensolve``, ``nearest_eigen`` and ``separation_gap`` instead.
+    """
+    value, vector, _, _ = _nearest(m, z)[0]
+    if vector is not None:
+        _, again, _, _, separation = _nearest(m, value, gap=True)[0]
+        if again is not None:
+            return value, _gauge(vector), float(abs(value - z)), separation
+    pairs = eigensolve(m)
+    p, dist = nearest_eigen(pairs, z)
+    return p.value, p.vector, dist, separation_gap(pairs, p.index)
 
 
 def nearest_eigenvalue(m: FiniteCMV, z: complex) -> tuple[complex, bool]:
