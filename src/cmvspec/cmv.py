@@ -180,6 +180,37 @@ class FiniteCMV:
         off = np.where(own[:-1], self.rho[1:-1], 0.0)
         return diag, off
 
+    def reflection_halves(self) -> tuple:
+        """An orthonormal eigenbasis of L for real coefficients, as (rows,
+        weights) for eigenvalue +1 and then for -1, each a pair of (2, k)
+        arrays: column j is weights[0, j] e_{rows[0, j]} + weights[1, j]
+        e_{rows[1, j]}, and the columns follow the blocks of L in row order.
+
+        A block [[a, r], [r, -a]] = [[cos t, sin t], [sin t, -cos t]] has
+        (cos t/2, sin t/2) for +1 and (-sin t/2, cos t/2) for -1; the larger
+        of the two halves is sqrt((1 + |a|) / 2) and the other r / 2 times
+        its inverse, so neither divides by a small number.  A corner cut to
+        1x1 is e_i in the half of its sign.
+        """
+        diag, off = self._factor(0)
+        diag = diag.real
+        start = np.flatnonzero(np.arange(self.a, self.b) % 2 == 0)    # 2x2 blocks
+        a, r = diag[start], off[start]
+        big = np.sqrt((1.0 + np.abs(a)) / 2.0)
+        small = r / (2.0 * big)
+        p, q = np.where(a >= 0, big, small), np.where(a >= 0, small, big)
+        head = [0] if self.a % 2 else []                # cut corners: -beta, conj(eta)
+        tail = [self.size - 1] if self.b % 2 == 0 else []
+        halves = []
+        for sign, w0, w1 in ((1.0, p, q), (-1.0, -q, p)):
+            h = [i for i in head if sign * diag[i] > 0]
+            t = [i for i in tail if sign * diag[i] > 0]
+            rows = np.array([np.r_[h, start, t], np.r_[h, start + 1, t]], dtype=int)
+            weights = np.array([np.r_[np.ones(len(h)), w0, np.ones(len(t))],
+                                np.r_[np.zeros(len(h)), w1, np.zeros(len(t))]])
+            halves.append((rows, weights))
+        return tuple(halves)
+
     def _factor_dense(self, parity: int) -> np.ndarray:
         diag, off = self._factor(parity)
         return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -6,8 +6,10 @@ factor is numerically diagonal).  Eigenvalues are projected onto the circle
 and pairs are ordered by phase; eigenvector gauge fixes the first
 largest-magnitude entry to be real positive.  Full spectra without
 vectors come either from a dense non-Hermitian solve (``eigenphases``) or,
-faster, from one symmetric eigensolve of the Hermitian part (E + E*) / 2
-(``hermitian_eigenphases``).  A batch of windows that needs only
+faster, from the Hermitian part (E + E*) / 2 (``hermitian_eigenphases``):
+one symmetric eigensolve, or for real coefficients two half-size
+tridiagonal ones, since L then is a real reflection that commutes with
+(E + E*) / 2 = (L M + M L) / 2.  A batch of windows that needs only
 eigenvalues and edge values is screened by stacked Hermitian solves
 (``eigen_screen``, ``edge_candidates``).  Queries for the single
 eigenvalue nearest a point use a banded Hermitian companion of the window
@@ -24,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, lapack, schur
+from scipy.linalg import eigh, eigh_tridiagonal, lapack, schur
 
 from .cmv import FiniteCMV, apply_cmv, band_product as _apply_rows
 from .util import phase_of
@@ -116,12 +118,20 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
     """``eigenphases`` of a unitary window from the Hermitian part of E.
 
     E is normal, so H = (E + E*) / 2 has E's eigenvectors, with eigenvalues
-    cos(theta_k).  One symmetric eigensolve of H (real when E is) gives an
-    orthonormal basis V; eigenvalues of H within 1e-9 of each other form a
-    cluster (each pair e^{+-i theta} of a real window is one), and the values
-    of E on a cluster's columns V_c are the eigenvalues of B = V_c* E V_c.
-    Since E is normal, each is within ||E V_c - V_c B||_F of spec E; when that
-    exceeds 1e-9 for any cluster, the dense ``eigenphases`` is returned.
+    cos(theta_k).  An orthonormal eigenbasis V of H comes from one complex
+    symmetric eigensolve, or, when every coefficient is real, from two
+    half-size tridiagonal ones: then L and M are real reflections (L^2 =
+    M^2 = I), so H = (L M + M L) / 2 commutes with L and is block diagonal
+    in L's eigenbasis Q (``FiniteCMV.reflection_halves``).  On each of L's
+    +-1 eigenspaces it is +-M compressed, a Jacobi matrix with a simple
+    spectrum; its diagonals are read from H, and V = Q W for the
+    eigenvectors W of the two halves.  Eigenvalues of H within 1e-9 of each
+    other form a cluster (each pair e^{+-i theta} of a real window is one,
+    one value from each half), and the values of E on a cluster's columns
+    V_c are the eigenvalues of B = V_c* E V_c.  Since E is normal and V_c
+    orthonormal, each is within ||E V_c - V_c B||_F of spec E, whatever
+    rounding separates H from the two halves; when that exceeds 1e-9 for
+    any cluster, the dense ``eigenphases`` is returned.
     """
     if m.beta is None or m.eta is None:
         raise ValueError("hermitian_eigenphases needs a unitary window")
@@ -132,22 +142,54 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
         h = 0.5 * (H[rows, rows + off] + np.conj(H[rows + off, rows]))
         H[rows, rows + off] = h
         H[rows + off, rows] = np.conj(h)
-    if not m.bands.imag.any():          # a real solve: faster, half the memory
-        H = H.real.copy()
-    # H.T is Fortran-ordered, so eigh overwrites it in place; it is conj(H)
-    h, V = eigh(H.T, overwrite_a=True, driver="evr", check_finite=False)
+    if m.alpha.imag.any():
+        # H.T is Fortran-ordered, so eigh overwrites it in place; it is conj(H)
+        h, V = eigh(H.T, overwrite_a=True, driver="evr", check_finite=False)
+        np.conjugate(V, out=V)
+        columns = lambda s, e: V[:, s:e]
+    else:
+        h, columns = _reflection_split(m, H.real)
     del H
-    np.conjugate(V, out=V)
     bounds = np.r_[0, np.flatnonzero(np.diff(h) > _GAP_TOL) + 1, n]
     w = np.empty(n, dtype=complex)
     for s, e in zip(bounds[:-1], bounds[1:]):
-        Vc = V[:, s:e]
+        Vc = columns(s, e)
         EV = apply_cmv(m, Vc)
         B = Vc.conj().T @ EV
         if not np.linalg.norm(EV - Vc @ B) <= _RES_TOL:
             return eigenphases(m, n)
         w[s:e] = B[0, 0] if e - s == 1 else np.linalg.eigvals(B)
     return _on_circle_by_phase(w)
+
+
+def _reflection_split(m: FiniteCMV, H: np.ndarray):
+    """Ascending eigenvalues of the real H of a real window, from its two
+    tridiagonal halves Q_s^T H Q_s, and a function (s, e) -> the columns
+    Q_s w of eigenvalues s..e-1, each built when it is asked for."""
+    halves, values = [], []
+    for rows, weights in m.reflection_halves():
+        k = rows.shape[1]
+        if k == 0:
+            continue
+        # entry (j, j') of Q_s^T H Q_s is sum over a, b of w_a[j] w_b[j'] H[r_a[j], r_b[j']]
+        d = np.einsum("aj,bj,abj->j", weights, weights, H[rows[:, None], rows[None]])
+        e = np.einsum("aj,bj,abj->j", weights[:, :-1], weights[:, 1:],
+                      H[rows[:, None, :-1], rows[None, :, 1:]])
+        vals, W = eigh_tridiagonal(d, e, check_finite=False)
+        halves += [(rows, weights, W[:, j]) for j in range(k)]
+        values.append(vals)
+    h = np.concatenate(values)
+    order = np.argsort(h, kind="stable")
+
+    def columns(s: int, e: int) -> np.ndarray:
+        V = np.zeros((len(h), e - s))
+        for t, j in enumerate(order[s:e]):
+            rows, weights, w = halves[j]
+            V[rows[0], t] = weights[0] * w
+            V[rows[1], t] += weights[1] * w
+        return V
+
+    return h[order], columns
 
 
 def eigen_screen(m: FiniteCMV) -> list:
