@@ -225,11 +225,14 @@ def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
     full_circle = abs(hi - lo) >= 2 * np.pi - 1e-12
     if (hi - lo) % (2 * np.pi) == 0.0 and not full_circle:
         raise ConfigError("'arc' endpoints coincide")
+    tol = config_number(block.get("tol", 0.02), "tol")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"'tol' must be finite and positive, got {tol}")
     scan = interval_coverage_scan(
         f, freq, (lo, hi),
         grid=config_number(block.get("grid", 360), "grid", int, 2),
         window=config_number(block.get("window", 100), "window", int, 0),
-        tol=config_number(block.get("tol", 0.02), "tol"),
+        tol=tol,
         phase_samples=config_number(block.get("phase_samples", 8),
                                     "phase_samples", int, 1),
         seed=seed, beta=beta, eta=eta)

@@ -9,6 +9,7 @@ by unimodular boundary values, which decouples the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,13 +173,20 @@ class FiniteCMV:
             E[..., rows, rows + off] = self.bands[..., off + 2, rows]
         return E
 
-    def _factor(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and (symmetric) first off-diagonal of the factor made of
-        the blocks at sites of this parity."""
-        own = np.arange(self.a, self.b + 1) % 2 == parity   # block starts on the row
-        diag = np.where(own, np.conj(self.alpha[1:]), -self.alpha[:-1])
-        off = np.where(own[:-1], self.rho[1:-1], 0.0)
-        return diag, off
+    @cached_property
+    def _factors(self) -> tuple:
+        """Diagonal and (symmetric) first off-diagonal of L, then of M: the
+        factor made of the blocks at even sites, then at odd ones.  Read-only
+        and evaluated once per window (nothing mutates a window after it is
+        built); each window that ``row`` returns has its own."""
+        own = np.arange(self.a, self.b + 1) % 2 == 0    # an L block starts on the row
+        out = []
+        for starts in (own, ~own):
+            diag = np.where(starts, np.conj(self.alpha[1:]), -self.alpha[:-1])
+            off = np.where(starts[:-1], self.rho[1:-1], 0.0)
+            diag.flags.writeable = off.flags.writeable = False
+            out.append((diag, off))
+        return tuple(out)
 
     def reflection_halves(self) -> tuple:
         """An orthonormal eigenbasis of L for real coefficients, as (rows,
@@ -192,7 +200,7 @@ class FiniteCMV:
         its inverse, so neither divides by a small number.  A corner cut to
         1x1 is e_i in the half of its sign.
         """
-        diag, off = self._factor(0)
+        diag, off = self._factors[0]
         diag = diag.real
         start = np.flatnonzero(np.arange(self.a, self.b) % 2 == 0)    # 2x2 blocks
         a, r = diag[start], off[start]
@@ -212,7 +220,7 @@ class FiniteCMV:
         return tuple(halves)
 
     def _factor_dense(self, parity: int) -> np.ndarray:
-        diag, off = self._factor(parity)
+        diag, off = self._factors[parity]
         return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
     def l_dense(self) -> np.ndarray:
@@ -223,13 +231,12 @@ class FiniteCMV:
 
     def lstar_banded(self) -> np.ndarray:
         """Tridiagonal L* in the layout of ``zlstar_minus_m_banded``."""
-        diag, off = self._factor(0)
+        diag, off = self._factors[0]
         return np.array([np.r_[0.0, off], np.conj(diag), np.r_[off, 0.0]])
 
     def zlstar_minus_m_banded(self, z: complex) -> np.ndarray:
         """Tridiagonal z L* - M in solve_banded layout (ab[1+i-j, j])."""
-        l_diag, l_off = self._factor(0)
-        m_diag, m_off = self._factor(1)
+        (l_diag, l_off), (m_diag, m_off) = self._factors
         ab = np.zeros((3, self.size), dtype=complex)
         ab[1] = z * np.conj(l_diag) - m_diag
         off = z * l_off - m_off             # real off-diagonals: L* has L's

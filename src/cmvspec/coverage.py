@@ -9,12 +9,15 @@ The scan computes full spectra only for the seeded phase samples, from one
 symmetric eigensolve of the window's Hermitian part each
 (``spectral.hermitian_eigenphases``); all local refinement work runs
 through shift-invert iteration on the tridiagonal pencil z L* - M, which
-costs O(window) per probe.
+costs O(window) per probe.  The edge test shifts at an eigenvalue already
+known to rounding, so its probe stops after one solve; the pencil's factors
+and the start vector are computed once, not once per probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -60,24 +63,31 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex):
     the iteration vector, projected to the circle.  The window operator is
     normal, so |z - lam| + residual is a certified upper bound on
     dist(z, spectrum); callers must not trust the raw |z - lam| when the
-    residual is large (unconverged iteration deep in a gap).  A solve that
-    is exactly singular (z an eigenvalue to working precision) moves the
-    shift off the circle by a few ulps and goes on.
+    residual is large (unconverged iteration deep in a gap).
+
+    The residual is read from the third step on, or from the first when
+    the step's growth shows the shift within ``_PROBE_RES_TOL`` of the
+    spectrum: a shift at an eigenvalue known to rounding, as in the scan's
+    edge test, costs one solve, and a shift in a gap pays for no early
+    check.  The window memoizes its factors and the start vector is drawn
+    once per size, so repeated probes of one window redo only the solves.
+    A solve that is exactly singular (z an eigenvalue to working precision;
+    on one site, a division by zero) moves the shift off the circle by a
+    few ulps and goes on.
     """
     n = m.size
     ls = m.lstar_banded()
     shift = z
     ab = m.zlstar_minus_m_banded(shift)
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = _start(n)
     lam, res = z, np.inf
     for it in range(_PROBE_ITERS):
         rhs = ls[1] * v
         rhs[:-1] += ls[0, 1:] * v[1:]
         rhs[1:] += ls[2, :-1] * v[:-1]
         try:
-            w = solve_banded((1, 1), ab, rhs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError:
             w = np.zeros(n)
         nrm = np.linalg.norm(w)
@@ -86,11 +96,24 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex):
             ab = m.zlstar_minus_m_banded(shift)
             continue
         v = w / nrm
-        if it >= 2:
+        # (shift - E) v = v_prev / nrm: only a growth past 1/_PROBE_RES_TOL
+        # lets the first two steps have converged
+        if it >= 2 or nrm * _PROBE_RES_TOL > 1.0:
             lam, res = rayleigh_value(v, apply_cmv(m, v))
             if res < _PROBE_RES_TOL:
                 break
     return lam, v, res
+
+
+@lru_cache(maxsize=8)
+def _start(n: int) -> np.ndarray:
+    """The unit start vector of inverse iteration on n sites, read-only:
+    default_rng(1234)'s standard normal real and then imaginary parts."""
+    rng = np.random.default_rng(1234)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
@@ -111,6 +134,8 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     th1, th2 = arc
     span = (th2 - th1) % TWO_PI
     if span == 0:
