@@ -36,7 +36,7 @@ from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
 from .spectral import eigensolve, localization_profile, nearest_eigen
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from . import presets
-from .util import counter_phases, counter_rng, format_float
+from .util import counter_rng, format_float
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -76,11 +76,13 @@ def load_config(path: str, command: str) -> dict:
 
 
 def config_number(value, name: str, cast=float, low=None):
-    """A config value converted by ``cast``, at least ``low`` if given."""
+    """A finite config value converted by ``cast``, at least ``low`` if given."""
     try:
         out = cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'{name}' must be a number, got {value!r}") from exc
+    if not np.isfinite(out):
+        raise ConfigError(f"'{name}' must be finite, got {value!r}")
     if low is not None and out < low:
         raise ConfigError(f"'{name}' must be at least {low}, got {out}")
     return out
@@ -198,10 +200,8 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
-    # one draw of phases, one batched pass over every point per scale
-    phases = counter_phases(f.dim, samples, seed)
-    by_scale = [lyapunov_finite(f, freq, points, n, samples, seed, phases)
-                for n in scales]
+    # one draw of phases, one pass over every point and scale
+    by_scale = lyapunov_finite(f, freq, points, scales, samples, seed)
     rows = []
     for k, z in enumerate(points):
         for n, ests in zip(scales, by_scale):
@@ -226,7 +226,7 @@ def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
     if (hi - lo) % (2 * np.pi) == 0.0 and not full_circle:
         raise ConfigError("'arc' endpoints coincide")
     tol = config_number(block.get("tol", 0.02), "tol")
-    if not (np.isfinite(tol) and tol > 0):
+    if not tol > 0:
         raise ConfigError(f"'tol' must be finite and positive, got {tol}")
     scan = interval_coverage_scan(
         f, freq, (lo, hi),

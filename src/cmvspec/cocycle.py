@@ -3,10 +3,13 @@
 Products of the determinant-1 one-step map are accumulated with the largest
 entry stripped into a running log every step, so norms of products with
 tens of thousands of factors stay representable.  One kernel advances an
-(N, d) array of phases at K spectral points together: the alpha-orbit is
-evaluated once for all K points, and each product equals that of its phase
-and point alone bit for bit.  All Monte-Carlo phase averages use
-counter-based seeding and are reproducible bit for bit.
+(N, d) array of phases at K spectral points together in a single pass:
+the alpha-orbit is evaluated once for all K points, block by block of
+steps, and the state is read off at every requested step count, so
+L_n at several n costs one product of the largest n.  Each product equals
+that of its phase and point alone, and of its step count alone, bit for
+bit.  All Monte-Carlo phase averages use counter-based seeding and are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -100,9 +103,8 @@ class CocycleProduct:
         return self.log_norm2 / self.n
 
 
-# sample-steps per chunk, sample-points per step and entries per block of
-# steps: temporaries near 2 MB
-_CHUNK = 2 ** 15
+# phase-steps per alpha-orbit call and entries per block of product steps:
+# temporaries near 1 MB
 _BLOCK = 8192
 
 
@@ -124,12 +126,24 @@ def transfer_product(f: SamplingFunction, omega, z, x, n: int) -> CocycleProduct
 
     ``x`` is one Phase (strip phases included) or an (N, d) array of real
     phases; ``z`` is one SpectralPoint or a sequence of K of them.  All K N
-    products advance together, each renormalized by its own largest entry,
-    with the alpha-orbit of the phases evaluated once for every point.  Each
-    product equals that of its phase and point alone bit for bit.
+    products advance together in one pass of n steps, each divided every
+    step by the modulus of its largest entry.  The alpha-orbit of the phases
+    is evaluated once for every point, about _BLOCK phase-steps per call, so
+    temporaries stay bounded whatever N and n.  Each product equals that of
+    its phase and point alone bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _transfer_products(f, omega, z, x, [n])[0]
+
+
+def _transfer_products(f, omega, z, x, marks) -> list[CocycleProduct]:
+    """transfer_product at each step count in ``marks``, in order and
+    duplicates kept, all read from one pass of max(marks) steps; each equals
+    transfer_product at its count bit for bit."""
+    marks = [int(n) for n in marks]
+    if not marks or min(marks) < 1:
+        raise ValueError("step counts must be >= 1")
     om = omega_array(omega)
     one_point = isinstance(z, SpectralPoint)
     points = (z,) if one_point else tuple(z)
@@ -143,61 +157,88 @@ def transfer_product(f: SamplingFunction, omega, z, x, n: int) -> CocycleProduct
     # Python complex division per point: a numpy complex quotient may round differently
     sz = np.array([[p.sqrt_z] for p in points])
     iz = np.array([[1.0 / p.sqrt_z] for p in points])
-    width = max(1, _CHUNK // max(n, len(points)))
-    parts = [_products(f, om, sz, iz, pts[lo:lo + width], y, n)
-             for lo in range(0, len(pts), width)]
-    matrix, log_norm, log_det = (np.concatenate(v, axis=1) for v in zip(*parts))
-    if single:
-        matrix, log_norm, log_det = matrix[:, 0], log_norm[:, 0], log_det[:, 0]
-    if one_point:
-        matrix, log_norm, log_det = matrix[0], log_norm[0], log_det[0]
-    return CocycleProduct(n=n, matrix=matrix, log_norm=log_norm, log_det_abs=log_det,
-                          base=x, omega=om, point=z if one_point else points)
+    wanted = sorted(set(marks))
+    states = _products(f, om, sz, iz, pts, y, wanted)
+    products = {}
+    for n, (matrix, log_norm, log_det) in zip(wanted, states):
+        if single:
+            matrix, log_norm, log_det = matrix[:, 0], log_norm[:, 0], log_det[:, 0]
+        if one_point:
+            matrix, log_norm, log_det = matrix[0], log_norm[0], log_det[0]
+        products[n] = CocycleProduct(n=n, matrix=matrix, log_norm=log_norm,
+                                     log_det_abs=log_det, base=x, omega=om,
+                                     point=z if one_point else points)
+    return [products[n] for n in marks]
 
 
-def _products(f, om, sz, iz, pts, y, n):
-    """Matrices (K, c, 2, 2), log norms and log|det| (K, c) of the n-step
-    products at the c phases pts and the K points with roots sz, iz (K, 1).
+def _orbit(f, om, pts, y, start, m):
+    """alpha, its continued conjugate (None on the real torus: conj(alpha))
+    and rho at steps start..start+m-1 of the c phases pts, each (m, 1, c)."""
+    if y is None:
+        a = f.alpha_orbit(pts, om, m, start=start)
+        ab = None
+        r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
+    else:
+        a = f.alpha_orbit(pts, om, m, y=y, start=start)
+        ab = np.conj(f.alpha_orbit(pts, om, m, y=-y, start=start))
+        # by parts: a numpy complex array product rounds by the layout
+        pr, pi = _mul(a.real, a.imag, ab.real, ab.imag)
+        rad = np.empty(a.shape, dtype=complex)
+        rad.real, rad.imag = 1.0 - pr, 0.0 - pi
+        r = np.sqrt(rad)
+    return tuple(None if v is None else v.T[:, None] for v in (a, ab, r))
+
+
+def _products(f, om, sz, iz, pts, y, marks):
+    """(matrix (K, c, 2, 2), log norm (K, c), log|det| (K, c)) of the
+    products at the c phases pts and the K points with roots sz, iz (K, 1),
+    at each step count of the increasing ``marks``, from one pass.
 
     Entries are kept as real and imaginary parts and combined as numpy
     complex scalars would combine them; a numpy complex array product
     (fused multiply-add) rounds differently.  Entries are (row, column)
-    leading with the K c products last and contiguous.  Logs are summed
-    step by step.
+    leading with the K c products last and contiguous.  Each step divides a
+    product by its largest entry modulus, the root of the largest squared
+    modulus, and logs are summed step by step, so a product read at a mark
+    is the product of that many steps.  The alpha-orbit is evaluated for
+    about _BLOCK phase-steps per call, and a block of product steps holds
+    about _BLOCK sample-points.
     """
-    if y is None:
-        alphas = f.alpha_orbit(pts, om, n)
-        alpha_bars = None                   # conj(alphas), read off alphas
-        rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
-    else:
-        alphas = f.alpha_orbit(pts, om, n, y=y)
-        alpha_bars = np.conj(f.alpha_orbit(pts, om, n, y=-y))
-        rhos = np.sqrt(1.0 - alphas * alpha_bars)
     k, c = len(sz), len(pts)
     rows = k * c
     mr, mi = np.zeros((2, 2, rows)), np.zeros((2, 2, rows))
     mr[0, 0] = mr[1, 1] = 1.0
     log_norm, log_det = np.zeros(rows), np.zeros(rows)
     block = max(1, _BLOCK // rows)
-    for j0 in range(0, n, block):
-        steps = slice(j0, j0 + block)
-        a, r = (v[:, steps].T[:, None] for v in (alphas, rhos))   # (step, 1, sample)
-        ab = None if alpha_bars is None else alpha_bars[:, steps].T[:, None]
-        s = _step_entries(a, r, sz, iz, ab)
-        scale = np.empty((s.shape[3], rows))
-        for j in range(len(scale)):
-            sr, si = s[0, :, :, j, None], s[1, :, :, j, None]
-            pr = sr * mr - si * mi          # (row, inner, column, product)
-            pi = sr * mi + si * mr
-            nr, ni = pr[:, 0] + pr[:, 1], pi[:, 0] + pi[:, 1]
-            scale[j] = np.hypot(nr, ni).reshape(4, rows).max(axis=0)
-            inv = 1.0 / scale[j]
-            mr, mi = nr * inv, ni * inv
-        log_norm = np.add.accumulate(np.vstack((log_norm, np.log(scale))))[-1]
-        dets = _abs_det(s[0], s[1])
-        log_det = np.add.accumulate(np.vstack((log_det, np.log(dets))))[-1]
-    matrix = (mr + 1j * mi).reshape(2, 2, k, c).transpose(2, 3, 0, 1)
-    return matrix, log_norm.reshape(k, c), log_det.reshape(k, c)
+    span = max(1, _BLOCK // c)
+    n = marks[-1]
+    marks = iter(marks)
+    mark, out = next(marks), []
+    for o0 in range(0, n, span):
+        orbit = _orbit(f, om, pts, y, o0, min(span, n - o0))
+        for j0 in range(0, len(orbit[0]), block):
+            a, ab, r = (None if v is None else v[j0:j0 + block] for v in orbit)
+            s = _step_entries(a, r, sz, iz, ab)
+            scale = np.empty((len(a), rows))
+            seen = []
+            for j in range(len(scale)):
+                sr, si = s[0, :, :, j, None], s[1, :, :, j, None]
+                pr = sr * mr - si * mi          # (row, inner, column, product)
+                pi = sr * mi + si * mr
+                nr, ni = pr[:, 0] + pr[:, 1], pi[:, 0] + pi[:, 1]
+                scale[j] = np.sqrt((nr * nr + ni * ni).reshape(4, rows).max(axis=0))
+                inv = 1.0 / scale[j]
+                mr, mi = nr * inv, ni * inv
+                if o0 + j0 + j + 1 == mark:
+                    seen.append((j, mr, mi))
+                    mark = next(marks, None)
+            norms = np.add.accumulate(np.vstack((log_norm, np.log(scale))))
+            dets = np.add.accumulate(np.vstack((log_det, np.log(_abs_det(s[0], s[1])))))
+            out += [((er + 1j * ei).reshape(2, 2, k, c).transpose(2, 3, 0, 1),
+                     norms[j + 1].reshape(k, c), dets[j + 1].reshape(k, c))
+                    for j, er, ei in seen]
+            log_norm, log_det = norms[-1], dets[-1]
+    return out
 
 
 def _step_entries(a, r, sz, iz, ab=None):
@@ -227,11 +268,13 @@ def _step_entries(a, r, sz, iz, ab=None):
 
 def transfer_log_norms(f: SamplingFunction, omega, z: SpectralPoint, x,
                        checkpoints) -> dict[int, float]:
-    """log ||M_n|| at each n in checkpoints (per sample for an array x)."""
+    """log ||M_n|| at each n in checkpoints (per sample for an array x), all
+    read from one pass of max(checkpoints) steps."""
     marks = sorted(set(int(c) for c in checkpoints))
     if marks[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    return {n: transfer_product(f, omega, z, x, n).log_norm2 for n in marks}
+    products = _transfer_products(f, omega, z, x, marks)
+    return {n: p.log_norm2 for n, p in zip(marks, products)}
 
 
 @dataclass(frozen=True)
@@ -243,26 +286,30 @@ class LyapunovEstimate:
     method: str
 
 
-def lyapunov_finite(f: SamplingFunction, omega, z, n: int, samples: int,
-                    seed: int, phases: np.ndarray | None = None
-                    ) -> LyapunovEstimate | list[LyapunovEstimate]:
-    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)||.
+def lyapunov_finite(f: SamplingFunction, omega, z, n, samples: int, seed: int
+                    ) -> LyapunovEstimate | list:
+    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)|| over the phases
+    ``counter_phases(f.dim, samples, seed)``.
 
     For a sequence of points, one estimate per point in order, all from one
     product over the same phases; each equals the estimate at its point alone.
-    The phases are ``counter_phases(f.dim, samples, seed)``; a caller that
-    estimates several scales over the same draw passes them as ``phases``.
+    For a sequence of scales n, one such result per scale in order,
+    duplicates kept, all read from one pass of max(n) steps over one draw;
+    each equals the call at its scale alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if phases is None:
-        phases = counter_phases(f.dim, samples, seed)
-    vals = transfer_product(f, omega, z, phases, n).u_n
-    ests = [LyapunovEstimate(
-        n=n, value=float(v.mean()), sample_count=samples,
-        std_error=float(v.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
-        method="direct") for v in np.reshape(vals, (-1, samples))]
-    return ests[0] if isinstance(z, SpectralPoint) else ests
+    phases = counter_phases(f.dim, samples, seed)
+
+    def estimates(pr):
+        ests = [LyapunovEstimate(
+            n=pr.n, value=float(v.mean()), sample_count=samples,
+            std_error=float(v.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0,
+            method="direct") for v in np.reshape(pr.u_n, (-1, samples))]
+        return ests[0] if isinstance(z, SpectralPoint) else ests
+    if np.ndim(n) == 0:
+        return estimates(transfer_product(f, omega, z, phases, n))
+    return [estimates(pr) for pr in _transfer_products(f, omega, z, phases, n)]
 
 
 # --------------------------------------------------------------------------

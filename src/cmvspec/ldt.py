@@ -290,6 +290,7 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
 
 def estimate_l_values(f: SamplingFunction, omega, z: SpectralPoint, lengths,
                       samples: int, seed: int) -> dict:
-    """Convenience: L_n for each requested n, keyed by n."""
-    return {int(n): lyapunov_finite(f, omega, z, int(n), samples, seed).value
-            for n in sorted(set(int(v) for v in lengths))}
+    """Convenience: L_n for each requested n, keyed by n, from one pass."""
+    lengths = sorted(set(int(v) for v in lengths))
+    return {n: est.value for n, est in
+            zip(lengths, lyapunov_finite(f, omega, z, lengths, samples, seed))}

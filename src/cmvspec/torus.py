@@ -292,21 +292,31 @@ class SamplingFunction:
         rad = 1.0 - self.alpha(x) * self.alpha_bar(x)
         return complex(np.sqrt(rad))
 
-    def alpha_orbit(self, x0, omega, n: int, y=None) -> np.ndarray:
-        """alpha(x0 + j*omega + iy) for j = 0..n-1: a vector at a Phase, an
-        (N, n) array at an (N, d) array of base points, each row one (n, K)
-        BLAS product as for its point alone (BLAS rounds by the row count)."""
+    def alpha_orbit(self, x0, omega, n: int, y=None, start: int = 0) -> np.ndarray:
+        """alpha(x0 + j*omega + iy) for j = start..start+n-1: a vector at a
+        Phase, an (N, n) array at an (N, d) array of base points.
+
+        k.x0 + j k.omega and the sum over modes are spelled out in real
+        arithmetic, one mode at a time, so an entry depends on its point, j
+        and y alone: a row equals its point's call, and a call from ``start``
+        equals those columns of a call from 0.  Temporaries are (N, n).
+        """
         om = omega_array(omega)
         single = isinstance(x0, Phase)
-        pts = x0.array()[None, :] if single else np.asarray(x0, float).reshape(-1, self.dim)
-        if len(self._cs) == 0:
-            out = np.zeros((len(pts), n), dtype=complex)
-        else:
-            kx = np.array([self._ks @ p for p in pts]).reshape(len(pts), len(self._ks))
-            ph = 2j * np.pi * (np.outer(np.arange(n), self._ks @ om) + kx[:, None, :])
-            if y is not None:
-                ph -= 2 * np.pi * (self._ks @ np.asarray(y, float))
-            out = np.exp(ph, out=ph) @ self._cs
+        pts = x0.array()[None, :] if single else \
+            np.asarray(x0, float).reshape(-1, self.dim)
+        out = np.zeros((len(pts), n), dtype=complex)
+        steps, cols = np.arange(start, start + n), pts.T[:, :, None]
+
+        def dot(v, k):
+            return sum(v[i] * k[i] for i in range(self.dim))
+        for k, c in zip(self._ks, self._cs):
+            ph = np.empty(out.shape, dtype=complex)
+            ph.imag = 2 * np.pi * (dot(cols, k) + steps * dot(om, k))
+            ph.real = 0.0 if y is None else -2 * np.pi * dot(y, k)
+            e = np.exp(ph, out=ph)
+            out.real += c.real * e.real - c.imag * e.imag
+            out.imag += c.real * e.imag + c.imag * e.real
         return out[0] if single else out
 
     # -- serialization -----------------------------------------------------

@@ -439,7 +439,8 @@ class TestManyPoints:
 
     @pytest.mark.parametrize("count", [1, 3, 16])
     def test_slices_match_single_point_bitwise(self, f_two_mode, freq2, count):
-        from cmvspec.cocycle import _BLOCK, _CHUNK
+        from cmvspec.cocycle import _BLOCK
+        _CHUNK = 2 ** 15                    # sample-steps of the old phase chunks
         rng = np.random.default_rng(200 + count)
         points = [SpectralPoint(t) for t in _thetas(count, rng)]
         strip = Phase((0.3, 0.7), imag=tuple(0.2 * f_two_mode.strip_width * np.ones(2)))
