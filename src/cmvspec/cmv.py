@@ -9,11 +9,22 @@ by unimodular boundary values, which decouples the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
+
+
+@lru_cache(maxsize=8)
+def _start(n: int) -> np.ndarray:
+    """The unit start vector of inverse iteration on n sites, read-only:
+    default_rng(1234)'s standard normal real and then imaginary parts."""
+    rng = np.random.default_rng(1234)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def theta_block(alpha_n: complex) -> np.ndarray:
@@ -229,10 +240,34 @@ class FiniteCMV:
     def m_dense(self) -> np.ndarray:
         return self._factor_dense(1)
 
-    def lstar_banded(self) -> np.ndarray:
-        """Tridiagonal L* in the layout of ``zlstar_minus_m_banded``."""
+    @cached_property
+    def _lstar(self) -> np.ndarray:
         diag, off = self._factors[0]
-        return np.array([np.r_[0.0, off], np.conj(diag), np.r_[off, 0.0]])
+        ls = np.array([np.r_[0.0, off], np.conj(diag), np.r_[off, 0.0]])
+        ls.flags.writeable = False
+        return ls
+
+    def lstar_banded(self) -> np.ndarray:
+        """Tridiagonal L* in the layout of ``zlstar_minus_m_banded``;
+        read-only and evaluated once per window, like ``_factors``."""
+        return self._lstar
+
+    def lstar_times(self, v: np.ndarray) -> np.ndarray:
+        """L* v of a vector, from the band of ``lstar_banded``."""
+        ls = self._lstar
+        out = ls[1] * v
+        out[:-1] += ls[0, 1:] * v[1:]
+        out[1:] += ls[2, :-1] * v[:-1]
+        return out
+
+    @cached_property
+    def _probe_rhs(self) -> np.ndarray:
+        """L* applied to ``_start(size)``: the right-hand side of the first
+        solve of inverse iteration on the window (``coverage``), read-only
+        and evaluated once per window."""
+        rhs = self.lstar_times(_start(self.size))
+        rhs.flags.writeable = False
+        return rhs
 
     def zlstar_minus_m_banded(self, z: complex) -> np.ndarray:
         """Tridiagonal z L* - M in solve_banded layout (ab[1+i-j, j])."""
@@ -261,7 +296,8 @@ class FiniteCMV:
 
 def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
                      beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                     _allow_natural: bool = False) -> FiniteCMV:
+                     _allow_natural: bool = False,
+                     values: np.ndarray | None = None) -> FiniteCMV:
     """Assemble E^{beta,eta}_{[a,b]} with its L and M factors.
 
     beta/eta must be unimodular; passing None keeps the sampled coefficient
@@ -269,6 +305,8 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
     by determinant identities) and requires ``_allow_natural``.  A sequence
     over an (N, d) array of phases gives the N windows at once, with a
     leading N axis on every array, each row equal to its window alone.
+    ``values``, when given, is ``seq.values(a - 1, b)`` already evaluated;
+    the window is then assembled from it without sampling alpha again.
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -281,7 +319,7 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
 
     # alpha and rho on sites a-2..b+1, zero at the two outer sites: those
     # reach only entries outside the window, cut below
-    vals = seq.values(a - 1, b)
+    vals = seq.values(a - 1, b) if values is None else values
     al = np.zeros(vals.shape[:-1] + (b - a + 4,), dtype=complex)
     rh = np.zeros(al.shape)
     al[..., 1:-1] = vals

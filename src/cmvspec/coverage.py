@@ -10,19 +10,21 @@ symmetric eigensolve of the window's Hermitian part each
 (``spectral.hermitian_eigenphases``); all local refinement work runs
 through shift-invert iteration on the tridiagonal pencil z L* - M, which
 costs O(window) per probe.  The edge test shifts at an eigenvalue already
-known to rounding, so its probe stops after one solve; the pencil's factors
-and the start vector are computed once, not once per probe.
+known to rounding, so its probe stops after one solve.  Each window's work
+is done once: a refinement probe evaluates its coefficients once and, when
+they are a seed window's, is that window, not a new assembly of it; the
+pencil's factors, L*'s band and the first right-hand side L* v0 of the
+start vector v0 are kept on the window, not formed per probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .cmv import FiniteCMV, VerblunskySequence, apply_cmv, build_finite_cmv
+from .cmv import FiniteCMV, VerblunskySequence, _start, apply_cmv, build_finite_cmv
 from .spectral import edge_value, hermitian_eigenphases, rayleigh_value
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
 from .util import TWO_PI, counter_rng, phase_of, wrap_angle
@@ -69,25 +71,24 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex):
     the step's growth shows the shift within ``_PROBE_RES_TOL`` of the
     spectrum: a shift at an eigenvalue known to rounding, as in the scan's
     edge test, costs one solve, and a shift in a gap pays for no early
-    check.  The window memoizes its factors and the start vector is drawn
-    once per size, so repeated probes of one window redo only the solves.
+    check.  The window keeps its factors, L*'s band and L* applied to the
+    start vector (drawn once per size), so repeated probes of one window
+    redo only the pencil and the solves, which skip scipy's finiteness
+    check of inputs built here.
     A solve that is exactly singular (z an eigenvalue to working precision;
     on one site, a division by zero) moves the shift off the circle by a
     few ulps and goes on.
     """
     n = m.size
-    ls = m.lstar_banded()
     shift = z
     ab = m.zlstar_minus_m_banded(shift)
     v = _start(n)
     lam, res = z, np.inf
     for it in range(_PROBE_ITERS):
-        rhs = ls[1] * v
-        rhs[:-1] += ls[0, 1:] * v[1:]
-        rhs[1:] += ls[2, :-1] * v[:-1]
+        rhs = m.lstar_times(v) if it else m._probe_rhs
         try:
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = solve_banded((1, 1), ab, rhs)
+                w = solve_banded((1, 1), ab, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             w = np.zeros(n)
         nrm = np.linalg.norm(w)
@@ -105,17 +106,6 @@ def nearest_eigen_banded(m: FiniteCMV, z: complex):
     return lam, v, res
 
 
-@lru_cache(maxsize=8)
-def _start(n: int) -> np.ndarray:
-    """The unit start vector of inverse iteration on n sites, read-only:
-    default_rng(1234)'s standard normal real and then imaginary parts."""
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    return v
-
-
 def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
                            grid: int, window: int, tol: float,
                            phase_samples: int = 8, seed: int = 0,
@@ -130,12 +120,19 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     Covered additionally requires the matched eigenvector's outer edge
     entries to stay below sqrt(tol); that vector comes from inverse
     iteration shifted at the matched eigenvalue (the seeded sample's, from
-    ``hermitian_eigenphases``, or the best refinement probe's).
+    ``hermitian_eigenphases``, or the best refinement probe's), and only a
+    converged one (residual below ``_PROBE_RES_TOL``) decides: otherwise
+    the point is not covered and its edge value is nan, undecided.
+    Refinement probes build their windows through the scan's seed windows:
+    coefficients equal to a seed window's (boundary values included) give
+    that window, which the scan reads nothing of but what they determine.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if phase_samples < 1:
+        raise ValueError(f"phase_samples must be at least 1, got {phase_samples}")
     th1, th2 = arc
     span = (th2 - th1) % TWO_PI
     if span == 0:
@@ -154,9 +151,18 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         spectra.append(hermitian_eigenphases(m))
         matrices.append(m)
 
+    seeds = {m.alpha.tobytes(): m for m in matrices}
+
     def build_at(coords: np.ndarray) -> FiniteCMV:
+        # a probe whose coefficients are a seed window's is that window
         seq = VerblunskySequence(f, om, reduce_phase(coords))
-        return build_finite_cmv(seq, a, b, beta=beta, eta=eta)
+        vals = seq.values(a - 1, b)
+        alpha = vals.astype(complex)
+        alpha[0], alpha[-1] = beta, eta
+        seed_window = seeds.get(alpha.tobytes())
+        if seed_window is not None:
+            return seed_window
+        return build_finite_cmv(seq, a, b, beta=beta, eta=eta, values=vals)
 
     points = []
     sqrt_tol = float(np.sqrt(tol))
@@ -178,7 +184,9 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         covered = dist_best <= tol
         edge = np.inf
         if covered:
-            edge = edge_value(nearest_eigen_banded(matched, lam)[1])
+            # an unconverged probe's vector decides nothing: edge nan
+            _, vec, res = nearest_eigen_banded(matched, lam)
+            edge = edge_value(vec) if res < _PROBE_RES_TOL else np.nan
             covered = edge <= sqrt_tol
         points.append(CoveragePoint(theta=float(theta), covered=bool(covered),
                                     best_dist=float(dist_best),

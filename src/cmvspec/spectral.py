@@ -35,6 +35,7 @@ DEFAULT_MAX_DIM = 4096
 _GAP_TOL = 1e-9     # eigenvalues of H this close tie or share a cluster
 _RES_TOL = 1e-9     # residual above which the Hermitian paths go dense
 _CHUNK = 8          # windows per stacked eigh and per band assembly of a batch
+_CLUSTER_CHUNK = 16     # columns per certificate block of hermitian_eigenphases
 _SCREEN_RES_TOL = 1e-10     # column residual above which a screened window goes to eigensolve
 _SCREEN_MARGIN = 1e-9       # screened distances or edges this close to a decision are confirmed
 _ABSTOL = 2 * lapack.dlamch("s")    # zhbevx tolerance, as eigvals_banded sets it
@@ -131,7 +132,12 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
     V_c are the eigenvalues of B = V_c* E V_c.  Since E is normal and V_c
     orthonormal, each is within ||E V_c - V_c B||_F of spec E, whatever
     rounding separates H from the two halves; when that exceeds 1e-9 for
-    any cluster, the dense ``eigenphases`` is returned.
+    any cluster, the dense ``eigenphases`` is returned.  Clusters of one
+    size are certified together, up to _CLUSTER_CHUNK columns at a time:
+    one E V for the block, then B, the residuals and the eigenvalues of B
+    by stacked products and one stacked ``eigvals``, each cluster's arrays
+    laid out as it would be alone, so every value is bit for bit the one
+    cluster's own.
     """
     if m.beta is None or m.eta is None:
         raise ValueError("hermitian_eigenphases needs a unitary window")
@@ -146,26 +152,37 @@ def hermitian_eigenphases(m: FiniteCMV) -> np.ndarray:
         # H.T is Fortran-ordered, so eigh overwrites it in place; it is conj(H)
         h, V = eigh(H.T, overwrite_a=True, driver="evr", check_finite=False)
         np.conjugate(V, out=V)
-        columns = lambda s, e: V[:, s:e]
+        # V.T is C-ordered: each cluster's block has the strides of V[:, s:e]
+        columns = lambda idx: V.T[idx].transpose(0, 2, 1)
     else:
         h, columns = _reflection_split(m, H.real)
     del H
     bounds = np.r_[0, np.flatnonzero(np.diff(h) > _GAP_TOL) + 1, n]
+    sizes = np.diff(bounds)
     w = np.empty(n, dtype=complex)
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        Vc = columns(s, e)
-        EV = apply_cmv(m, Vc)
-        B = Vc.conj().T @ EV
-        if not np.linalg.norm(EV - Vc @ B) <= _RES_TOL:
-            return eigenphases(m, n)
-        w[s:e] = B[0, 0] if e - s == 1 else np.linalg.eigvals(B)
+    # not np.unique: its first call in a process adds 0.25 MB of resident memory
+    for k in sorted(set(sizes.tolist())):
+        starts = bounds[:-1][sizes == k]
+        per = max(1, _CLUSTER_CHUNK // k)
+        for i in range(0, len(starts), per):
+            idx = starts[i:i + per, None] + np.arange(k)     # (clusters, k)
+            Vc = columns(idx)                                # (clusters, n, k)
+            EV = apply_cmv(m, Vc.transpose(1, 0, 2).reshape(n, -1))
+            # contiguous per cluster: a strided column would reach another
+            # BLAS kernel for B and could round differently
+            EV = np.ascontiguousarray(EV.reshape(n, -1, k).transpose(1, 0, 2))
+            B = Vc.conj().transpose(0, 2, 1) @ EV
+            if not (np.linalg.norm(EV - Vc @ B, axis=(1, 2)) <= _RES_TOL).all():
+                return eigenphases(m, n)
+            w[idx] = B[:, :, 0] if k == 1 else np.linalg.eigvals(B)
     return _on_circle_by_phase(w)
 
 
 def _reflection_split(m: FiniteCMV, H: np.ndarray):
     """Ascending eigenvalues of the real H of a real window, from its two
-    tridiagonal halves Q_s^T H Q_s, and a function (s, e) -> the columns
-    Q_s w of eigenvalues s..e-1, each built when it is asked for."""
+    tridiagonal halves Q_s^T H Q_s, and a function that takes a (c, k)
+    array of eigenvalue indices to the (c, n, k) stack of the columns Q_s w
+    of each row, each half's columns scattered in one indexing step."""
     halves, values = [], []
     for rows, weights in m.reflection_halves():
         k = rows.shape[1]
@@ -176,17 +193,21 @@ def _reflection_split(m: FiniteCMV, H: np.ndarray):
         e = np.einsum("aj,bj,abj->j", weights[:, :-1], weights[:, 1:],
                       H[rows[:, None, :-1], rows[None, :, 1:]])
         vals, W = eigh_tridiagonal(d, e, check_finite=False)
-        halves += [(rows, weights, W[:, j]) for j in range(k)]
+        halves.append((rows, weights, W))
         values.append(vals)
     h = np.concatenate(values)
     order = np.argsort(h, kind="stable")
+    n = len(h)
 
-    def columns(s: int, e: int) -> np.ndarray:
-        V = np.zeros((len(h), e - s))
-        for t, j in enumerate(order[s:e]):
-            rows, weights, w = halves[j]
-            V[rows[0], t] = weights[0] * w
-            V[rows[1], t] += weights[1] * w
+    def columns(idx: np.ndarray) -> np.ndarray:
+        V = np.zeros((len(idx), n, idx.shape[1]))
+        j = order[idx]                  # index into the concatenated halves
+        for rows, weights, W in halves:
+            c, t = np.nonzero((j >= 0) & (j < W.shape[1]))
+            x = W[:, j[c, t]]
+            V[c, rows[0][:, None], t] = weights[0][:, None] * x
+            V[c, rows[1][:, None], t] += weights[1][:, None] * x
+            j = j - W.shape[1]
         return V
 
     return h[order], columns
