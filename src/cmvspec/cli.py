@@ -7,7 +7,7 @@ threading is pinned to one thread before numpy loads, all randomness is
 counter-seeded, and floats are serialized in shortest round-trip form.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 hypothesis
-failure (multiscale/AP preconditions).
+failure (multiscale preconditions).
 """
 
 import os
@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cmv import VerblunskySequence, build_finite_cmv
-from .cocycle import (AvalancheHypothesisError, SpectralPoint,
-                      lyapunov_finite)
+from .cocycle import SpectralPoint, lyapunov_finite
 from .coverage import interval_coverage_scan
 from .determinants import relation_residual
 from .green import green_value, poisson_residual
@@ -546,7 +545,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HypothesisFailure, AvalancheHypothesisError) as exc:
+    except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -8,8 +8,10 @@ the alpha-orbit is evaluated once for all K points, block by block of
 steps, and the state is read off at every requested step count, so
 L_n at several n costs one product of the largest n.  Each product equals
 that of its phase and point alone, and of its step count alone, bit for
-bit.  All Monte-Carlo phase averages use counter-based seeding and are
-reproducible bit for bit.
+bit.  A strip phase x + iy is a strip Phase or an array with one y, where
+conj(alpha) continues as conj(alpha(x - iy)); ``cocycle_step`` is the
+kernel's step at one phase.  All Monte-Carlo phase averages use
+counter-based seeding and are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -50,17 +52,11 @@ class SpectralPoint:
 
 
 def cocycle_step(f: SamplingFunction, z: SpectralPoint, x: Phase) -> np.ndarray:
-    """One-step map (1/rho) [[sqrt z, -conj(a)/sqrt z], [-a sqrt z, 1/sqrt z]]."""
-    sz = z.sqrt_z
-    if x.imag is None or not any(x.imag):
-        a = f.alpha(x)
-        ab = np.conj(a)
-        r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
-    else:
-        a = f.alpha(x)
-        ab = f.alpha_bar(x)
-        r = f.rho_strip(x)
-    return np.array([[sz, -ab / sz], [-a * sz, 1.0 / sz]], dtype=complex) / r
+    """One-step map (1/rho) [[sqrt z, -conj(a)/sqrt z], [-a sqrt z, 1/sqrt z]]
+    at a real or strip phase: the kernel's step at x."""
+    orbit = _orbit(f, np.zeros(f.dim), x.array()[None, :], f.displacement(x), 0, 1)
+    s = _step_entries(*orbit, *_roots([z]))
+    return s[0, :, :, 0, 0] + 1j * s[1, :, :, 0, 0]
 
 
 @dataclass
@@ -121,23 +117,24 @@ def _abs_det(re, im):
     return np.hypot(pr - qr, pi - qi)
 
 
-def transfer_product(f: SamplingFunction, omega, z, x, n: int) -> CocycleProduct:
+def transfer_product(f: SamplingFunction, omega, z, x, n: int, y=None) -> CocycleProduct:
     """Ordered product M(x+(n-1)w) ... M(x), renormalized every step.
 
-    ``x`` is one Phase (strip phases included) or an (N, d) array of real
-    phases; ``z`` is one SpectralPoint or a sequence of K of them.  All K N
-    products advance together in one pass of n steps, each divided every
-    step by the modulus of its largest entry.  The alpha-orbit of the phases
-    is evaluated once for every point, about _BLOCK phase-steps per call, so
-    temporaries stay bounded whatever N and n.  Each product equals that of
-    its phase and point alone bit for bit.
+    ``x`` is one Phase (strip phases included) or an (N, d) array of phases,
+    displaced into the strip by ``y`` (d values) if given; ``z`` is one
+    SpectralPoint or a sequence of K of them.  All K N products advance
+    together in one pass of n steps, each divided every step by the modulus
+    of its largest entry.  The alpha-orbit of the phases is evaluated once
+    for every point, about _BLOCK phase-steps per call, so temporaries stay
+    bounded whatever N and n.  Each product equals that of its phase and
+    point alone bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _transfer_products(f, omega, z, x, [n])[0]
+    return _transfer_products(f, omega, z, x, [n], y)[0]
 
 
-def _transfer_products(f, omega, z, x, marks) -> list[CocycleProduct]:
+def _transfer_products(f, omega, z, x, marks, y=None) -> list[CocycleProduct]:
     """transfer_product at each step count in ``marks``, in order and
     duplicates kept, all read from one pass of max(marks) steps; each equals
     transfer_product at its count bit for bit."""
@@ -153,12 +150,8 @@ def _transfer_products(f, omega, z, x, marks) -> list[CocycleProduct]:
     pts = x.array()[None, :] if single else np.asarray(x, dtype=float).reshape(-1, f.dim)
     if len(pts) == 0:
         raise ValueError("transfer_product needs at least one phase")
-    y = x.imag_array() if single and x.imag is not None and any(x.imag) else None
-    # Python complex division per point: a numpy complex quotient may round differently
-    sz = np.array([[p.sqrt_z] for p in points])
-    iz = np.array([[1.0 / p.sqrt_z] for p in points])
     wanted = sorted(set(marks))
-    states = _products(f, om, sz, iz, pts, y, wanted)
+    states = _products(f, om, *_roots(points), pts, f.displacement(x, y), wanted)
     products = {}
     for n, (matrix, log_norm, log_det) in zip(wanted, states):
         if single:
@@ -171,15 +164,20 @@ def _transfer_products(f, omega, z, x, marks) -> list[CocycleProduct]:
     return [products[n] for n in marks]
 
 
+def _roots(points):
+    """sqrt z and 1/sqrt z, each (K, 1), 1/sqrt z a Python complex division
+    (a numpy complex quotient may round differently)."""
+    return (np.array([[p.sqrt_z] for p in points]),
+            np.array([[1.0 / p.sqrt_z] for p in points]))
+
+
 def _orbit(f, om, pts, y, start, m):
     """alpha, its continued conjugate (None on the real torus: conj(alpha))
     and rho at steps start..start+m-1 of the c phases pts, each (m, 1, c)."""
+    a, ab = f.alpha_orbit(pts, om, m, y=y, start=start), None
     if y is None:
-        a = f.alpha_orbit(pts, om, m, start=start)
-        ab = None
         r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
     else:
-        a = f.alpha_orbit(pts, om, m, y=y, start=start)
         ab = np.conj(f.alpha_orbit(pts, om, m, y=-y, start=start))
         # by parts: a numpy complex array product rounds by the layout
         pr, pi = _mul(a.real, a.imag, ab.real, ab.imag)
@@ -218,7 +216,7 @@ def _products(f, om, sz, iz, pts, y, marks):
         orbit = _orbit(f, om, pts, y, o0, min(span, n - o0))
         for j0 in range(0, len(orbit[0]), block):
             a, ab, r = (None if v is None else v[j0:j0 + block] for v in orbit)
-            s = _step_entries(a, r, sz, iz, ab)
+            s = _step_entries(a, ab, r, sz, iz)
             scale = np.empty((len(a), rows))
             seen = []
             for j in range(len(scale)):
@@ -241,9 +239,9 @@ def _products(f, om, sz, iz, pts, y, marks):
     return out
 
 
-def _step_entries(a, r, sz, iz, ab=None):
+def _step_entries(a, ab, r, sz, iz):
     """Parts of the one-step maps (1/r) [[sz, -ab iz], [-a sz, iz]], ab = conj(a)
-    unless given, for a, r (step, 1, sample) and sz, iz (point, 1):
+    if None, for a, ab, r (step, 1, sample) and sz, iz (point, 1):
     s[part, row, column, step, point * sample], part 0 real and 1 imaginary."""
     if ab is None:
         # a numpy complex scalar divided by a real rounds as a product with
@@ -286,10 +284,10 @@ class LyapunovEstimate:
     method: str
 
 
-def lyapunov_finite(f: SamplingFunction, omega, z, n, samples: int, seed: int
-                    ) -> LyapunovEstimate | list:
-    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x)|| over the phases
-    ``counter_phases(f.dim, samples, seed)``.
+def lyapunov_finite(f: SamplingFunction, omega, z, n, samples: int, seed: int,
+                    y=None) -> LyapunovEstimate | list:
+    """Monte-Carlo estimate of L_n = E_x (1/n) log ||M_n(x + iy)|| over the
+    phases x of ``counter_phases(f.dim, samples, seed)``, y = 0 unless given.
 
     For a sequence of points, one estimate per point in order, all from one
     product over the same phases; each equals the estimate at its point alone.
@@ -308,8 +306,8 @@ def lyapunov_finite(f: SamplingFunction, omega, z, n, samples: int, seed: int
             method="direct") for v in np.reshape(pr.u_n, (-1, samples))]
         return ests[0] if isinstance(z, SpectralPoint) else ests
     if np.ndim(n) == 0:
-        return estimates(transfer_product(f, omega, z, phases, n))
-    return [estimates(pr) for pr in _transfer_products(f, omega, z, phases, n)]
+        return estimates(transfer_product(f, omega, z, phases, n, y))
+    return [estimates(pr) for pr in _transfer_products(f, omega, z, phases, n, y)]
 
 
 # --------------------------------------------------------------------------
@@ -496,7 +494,8 @@ class StripContinuityReport:
 def strip_continuity_check(f: SamplingFunction, omega, z: SpectralPoint, n: int,
                            y_list, samples: int = 64,
                            seed: int = 0) -> StripContinuityReport:
-    """Empirical Lipschitz ratio |L_n(y) - L_n(0)| / sum |y_i| on the strip."""
+    """Empirical Lipschitz ratio |L_n(y) - L_n(0)| / sum |y_i| on the strip,
+    each L_n(y) from one kernel pass over the same draw as L_n(0)."""
     base = lyapunov_finite(f, omega, z, n, samples, seed).value
     ratios = {}
     for y in y_list:
@@ -504,9 +503,7 @@ def strip_continuity_check(f: SamplingFunction, omega, z: SpectralPoint, n: int,
         if max(abs(v) for v in y) >= f.strip_width / 2:
             raise ValueError(f"y={y} leaves the half-strip |y| < h/2")
         tot = sum(abs(v) for v in y)
-        vals = [transfer_product(f, omega, z, Phase(tuple(x), imag=y), n).u_n
-                for x in counter_phases(f.dim, samples, seed)]
-        diff = abs(float(np.mean(vals)) - base)
+        diff = abs(lyapunov_finite(f, omega, z, n, samples, seed, y).value - base)
         ratios[y] = diff / tot if tot > 0 else 0.0
     mx = max(ratios.values()) if ratios else 0.0
     return StripContinuityReport(ratios=ratios, max_ratio=float(mx), base_value=base)

@@ -185,9 +185,12 @@ class SamplingFunction:
     The certificate evaluates |alpha| on a grid of ``grid`` points per
     dimension and adds a Lipschitz slack covering the grid cells, so
     ``sup_bound`` genuinely dominates sup |alpha| on the real torus.  The
-    strip half-width ``h`` is shrunk, if necessary, until the crude bound
-    sum |c_k| exp(pi h |k|_1) stays below 1, which keeps evaluation on
-    T^d_{h/2} inside the disk.
+    strip width h (``strip_width``) is halved, if necessary, until the crude
+    bound sum |c_k| exp(pi h |k|_1) is at most (1 + sup_bound)/2 (else h
+    falls to about 1e-9).  As |alpha(x + iy)| <= sum |c_k| exp(2 pi |k|_1
+    max|y_i|), that certifies |alpha| < 1 only for max|y_i| <= h/2;
+    evaluation is allowed on the wider strip max|y_i| < h, where alpha may
+    leave the disk.
     """
 
     def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None,
@@ -239,17 +242,32 @@ class SamplingFunction:
         return h
 
     # -- evaluation --------------------------------------------------------
+    def displacement(self, x, y=None):
+        """The imaginary part y of the phases x + iy as an array, None on the
+        real torus: a Phase's own ``imag``, else ``y``.  A strip Phase with a
+        ``y`` as well, or max|y_i| >= strip_width, is a ValueError."""
+        if isinstance(x, Phase) and x.imag is not None:
+            if y is not None:
+                raise ValueError("a strip Phase carries its own imaginary part")
+            y = x.imag
+        if y is None or not np.any(y):
+            return None
+        if float(np.max(np.abs(y))) >= self.strip_width:
+            raise ValueError("phase leaves the analyticity strip")
+        return np.asarray(y, dtype=float)
+
     def alpha(self, x, imag=None):
         """alpha(x + iy) = sum c_k exp(2 pi i k.(x+iy)) at a Phase (a complex)
-        or at an (N, d) array of real points displaced by ``imag`` (N values).
+        or at an (N, d) array of real points displaced by ``imag`` (d values).
 
         A Phase runs as a one-row array: it agrees bit for bit with its row.
         """
+        y = self.displacement(x, imag)
         if isinstance(x, Phase):
-            return complex(self._series(x.array()[None, :], x.imag)[0])
-        return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), imag)
+            return complex(self._series(x.array()[None, :], y)[0])
+        return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), y)
 
-    def _series(self, pts: np.ndarray, imag) -> np.ndarray:
+    def _series(self, pts: np.ndarray, y) -> np.ndarray:
         if len(self._cs) == 0:
             return np.zeros(len(pts), dtype=complex)
         # a BLAS product, numpy's complex product (fused multiply-add) and an
@@ -257,10 +275,7 @@ class SamplingFunction:
         # and the sum over modes are spelled out in real arithmetic
         kx = sum(pts[:, i, None] * self._ks[:, i] for i in range(self.dim))
         ph = 2j * np.pi * kx
-        if imag is not None:
-            y = np.asarray(imag, dtype=float)
-            if float(np.max(np.abs(y))) >= self.strip_width:
-                raise ValueError("phase leaves the analyticity strip")
+        if y is not None:
             ph = ph - 2 * np.pi * sum(y[i] * self._ks[:, i] for i in range(self.dim))
         e = np.exp(ph)
         cr, ci = self._cs.real, self._cs.imag
@@ -269,38 +284,24 @@ class SamplingFunction:
         out.imag = sum((cr * e.imag + ci * e.real).T)
         return out
 
-    def alpha_bar(self, x: Phase) -> complex:
-        """Analytic continuation of conj(alpha): conj(alpha(x - iy))."""
-        if x.imag is None:
-            return np.conj(self.alpha(x))
-        flipped = Phase(x.coords, tuple(-v for v in x.imag))
-        return np.conj(self.alpha(flipped))
-
     def rho(self, x: Phase) -> float:
         """rho(x) = sqrt(1 - |alpha(x)|^2) on the real torus."""
         if x.imag is not None and any(v != 0 for v in x.imag):
-            raise ValueError("rho is defined for real phases; use rho_strip")
+            raise ValueError("rho is defined for real phases")
         a = self.alpha(x)
         return float(np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag)))
 
-    def rho_strip(self, x: Phase) -> complex:
-        """Analytic square root of 1 - alpha(x+iy)*alpha_bar(x+iy).
-
-        Coincides with rho on the real torus; principal branch (the radicand
-        has positive real part whenever |alpha| stays below 1 on the strip).
-        """
-        rad = 1.0 - self.alpha(x) * self.alpha_bar(x)
-        return complex(np.sqrt(rad))
-
     def alpha_orbit(self, x0, omega, n: int, y=None, start: int = 0) -> np.ndarray:
         """alpha(x0 + j*omega + iy) for j = start..start+n-1: a vector at a
-        Phase, an (N, n) array at an (N, d) array of base points.
+        Phase, an (N, n) array at an (N, d) array of base points; y is a strip
+        Phase's own ``imag`` unless given (see ``displacement``).
 
         k.x0 + j k.omega and the sum over modes are spelled out in real
         arithmetic, one mode at a time, so an entry depends on its point, j
         and y alone: a row equals its point's call, and a call from ``start``
         equals those columns of a call from 0.  Temporaries are (N, n).
         """
+        y = self.displacement(x0, y)
         om = omega_array(omega)
         single = isinstance(x0, Phase)
         pts = x0.array()[None, :] if single else \
