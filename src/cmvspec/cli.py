@@ -295,13 +295,16 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
     """(center, gamma, depth-0 state) for the block's theta: the center
     ``suggest_center`` picks near theta, the block's gamma or else
     L_n - 3 sigma at the center over gamma_samples draws, and
-    ``find_base_state`` around the center.  A failed search is a hypothesis
+    ``find_base_state`` around the center.  A configured gamma must be
+    positive (a config error otherwise); a failed search is a hypothesis
     failure."""
     near_theta = config_number(block.get("theta", 2.5), "theta")
     scan_grid = config_number(block.get("scan_grid", 16), "scan_grid", int, 1)
     gamma = block.get("gamma")
     if gamma is not None:
         gamma = config_number(gamma, "gamma")
+        if not gamma > 0:       # exp(-gamma |s|) >= 1 would pass every decay check
+            raise ConfigError(f"'gamma' must be positive, got {gamma}")
     n0 = schedule.n0
     try:
         z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,

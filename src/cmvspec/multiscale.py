@@ -226,9 +226,19 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     tracked phase crosses arg z, the crossing is refined by ``_bracket_root``
     with the same tracking.  Returns (x, dist) for the first accepted root,
     or (None, best_dist); an ``accept`` callback can reject a converged root
-    (e.g. an edge-localized state), sending the march onward.  The step
-    phases of a direction do not depend on the tracked values, so their
-    windows are built in batches of _CHUNK as the march reaches them.
+    (e.g. an edge-localized state), sending the march onward.
+
+    The march takes one +1 step first.  When that step finds no root and
+    the phase defect keeps its sign and grows, +1 moves away from arg z:
+    the -1 direction is marched in full first, and +1 resumes from its
+    second step.  Otherwise +1 is marched in full, then -1.  Only one
+    result differs from marching +1 in full first: when that first step
+    moves away and both directions hold an accepted root, the -1 root, on
+    the side where the defect shrinks, is returned.  A march that finds no
+    root queries both directions in full either way.  The step phases of a
+    direction do not depend on the tracked values, so its windows are built
+    in batches of _CHUNK as the march reaches them; x_init's window is
+    built with the first +1 batch.
     """
     theta = phase_of(z)
 
@@ -247,34 +257,53 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     def accepted(t: float) -> bool:
         return accept is None or accept(point_at(t))
 
-    t0 = x_init[-1]
-    lam0 = nearest(t0, z)[0]
-    best_d, best_t = float(abs(lam0 - z)), t0
-    if best_d < _ROOT_TOL and accepted(t0):
-        return point_at(t0), best_d
-
-    step = span / max(coarse - 1, 1)
-    for dirn in (1.0, -1.0):
-        ts = list(accumulate([t0] + [dirn * step] * coarse))[1:]
-        t, lam = t0, lam0
-        g = _phase_gap(lam, theta)
+    def march(ts, rows=None, off=0):
+        """One direction, one step per ``next``: yields the step's accepted
+        root (x, dist) or None, and its phase defect.  ``rows`` holds the
+        first batch from row ``off`` on, or is built at the first step."""
+        nonlocal best_d, best_t
+        t, lam, g = t0, lam0, g0
         for k, t_next in enumerate(ts):
-            if k % _CHUNK == 0:
-                rows = _windows(f, om, window, coords_at(ts[k:k + _CHUNK]), beta, eta)
-            lam_next = nearest_eigenvalue(rows.row(k % _CHUNK), lam)[0]
+            if k % _CHUNK == 0 and (k or rows is None):
+                rows, off = _windows(f, om, window, coords_at(ts[k:k + _CHUNK]),
+                                     beta, eta), 0
+            lam_next = nearest_eigenvalue(rows.row(off + k % _CHUNK), lam)[0]
             g_next = _phase_gap(lam_next, theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
                 best_d, best_t = d_next, t_next
+            root = None
             if d_next < _ROOT_TOL and accepted(t_next):
-                return point_at(t_next), d_next
+                root = point_at(t_next), d_next
             # genuine crossing: signed difference flips without wrapping
-            if np.sign(g_next) != np.sign(g) and abs(g_next - g) < np.pi:
+            elif np.sign(g_next) != np.sign(g) and abs(g_next - g) < np.pi:
                 d_root, t_root, _ = _bracket_root(nearest, theta, (t, lam),
                                                   (t_next, lam_next))
                 if d_root < _NEAR_ROOT and accepted(t_root):
-                    return point_at(t_root), d_root
+                    root = point_at(t_root), d_root
+            yield root, g_next
             t, lam, g = t_next, lam_next, g_next
+
+    t0 = x_init[-1]
+    step = span / max(coarse - 1, 1)
+    ahead, behind = (list(accumulate([t0] + [dirn * step] * coarse))[1:]
+                     for dirn in (1.0, -1.0))
+    first = _windows(f, om, window, coords_at([t0] + ahead[:_CHUNK]), beta, eta)
+    lam0 = nearest_eigenvalue(first.row(0), z)[0]
+    best_d, best_t = float(abs(lam0 - z)), t0
+    if best_d < _ROOT_TOL and accepted(t0):
+        return point_at(t0), best_d
+
+    g0 = _phase_gap(lam0, theta)
+    plus = march(ahead, first, 1)
+    root, g1 = next(plus)
+    if root is not None:
+        return root
+    away = np.sign(g1) == np.sign(g0) and abs(g1) > abs(g0)
+    for side in ((march(behind), plus) if away else (plus, march(behind))):
+        for root, _ in side:
+            if root is not None:
+                return root
     if best_d < _NEAR_ROOT and accepted(best_t):
         return point_at(best_t), best_d
     return None, best_d

@@ -382,6 +382,17 @@ def test_every_boundary_value_exits_2(tmp_path, capsys, boundary):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [-1.0, 0.0], ids=["negative", "zero"])
+@pytest.mark.parametrize("command", ["localize", "multiscale"])
+def test_a_gamma_that_is_not_positive_exits_2(tmp_path, capsys, command, gamma):
+    # exp(-gamma |s| / 20) >= 1 >= |u(s)| would pass every decay check
+    cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION,
+                                         command: {"n0": 10, "gamma": gamma}})
+    assert run_cli([command, "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 2
+    assert "'gamma' must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("depth", [-1, 2])
 def test_multiscale_depth_outside_0_1_exits_2(tmp_path, capsys, depth):
     cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION,
