@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .torus import Phase, SamplingFunction, omega_array, reduce_phase
+from .torus import Phase, SamplingFunction, _rho_of, omega_array, reduce_phase
 
 
 @lru_cache(maxsize=8)
@@ -33,13 +33,8 @@ def theta_block(alpha_n: complex) -> np.ndarray:
     mod2 = a.real * a.real + a.imag * a.imag
     if mod2 > 1.0 + 1e-12:
         raise ValueError(f"|alpha|={np.sqrt(mod2):.6f} exceeds 1")
-    r = np.sqrt(max(0.0, 1.0 - mod2))
+    r = _rho_of(np.asarray(a))
     return np.array([[np.conj(a), r], [r, -a]], dtype=complex)
-
-
-def _rho_of(alpha: np.ndarray) -> np.ndarray:
-    """Elementwise sqrt(1-|alpha|^2), clipped at 0 for unimodular values."""
-    return np.sqrt(np.maximum(0.0, 1.0 - (alpha.real ** 2 + alpha.imag ** 2)))
 
 
 class VerblunskySequence:
@@ -48,22 +43,20 @@ class VerblunskySequence:
     ``base`` is one Phase or an (N, d) array of real base phases; for the
     array, ``raw_values`` and ``values`` return (N, sites) arrays whose rows
     equal those of each phase alone bit for bit, and overrides apply to every
-    row.  ``values(lo, hi)`` evaluates a whole range of sites in one call of
-    the sampling function; the single-site accessors wrap it and need one
-    Phase.  Overrides replace the sampled value exactly and must have unit
-    modulus (they represent boundary conditions).
+    row.  ``raw_values(lo, hi)`` is the sampling function's ``alpha_orbit``
+    from site lo, the orbit that the transfer cocycle reads too, so windows
+    and cocycle steps see the same coefficients bit for bit; ``values``
+    applies the overrides to it, and the single-site accessors wrap them and
+    need one Phase.  Overrides replace the sampled value exactly and must
+    have unit modulus (they represent boundary conditions).
     """
 
     def __init__(self, sampling: SamplingFunction, frequency, base,
                  overrides: dict | None = None):
         self.sampling = sampling
         self.omega = omega_array(frequency)
-        if isinstance(base, Phase):
-            self.base = base
-            self._origin, self._imag = base.array(), base.imag
-        else:
-            self.base = np.asarray(base, dtype=float).reshape(-1, sampling.dim)
-            self._origin, self._imag = self.base[:, None], None
+        self.base = base if isinstance(base, Phase) else \
+            np.asarray(base, dtype=float).reshape(-1, sampling.dim)
         self.overrides = {}
         if overrides:
             for n, v in overrides.items():
@@ -79,12 +72,9 @@ class VerblunskySequence:
         return reduce_phase(self.base.array() + n * self.omega, imag=self.base.imag)
 
     def raw_values(self, lo: int, hi: int) -> np.ndarray:
-        """Sampled alpha(x + n w) for n = lo..hi, ignoring overrides."""
-        n = np.arange(lo, hi + 1)
-        points = self._origin + n[:, None] * self.omega       # (..., sites, d)
-        vals = self.sampling.alpha(reduce_phase(points.reshape(-1, points.shape[-1])),
-                                   self._imag)
-        return vals.reshape(points.shape[:-1])
+        """Sampled alpha(x + n w) for n = lo..hi, ignoring overrides: the
+        sampling function's orbit from site lo."""
+        return self.sampling.alpha_orbit(self.base, self.omega, hi - lo + 1, start=lo)
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """Effective alpha_n for n = lo..hi (overrides applied)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Phase, SamplingFunction, omega_array, reduce_phase
+from .torus import Phase, SamplingFunction, _rho_of, omega_array, reduce_phase
 from .util import TWO_PI, counter_phases
 
 
@@ -176,7 +176,7 @@ def _orbit(f, om, pts, y, start, m):
     and rho at steps start..start+m-1 of the c phases pts, each (m, 1, c)."""
     a, ab = f.alpha_orbit(pts, om, m, y=y, start=start), None
     if y is None:
-        r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
+        r = _rho_of(a)
     else:
         ab = np.conj(f.alpha_orbit(pts, om, m, y=-y, start=start))
         # by parts: a numpy complex array product rounds by the layout

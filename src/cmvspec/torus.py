@@ -179,6 +179,16 @@ def omega_array(omega) -> np.ndarray:
 # sampling functions
 
 
+# ``SamplingFunction._series`` passes one exp at most max(N, _EXP_BLOCK)
+# values at N points
+_EXP_BLOCK = 1024
+
+
+def _rho_of(alpha: np.ndarray) -> np.ndarray:
+    """Elementwise sqrt(1-|alpha|^2), clipped at 0 for unimodular values."""
+    return np.sqrt(np.maximum(0.0, 1.0 - (alpha.real ** 2 + alpha.imag ** 2)))
+
+
 class SamplingFunction:
     """Finite Fourier series alpha: T^d -> D with a certified sup bound.
 
@@ -196,6 +206,10 @@ class SamplingFunction:
     def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None,
                  grid: int = 64):
         self.dim = int(dim)
+        for k in coeffs:
+            if len(k) != self.dim:
+                raise ValueError(f"Fourier mode {list(map(int, k))} does not have "
+                                 f"dim = {self.dim} entries")
         self.coeffs = {tuple(int(i) for i in k): complex(c)
                        for k, c in coeffs.items() if c != 0}
         self._ks = np.array(sorted(self.coeffs), dtype=int).reshape(-1, self.dim) \
@@ -219,7 +233,7 @@ class SamplingFunction:
             return 0.0
         axes = [np.arange(grid) / grid] * self.dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        vals = np.abs(np.exp(2j * np.pi * (mesh @ self._ks.T)) @ self._cs)
+        vals = np.abs(self._series(mesh, None))
         slack = self._lipschitz() * 0.5 / grid
         return float(vals.max() + slack)
 
@@ -268,57 +282,53 @@ class SamplingFunction:
         return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), y)
 
     def _series(self, pts: np.ndarray, y) -> np.ndarray:
-        if len(self._cs) == 0:
-            return np.zeros(len(pts), dtype=complex)
-        # a BLAS product, numpy's complex product (fused multiply-add) and an
-        # axis sum each round a lone row unlike a batch row, so k.x, c_k e_k
-        # and the sum over modes are spelled out in real arithmetic
-        kx = sum(pts[:, i, None] * self._ks[:, i] for i in range(self.dim))
-        ph = 2j * np.pi * kx
-        if y is not None:
-            ph = ph - 2 * np.pi * sum(y[i] * self._ks[:, i] for i in range(self.dim))
-        e = np.exp(ph)
-        cr, ci = self._cs.real, self._cs.imag
-        out = np.empty(len(pts), dtype=complex)
-        out.real = sum((cr * e.real - ci * e.imag).T)
-        out.imag = sum((cr * e.imag + ci * e.real).T)
+        """sum c_k exp(2 pi i k.(x + iy)) at the (N, d) points pts, the modes
+        taken in order, max(1, _EXP_BLOCK // N) of them per exp: an exp takes
+        at most max(N, _EXP_BLOCK) values, and few points do not pay one pass
+        per mode.  k.x, c_k e_k and the sum over modes are spelled out in real
+        arithmetic (a BLAS product, numpy's complex product and an axis sum
+        each round a lone row unlike a batch row), so a row rounds alike alone
+        and in any batch."""
+        out = np.zeros(len(pts), dtype=complex)
+        group = max(1, _EXP_BLOCK // max(1, len(pts)))
+        for m in range(0, len(self._cs), group):
+            ks, cs = self._ks[m:m + group], self._cs[m:m + group]
+            ph = np.empty((len(pts), len(cs)), dtype=complex)
+            ph.imag = 2 * np.pi * sum(pts[:, i, None] * ks[:, i] for i in range(self.dim))
+            ph.real = 0.0 if y is None else \
+                -2 * np.pi * sum(y[i] * ks[:, i] for i in range(self.dim))
+            e = np.exp(ph, out=ph)
+            out.real = sum((cs.real * e.real - cs.imag * e.imag).T, out.real)
+            out.imag = sum((cs.real * e.imag + cs.imag * e.real).T, out.imag)
         return out
 
     def rho(self, x: Phase) -> float:
         """rho(x) = sqrt(1 - |alpha(x)|^2) on the real torus."""
         if x.imag is not None and any(v != 0 for v in x.imag):
             raise ValueError("rho is defined for real phases")
-        a = self.alpha(x)
-        return float(np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag)))
+        return float(_rho_of(np.asarray(self.alpha(x))))
 
     def alpha_orbit(self, x0, omega, n: int, y=None, start: int = 0) -> np.ndarray:
         """alpha(x0 + j*omega + iy) for j = start..start+n-1: a vector at a
         Phase, an (N, n) array at an (N, d) array of base points; y is a strip
         Phase's own ``imag`` unless given (see ``displacement``).
 
-        k.x0 + j k.omega and the sum over modes are spelled out in real
-        arithmetic, one mode at a time, so an entry depends on its point, j
-        and y alone: a row equals its point's call, and a call from ``start``
-        equals those columns of a call from 0.  Temporaries are (N, n).
+        Each point x0 + j*omega is reduced mod 1 and evaluated by one call of
+        ``alpha``, so an entry depends on its point, j and y alone: a row
+        equals its point's call, and a call from ``start`` equals those
+        columns of a call from 0.  Temporaries are (N, n, d).  Windows
+        (``VerblunskySequence.raw_values``) and the transfer cocycle both
+        read their coefficients here.
         """
         y = self.displacement(x0, y)
-        om = omega_array(omega)
         single = isinstance(x0, Phase)
         pts = x0.array()[None, :] if single else \
             np.asarray(x0, float).reshape(-1, self.dim)
-        out = np.zeros((len(pts), n), dtype=complex)
-        steps, cols = np.arange(start, start + n), pts.T[:, :, None]
-
-        def dot(v, k):
-            return sum(v[i] * k[i] for i in range(self.dim))
-        for k, c in zip(self._ks, self._cs):
-            ph = np.empty(out.shape, dtype=complex)
-            ph.imag = 2 * np.pi * (dot(cols, k) + steps * dot(om, k))
-            ph.real = 0.0 if y is None else -2 * np.pi * dot(y, k)
-            e = np.exp(ph, out=ph)
-            out.real += c.real * e.real - c.imag * e.imag
-            out.imag += c.real * e.imag + c.imag * e.real
-        return out[0] if single else out
+        steps = np.arange(start, start + n)
+        points = pts[:, None] + steps[:, None] * omega_array(omega)
+        vals = self.alpha(reduce_phase(points.reshape(-1, self.dim)), y)
+        vals = vals.reshape(len(pts), len(steps))
+        return vals[0] if single else vals
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> str:

@@ -439,3 +439,17 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, top, manifest):
     assert run_cli(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_mode_with_the_wrong_number_of_entries_exits_2(tmp_path, capsys):
+    # with dim 2, the modes [1] and [2] are not the mode (1, 2)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "sampling": {"dim": 2, "coeffs": [{"k": [1], "re": 0.3, "im": 0.0},
+                                          {"k": [2], "re": 0.3, "im": 0.0}]},
+        "frequency": {"preset": "sqrt"},
+        "lyapunov": {"thetas": [0.5], "scales": [10], "samples": 3}})
+    out = tmp_path / "o"
+    assert run_cli(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Fourier mode [1]" in err and "dim = 2" in err
+    assert not list(out.glob("*.csv"))
