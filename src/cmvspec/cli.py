@@ -120,7 +120,7 @@ def resolve_sampling(cfg: dict) -> SamplingFunction:
             raise ConfigError(f"bad arguments for preset '{name}': {exc}") from exc
     try:
         return SamplingFunction.from_json(json.dumps(spec))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sampling spec: {exc}") from exc
 
 

@@ -74,70 +74,59 @@ class DiophantineCertificate:
     k_max: int
 
 
+def _integer(value, name: str) -> int:
+    """An int or an integral float as an int; anything else (a bool, a
+    string, a fractional or non-finite float) is a ValueError naming it."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _dist_to_integer(x: np.ndarray) -> np.ndarray:
     f = x % 1.0
     return np.minimum(f, 1.0 - f)
 
 
 def check_diophantine(omega, p: float, q: float, k_max: int) -> DiophantineCertificate:
-    """Exhaustively certify ||k.omega|| >= p/|k|^q for 0 < |k|_1 <= k_max.
+    """Exhaustively certify ||k.omega|| >= p/|k|_1^q for 0 < |k|_1 <= k_max.
 
-    ``worst_k`` minimizes ||k.omega|| * |k|^q; ok means that minimum is >= p.
-    Only half of each symmetric pair (k, -k) is scanned.
+    One enumeration serves every dimension d.  Of each symmetric pair
+    (k, -k) only the member whose first nonzero entry is positive is
+    scanned: the first entry runs 0..k_max, each later one ascends over
+    what the l1 ball leaves, and the last entry is one vector per prefix,
+    with k.omega summed left to right.  ``worst_k`` is the first k in that
+    order minimizing ||k.omega|| * |k|_1^q; ok means that minimum is >= p.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     d = len(omega)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if q <= d:
-        raise ValueError(f"q must exceed the dimension d={d}")
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p!r}")
+    if not d < q < np.inf:
+        raise ValueError(f"q must be finite and exceed the dimension d={d}, got {q!r}")
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
 
     best_ratio = np.inf
     best_k: tuple[int, ...] = (0,) * d
-    if d == 1:
-        k = np.arange(1, k_max + 1)
-        ratio = _dist_to_integer(k * omega[0]) * k.astype(float) ** q
-        i = int(np.argmin(ratio))
-        best_ratio, best_k = float(ratio[i]), (int(k[i]),)
-    elif d == 2:
-        # scan k1 >= 1 plus the ray k1 = 0, k2 >= 1; |k|_1 <= k_max
-        for k1 in range(0, k_max + 1):
-            lim = k_max - k1
-            if k1 == 0:
-                k2 = np.arange(1, lim + 1)
-            else:
-                k2 = np.arange(-lim, lim + 1)
-            if len(k2) == 0:
-                continue
-            norm = (k1 + np.abs(k2)).astype(float)
-            ratio = _dist_to_integer(k1 * omega[0] + k2 * omega[1]) * norm ** q
+
+    def rec(prefix, remaining):
+        nonlocal best_ratio, best_k
+        first = all(v == 0 for v in prefix)
+        if len(prefix) == d - 1:
+            k_last = np.arange(1 if first else -remaining, remaining + 1)
+            dot = sum(v * w for v, w in zip(prefix, omega[:-1])) + k_last * omega[-1]
+            norm = (sum(abs(v) for v in prefix) + np.abs(k_last)).astype(float)
+            ratio = _dist_to_integer(dot) * norm ** q
             i = int(np.argmin(ratio))
             if ratio[i] < best_ratio:
-                best_ratio, best_k = float(ratio[i]), (k1, int(k2[i]))
-    else:
-        # generic dimension: odometer over the l1 ball, first nonzero coord > 0
-        def rec(prefix, remaining):
-            nonlocal best_ratio, best_k
-            if len(prefix) == d - 1:
-                lo = 1 if all(v == 0 for v in prefix) else -remaining
-                k_last = np.arange(lo, remaining + 1)
-                if len(k_last) == 0:
-                    return
-                dot = sum(v * w for v, w in zip(prefix, omega[:-1])) + k_last * omega[-1]
-                norm = (sum(abs(v) for v in prefix) + np.abs(k_last)).astype(float)
-                norm[norm == 0] = np.inf
-                ratio = _dist_to_integer(dot) * norm ** q
-                i = int(np.argmin(ratio))
-                if ratio[i] < best_ratio:
-                    best_ratio, best_k = float(ratio[i]), (*prefix, int(k_last[i]))
-                return
-            first = all(v == 0 for v in prefix)
-            for v in range(0 if first else -remaining, remaining + 1):
-                rec((*prefix, v), remaining - abs(v))
-        rec((), k_max)
+                best_ratio, best_k = float(ratio[i]), (*prefix, int(k_last[i]))
+            return
+        for v in range(0 if first else -remaining, remaining + 1):
+            rec((*prefix, v), remaining - abs(v))
 
+    rec((), k_max)
     return DiophantineCertificate(ok=bool(best_ratio >= p), worst_k=best_k,
                                   worst_ratio=best_ratio, p=p, q=q, k_max=k_max)
 
@@ -147,9 +136,6 @@ class Frequency:
     """Frequency vector with a finite Diophantine certificate."""
 
     coords: tuple[float, ...]
-    dioph_p: float
-    dioph_q: float
-    cutoff: int
     certificate: DiophantineCertificate = field(compare=False, repr=False, default=None)
 
     @classmethod
@@ -160,7 +146,7 @@ class Frequency:
                 f"Diophantine check failed: worst k={cert.worst_k} "
                 f"ratio={cert.worst_ratio:.3e} < p={p}")
         coords = tuple(float(v) % 1.0 for v in np.atleast_1d(omega))
-        return cls(coords=coords, dioph_p=p, dioph_q=q, cutoff=k_max, certificate=cert)
+        return cls(coords=coords, certificate=cert)
 
     @property
     def dim(self) -> int:
@@ -183,6 +169,9 @@ def omega_array(omega) -> np.ndarray:
 # values at N points
 _EXP_BLOCK = 1024
 
+# points per axis of the grid on which the sup certificate evaluates |alpha|
+_SUP_GRID = 64
+
 
 def _rho_of(alpha: np.ndarray) -> np.ndarray:
     """Elementwise sqrt(1-|alpha|^2), clipped at 0 for unimodular values."""
@@ -192,32 +181,36 @@ def _rho_of(alpha: np.ndarray) -> np.ndarray:
 class SamplingFunction:
     """Finite Fourier series alpha: T^d -> D with a certified sup bound.
 
-    The certificate evaluates |alpha| on a grid of ``grid`` points per
+    The certificate evaluates |alpha| on a grid of ``_SUP_GRID`` points per
     dimension and adds a Lipschitz slack covering the grid cells, so
     ``sup_bound`` genuinely dominates sup |alpha| on the real torus.  The
     strip width h (``strip_width``) is halved, if necessary, until the crude
-    bound sum |c_k| exp(pi h |k|_1) is at most (1 + sup_bound)/2 (else h
-    falls to about 1e-9).  As |alpha(x + iy)| <= sum |c_k| exp(2 pi |k|_1
-    max|y_i|), that certifies |alpha| < 1 only for max|y_i| <= h/2;
-    evaluation is allowed on the wider strip max|y_i| < h, where alpha may
-    leave the disk.
+    bound sum |c_k| exp(2 pi h |k|_1) is at most (1 + sup_bound)/2.  As
+    |alpha(x + iy)| <= sum |c_k| exp(2 pi |k|_1 max|y_i|), that certifies
+    |alpha| < 1 on the whole strip max|y_i| < h that ``displacement``
+    admits, unless sum |c_k| itself exceeds the target: then h falls to
+    about 1e-9 uncertified.
+
+    ``dim`` and every Fourier index must be integers (an integral float
+    is taken as its integer), the sup bound must be < 1 and a requested
+    strip width finite and positive; anything else is a ValueError.
     """
 
-    def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None,
-                 grid: int = 64):
-        self.dim = int(dim)
-        for k in coeffs:
-            if len(k) != self.dim:
-                raise ValueError(f"Fourier mode {list(map(int, k))} does not have "
+    def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None):
+        self.dim = _integer(dim, "dim")
+        self.coeffs = {}
+        for k, c in coeffs.items():
+            mode = tuple(_integer(i, f"an index of Fourier mode {list(k)}") for i in k)
+            if len(mode) != self.dim:
+                raise ValueError(f"Fourier mode {list(mode)} does not have "
                                  f"dim = {self.dim} entries")
-        self.coeffs = {tuple(int(i) for i in k): complex(c)
-                       for k, c in coeffs.items() if c != 0}
+            if c != 0:
+                self.coeffs[mode] = complex(c)
         self._ks = np.array(sorted(self.coeffs), dtype=int).reshape(-1, self.dim) \
             if self.coeffs else np.zeros((0, self.dim), dtype=int)
         self._cs = np.array([self.coeffs[tuple(k)] for k in self._ks], dtype=complex)
-        self._verify_grid = int(grid)
-        self.sup_bound = self._certify_sup(grid)
-        if self.sup_bound >= 1.0:
+        self.sup_bound = self._certify_sup()
+        if not self.sup_bound < 1.0:
             raise ValueError(f"certified sup bound {self.sup_bound:.6f} is not < 1")
         self.strip_width = self._fit_strip(strip_width)
 
@@ -228,23 +221,25 @@ class SamplingFunction:
         return float(2 * np.pi * np.sum(np.abs(self._cs)
                                         * np.abs(self._ks).sum(axis=1)))
 
-    def _certify_sup(self, grid: int) -> float:
+    def _certify_sup(self) -> float:
         if len(self._cs) == 0:
             return 0.0
-        axes = [np.arange(grid) / grid] * self.dim
+        axes = [np.arange(_SUP_GRID) / _SUP_GRID] * self.dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         vals = np.abs(self._series(mesh, None))
-        slack = self._lipschitz() * 0.5 / grid
+        slack = self._lipschitz() * 0.5 / _SUP_GRID
         return float(vals.max() + slack)
 
     def _fit_strip(self, requested: float | None) -> float:
+        if requested is not None and not 0 < requested < np.inf:
+            raise ValueError(f"strip width {requested!r} is not finite and positive")
         if len(self._cs) == 0:
             return requested if requested is not None else 1.0
         k1 = np.abs(self._ks).sum(axis=1)
         target = 0.5 * (1.0 + self.sup_bound)
 
         def strip_sum(h):
-            return float(np.sum(np.abs(self._cs) * np.exp(np.pi * h * k1)))
+            return float(np.sum(np.abs(self._cs) * np.exp(2 * np.pi * h * k1)))
 
         h = requested if requested is not None else 1.0
         while strip_sum(h) > max(target, strip_sum(0.0)) and h > 1e-9:
@@ -376,7 +371,7 @@ def truncate_fourier(f: SamplingFunction, n: int) -> TruncationResult:
     cut = n ** 4
     kept = {k: c for k, c in f.coeffs.items() if sum(map(abs, k)) < cut}
     dropped = sum(abs(c) for k, c in f.coeffs.items() if sum(map(abs, k)) >= cut)
-    g = SamplingFunction(f.dim, kept, strip_width=None, grid=f._verify_grid)
+    g = SamplingFunction(f.dim, kept, strip_width=None)
     target = float(np.exp(-float(n) ** 2))
     return TruncationResult(function=g, error_bound=float(dropped),
                             achieved=bool(dropped <= target), target=target)

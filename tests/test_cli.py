@@ -453,3 +453,37 @@ def test_a_mode_with_the_wrong_number_of_entries_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Fourier mode [1]" in err and "dim = 2" in err
     assert not list(out.glob("*.csv"))
+
+
+D1_MODE = {"dim": 1, "coeffs": [{"k": [1], "re": 0.3, "im": 0.0}]}
+GOLDEN_SPEC = {"coords": [(np.sqrt(5.0) - 1.0) / 2.0], "p": 0.2, "q": 2.0, "k_max": 1000}
+
+
+@pytest.mark.parametrize("sampling,frequency,named", [
+    ({**D1_MODE, "coeffs": [{"k": [1.5], "re": 0.3, "im": 0.0}]}, None, "got 1.5"),
+    ({**D1_MODE, "coeffs": [{"k": [True], "re": 0.3, "im": 0.0}]}, None, "got True"),
+    ({**D1_MODE, "coeffs": [{"k": ["1"], "re": 0.3, "im": 0.0}]}, None, "got '1'"),
+    ({**D1_MODE, "coeffs": [{"k": [float("inf")], "re": 0.3, "im": 0.0}]}, None, "got inf"),
+    ({**D1_MODE, "coeffs": [{"k": [1e300], "re": 0.3, "im": 0.0}]}, None,
+     "bad sampling spec"),
+    ({**D1_MODE, "coeffs": [{"k": [1], "re": float("nan"), "im": 0.0}]}, None,
+     "sup bound nan"),
+    ({**D1_MODE, "dim": 1.7}, None, "dim must be an integer, got 1.7"),
+    ({**D1_MODE, "h": float("nan")}, None, "strip width nan"),
+    ({**D1_MODE, "h": -1}, None, "strip width -1"),
+    (D1_MODE, {**GOLDEN_SPEC, "k_max": 1.5}, "k_max must be an integer, got 1.5"),
+    (D1_MODE, {**GOLDEN_SPEC, "k_max": True}, "k_max must be an integer, got True"),
+    (D1_MODE, {**GOLDEN_SPEC, "q": float("nan")}, "got nan"),
+    (D1_MODE, {**GOLDEN_SPEC, "q": float("inf")}, "got inf"),
+], ids=["k-fraction", "k-bool", "k-string", "k-infinite", "k-huge", "re-nan", "dim-fraction",
+        "h-nan", "h-negative", "k_max-fraction", "k_max-bool", "q-nan", "q-infinite"])
+def test_a_malformed_sampling_or_frequency_spec_exits_2(tmp_path, capsys, sampling,
+                                                        frequency, named):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "sampling": sampling, "frequency": frequency or GOLDEN_SPEC,
+        "lyapunov": {"thetas": [0.5], "scales": [10], "samples": 3}})
+    out = tmp_path / "o"
+    assert run_cli(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not list(out.glob("*.csv"))
