@@ -35,7 +35,7 @@ from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
 from .spectral import eigensolve, localization_profile, nearest_eigen
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from . import presets
-from .util import counter_rng, format_float
+from .util import as_integer, counter_rng, format_float
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -75,11 +75,14 @@ def load_config(path: str, command: str) -> dict:
 
 
 def config_number(value, name: str, cast=float, low=None):
-    """A finite config value converted by ``cast``, at least ``low`` if given."""
+    """A finite config value converted by ``cast``, at least ``low`` if given.
+    ``cast=int`` takes an int or an integral float (``util.as_integer``): a
+    fraction, a bool or a string is a config error, not truncated."""
     try:
-        out = cast(value)
+        out = as_integer(value, f"'{name}'") if cast is int else cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'{name}' must be a number, got {value!r}") from exc
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"'{name}' must be {kind}, got {value!r}") from exc
     if not np.isfinite(out):
         raise ConfigError(f"'{name}' must be finite, got {value!r}")
     if low is not None and out < low:

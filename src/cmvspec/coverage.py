@@ -10,11 +10,13 @@ symmetric eigensolve of the window's Hermitian part each
 (``spectral.hermitian_eigenphases``); all local refinement work runs
 through shift-invert iteration on the tridiagonal pencil z L* - M, which
 costs O(window) per probe.  The edge test shifts at an eigenvalue already
-known to rounding, so its probe stops after one solve.  Each window's work
-is done once: a refinement probe evaluates its coefficients once and, when
-they are a seed window's, is that window, not a new assembly of it; the
-pencil's factors, L*'s band and the first right-hand side L* v0 of the
-start vector v0 are kept on the window, not formed per probe.
+known to rounding, so its probe stops after one solve.  Refinement moves
+the last phase coordinate alone, so a function with no Fourier mode along
+it is not refined: every probe would be its seed window.  Each window's
+work is done once: a refinement probe evaluates its coefficients once
+and, when they are a seed window's, is that window, not a new assembly of
+it; the pencil's factors, L*'s band and the first right-hand side L* v0
+of the start vector v0 are kept on the window, not formed per probe.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     Each grid point starts from the best of ``phase_samples`` precomputed
     seeded phases; if that misses tolerance but is within 16*tol, the last
     phase coordinate is refined by bisecting the wrapped eigenphase
-    difference of the locally nearest eigenvalue.
+    difference of the locally nearest eigenvalue.  A function with no
+    Fourier mode along the last coordinate is not refined: every probe is
+    its seed window, and the point keeps its seed's phase and distance.
     Covered additionally requires the matched eigenvector's outer edge
     entries to stay below sqrt(tol); that vector comes from inverse
     iteration shifted at the matched eigenvalue (the seeded sample's, from
@@ -144,13 +148,16 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
 
     xs, spectra, matrices = [], [], []
     for s in range(phase_samples):
-        x = Phase(tuple(counter_rng(seed, s).random(d)))
+        x = Phase(tuple(counter_rng(seed, s).random(d).tolist()))
         seq = VerblunskySequence(f, om, x)
         m = build_finite_cmv(seq, a, b, beta=beta, eta=eta)
         xs.append(x)
         spectra.append(hermitian_eigenphases(m))
         matrices.append(m)
 
+    # every probe of _refine moves the last coordinate alone: with no mode
+    # along it, every probe is its seed window, which refines nothing
+    refines = any(k[-1] for k in f.coeffs)
     seeds = {m.alpha.tobytes(): m for m in matrices}
 
     def build_at(coords: np.ndarray) -> FiniteCMV:
@@ -175,12 +182,12 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
             dist = float(np.abs(spectra[s][k] - z))
             if dist < best_d:
                 best_s, best_d, lam = s, dist, spectra[s][k]
-        x_arr = np.array(xs[best_s].coords)
-        dist_best = best_d
-        matched = matrices[best_s]
-        if tol < dist_best <= _REFINE_GATE * tol:
+        phase, dist_best, matched = xs[best_s].coords, best_d, matrices[best_s]
+        if refines and tol < dist_best <= _REFINE_GATE * tol:
             x_arr, dist_best, matched, lam = _refine(
-                build_at, z, x_arr, dist_best, matched, lam, _REFINE_STEPS)
+                build_at, z, np.array(phase), dist_best, matched, lam,
+                _REFINE_STEPS)
+            phase = reduce_phase(x_arr).coords
         covered = dist_best <= tol
         edge = np.inf
         if covered:
@@ -190,7 +197,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
             covered = edge <= sqrt_tol
         points.append(CoveragePoint(theta=float(theta), covered=bool(covered),
                                     best_dist=float(dist_best),
-                                    phase=reduce_phase(x_arr).coords,
+                                    phase=phase,
                                     edge_value=float(edge)))
 
     arcs = _covered_arcs(points, span)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import as_integer
+
 
 # --------------------------------------------------------------------------
 # phases
@@ -74,15 +76,6 @@ class DiophantineCertificate:
     k_max: int
 
 
-def _integer(value, name: str) -> int:
-    """An int or an integral float as an int; anything else (a bool, a
-    string, a fractional or non-finite float) is a ValueError naming it."""
-    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
-    if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _dist_to_integer(x: np.ndarray) -> np.ndarray:
     f = x % 1.0
     return np.minimum(f, 1.0 - f)
@@ -104,7 +97,7 @@ def check_diophantine(omega, p: float, q: float, k_max: int) -> DiophantineCerti
         raise ValueError(f"p must be positive, got {p!r}")
     if not d < q < np.inf:
         raise ValueError(f"q must be finite and exceed the dimension d={d}, got {q!r}")
-    k_max = _integer(k_max, "k_max")
+    k_max = as_integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
@@ -197,10 +190,10 @@ class SamplingFunction:
     """
 
     def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None):
-        self.dim = _integer(dim, "dim")
+        self.dim = as_integer(dim, "dim")
         self.coeffs = {}
         for k, c in coeffs.items():
-            mode = tuple(_integer(i, f"an index of Fourier mode {list(k)}") for i in k)
+            mode = tuple(as_integer(i, f"an index of Fourier mode {list(k)}") for i in k)
             if len(mode) != self.dim:
                 raise ValueError(f"Fourier mode {list(mode)} does not have "
                                  f"dim = {self.dim} entries")

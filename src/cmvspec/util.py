@@ -24,6 +24,15 @@ def counter_phases(dim: int, samples: int, seed: int, *counters: int) -> np.ndar
                      for s in range(samples)]).reshape(samples, dim)
 
 
+def as_integer(value, name: str) -> int:
+    """An int or an integral float as an int; anything else (a bool, a
+    string, a fractional or non-finite float) is a ValueError naming it."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle difference to (-pi, pi]."""
     return -((-theta + np.pi) % TWO_PI - np.pi)

@@ -487,3 +487,57 @@ def test_a_malformed_sampling_or_frequency_spec_exits_2(tmp_path, capsys, sampli
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not list(out.glob("*.csv"))
+
+
+SCAN_BLOCK = {"grid": 4, "window": 4, "phase_samples": 1}
+LYAPUNOV_BLOCK = {"thetas": [0.5], "scales": [10], "samples": 2}
+LOCALIZE_BLOCK = {"n0": 4, "gamma_samples": 2, "scan_grid": 2, "gamma": 0.5}
+MULTISCALE_BLOCK = {"n0": 4, "scan_grid": 2, "samples": 1, "gamma": 0.5}
+
+
+@pytest.mark.parametrize("command,extra,field,got", [
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "grid": 4.5}}, "grid", "4.5"),
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "phase_samples": 1.9}},
+     "phase_samples", "1.9"),
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "grid": "6"}}, "grid", "'6'"),
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "window": True}}, "window", "True"),
+    ("lyapunov", {"lyapunov": {"scales": [10], "samples": 2, "theta_grid": 2.5}},
+     "theta_grid", "2.5"),
+    ("lyapunov", {"lyapunov": {**LYAPUNOV_BLOCK, "scales": [10.5]}}, "scales", "10.5"),
+    ("lyapunov", {"lyapunov": {**LYAPUNOV_BLOCK, "samples": True}}, "samples", "True"),
+    ("ldt", {"ldt": {"n_list": [10.5], "samples": 2}}, "n_list", "10.5"),
+    ("ldt", {"ldt": {"n_list": [10], "samples": 2.5}}, "samples", "2.5"),
+    ("localize", {**LOCALIZATION, "localize": {**LOCALIZE_BLOCK, "n0": 4.5}},
+     "n0", "4.5"),
+    ("localize", {**LOCALIZATION, "localize": {**LOCALIZE_BLOCK, "gamma_samples": 2.5}},
+     "gamma_samples", "2.5"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {**MULTISCALE_BLOCK, "n0": 4.5}},
+     "n0", "4.5"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {**MULTISCALE_BLOCK, "depth": 0.5}},
+     "depth", "0.5"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {**MULTISCALE_BLOCK, "scan_grid": 2.5}},
+     "scan_grid", "2.5"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {**MULTISCALE_BLOCK, "samples": 1.5}},
+     "samples", "1.5"),
+    ("identity-suite", {"identity": {"cases": 1.5}}, "cases", "1.5"),
+    ("lyapunov", {"seed": 1.5, "lyapunov": LYAPUNOV_BLOCK}, "seed", "1.5"),
+], ids=["grid-fraction", "phase_samples-fraction", "grid-string", "window-bool",
+        "theta_grid", "scales", "lyapunov-samples-bool", "n_list", "ldt-samples",
+        "localize-n0", "localize-gamma_samples", "multiscale-n0", "multiscale-depth",
+        "multiscale-scan_grid", "multiscale-samples", "identity-cases", "seed"])
+def test_an_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, command,
+                                                         extra, field, got):
+    # neither truncated nor coerced: 4.5 is not 4, "6" not 6, true not 1
+    cfg = write_cfg(tmp_path, "c.json", extra)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: '{field}' must be an integer, got {got}" \
+        in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_an_integral_float_is_an_integer_field(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"spectrum": {**SCAN_BLOCK, "grid": 4.0}})
+    out = tmp_path / "o"
+    assert run_cli(["spectrum-scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len((out / "coverage.csv").read_text().splitlines()) == 1 + 4
