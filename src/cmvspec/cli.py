@@ -76,13 +76,16 @@ def load_config(path: str, command: str) -> dict:
 
 def config_number(value, name: str, cast=float, low=None):
     """A finite config value converted by ``cast``, at least ``low`` if given.
-    ``cast=int`` takes an int or an integral float (``util.as_integer``): a
-    fraction, a bool or a string is a config error, not truncated."""
+    ``cast=int`` takes an int or an integral float (``util.as_integer``) within
+    int64: a fraction, a bool, a string or a larger integer is a config error,
+    not truncated."""
     try:
         out = as_integer(value, f"'{name}'") if cast is int else cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"'{name}' must be {kind}, got {value!r}") from exc
+    if cast is int and not -2 ** 63 <= out < 2 ** 63:
+        raise ConfigError(f"'{name}' must fit in a 64-bit integer, got {value!r}")
     if not np.isfinite(out):
         raise ConfigError(f"'{name}' must be finite, got {value!r}")
     if low is not None and out < low:

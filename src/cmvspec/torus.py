@@ -162,8 +162,8 @@ def omega_array(omega) -> np.ndarray:
 # values at N points
 _EXP_BLOCK = 1024
 
-# points per axis of the grid on which the sup certificate evaluates |alpha|
-_SUP_GRID = 64
+# largest array of the sup certificate: n = prod(2 span_i + 1) points x longest axis
+_DFT_VALUES = 1 << 20
 
 
 def _rho_of(alpha: np.ndarray) -> np.ndarray:
@@ -174,19 +174,14 @@ def _rho_of(alpha: np.ndarray) -> np.ndarray:
 class SamplingFunction:
     """Finite Fourier series alpha: T^d -> D with a certified sup bound.
 
-    The certificate evaluates |alpha| on a grid of ``_SUP_GRID`` points per
-    dimension and adds a Lipschitz slack covering the grid cells, so
-    ``sup_bound`` genuinely dominates sup |alpha| on the real torus.  The
-    strip width h (``strip_width``) is halved, if necessary, until the crude
-    bound sum |c_k| exp(2 pi h |k|_1) is at most (1 + sup_bound)/2.  As
-    |alpha(x + iy)| <= sum |c_k| exp(2 pi |k|_1 max|y_i|), that certifies
-    |alpha| < 1 on the whole strip max|y_i| < h that ``displacement``
-    admits, unless sum |c_k| itself exceeds the target: then h falls to
-    about 1e-9 uncertified.
+    One Fourier bound (``_wiener_sup``) gives ``sup_bound`` and the strip width
+    h (``strip_width``), halved from 1 or a request until the bound is < 1 at
+    the 2^d corners (+-h, ..., +-h): by Hadamard's three lines |alpha| < 1 then
+    holds on the box max|y_i| < h that ``displacement`` admits, at x +- iy alike.
 
-    ``dim`` and every Fourier index must be integers (an integral float
-    is taken as its integer), the sup bound must be < 1 and a requested
-    strip width finite and positive; anything else is a ValueError.
+    ``dim`` and every Fourier index must be integers (an integral float is
+    taken as its integer); modes too wide for ``_DFT_VALUES``, a sup bound >= 1
+    or a strip width not certified (>= 1e-9, or as requested) is a ValueError.
     """
 
     def __init__(self, dim: int, coeffs: dict, strip_width: float | None = None):
@@ -202,43 +197,47 @@ class SamplingFunction:
         self._ks = np.array(sorted(self.coeffs), dtype=int).reshape(-1, self.dim) \
             if self.coeffs else np.zeros((0, self.dim), dtype=int)
         self._cs = np.array([self.coeffs[tuple(k)] for k in self._ks], dtype=complex)
-        self.sup_bound = self._certify_sup()
+        self.sup_bound = self._wiener_sup(np.zeros(self.dim))
         if not self.sup_bound < 1.0:
             raise ValueError(f"certified sup bound {self.sup_bound:.6f} is not < 1")
         self.strip_width = self._fit_strip(strip_width)
 
     # -- certification ----------------------------------------------------
-    def _lipschitz(self) -> float:
+    def _wiener_sup(self, y) -> float:
+        """A bound on sup_x |alpha(x + iy)| (inf or nan on overflow): the sum of the
+        moduli of the coefficients of |alpha|^2, exact from a DFT pair on n = prod(2
+        span_i + 1) points, plus 4 (sum n_i + 1) n eps sum |c_k e^(-2 pi k.y)|^2."""
         if len(self._cs) == 0:
             return 0.0
-        return float(2 * np.pi * np.sum(np.abs(self._cs)
-                                        * np.abs(self._ks).sum(axis=1)))
+        shape = [2 * (int(k.max()) - int(k.min())) + 1 for k in self._ks.T]
+        if np.prod(shape, dtype=float) * max(shape) > _DFT_VALUES:
+            raise ValueError(f"Fourier modes span {[s // 2 for s in shape]}: too wide to certify")
+        fs = [np.exp(2j * np.pi * (np.outer(range(m), range(m)) % m) / m) for m in shape]
 
-    def _certify_sup(self) -> float:
-        if len(self._cs) == 0:
-            return 0.0
-        axes = [np.arange(_SUP_GRID) / _SUP_GRID] * self.dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        vals = np.abs(self._series(mesh, None))
-        slack = self._lipschitz() * 0.5 / _SUP_GRID
-        return float(vals.max() + slack)
+        def dft(g):   # a DFT matrix per axis: numpy's FFT or BLAS would page in 0.1-0.6 MB
+            for f in fs:
+                g = (np.moveaxis(g, 0, -1)[..., None] * f).sum(axis=-2)
+            return g
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = self._cs * np.exp(-2 * np.pi * sum(v * k for v, k in zip(y, self._ks.T)))
+            grid = np.zeros(shape, dtype=complex)
+            grid[tuple((self._ks % shape).T)] = a
+            # alpha on the grid, then n conj(coefficients) of the real |alpha|^2
+            wiener = np.abs(dft(np.abs(dft(grid)) ** 2)).sum() / grid.size
+            slack = 4 * (sum(shape) + 1) * grid.size * 2.0 ** -52 * np.sum(np.abs(a) ** 2)
+            return float(np.sqrt(wiener + slack))
 
     def _fit_strip(self, requested: float | None) -> float:
         if requested is not None and not 0 < requested < np.inf:
             raise ValueError(f"strip width {requested!r} is not finite and positive")
-        if len(self._cs) == 0:
-            return requested if requested is not None else 1.0
-        k1 = np.abs(self._ks).sum(axis=1)
-        target = 0.5 * (1.0 + self.sup_bound)
-
-        def strip_sum(h):
-            return float(np.sum(np.abs(self._cs) * np.exp(2 * np.pi * h * k1)))
-
+        # one corner at a time: a width that fails stops at its first failing corner
+        corners = 2.0 * np.indices((2,) * self.dim).reshape(self.dim, -1).T - 1.0
         h = requested if requested is not None else 1.0
-        while strip_sum(h) > max(target, strip_sum(0.0)) and h > 1e-9:
+        while not all(self._wiener_sup(h * c) < 1.0 for c in corners):
             h *= 0.5
+            if h < 1e-9:
+                raise ValueError("no strip width of at least 1e-9 certifies |alpha| < 1")
         if requested is not None and h < requested:
-            # honour an explicit request only when it is actually safe
             raise ValueError(
                 f"strip width {requested} not certifiable; largest safe value ~{h:.3g}")
         return h

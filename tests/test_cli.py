@@ -536,6 +536,25 @@ def test_an_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, comma
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command,extra,field,got", [
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "grid": 1e300}}, "grid", "1e+300"),
+    ("spectrum-scan", {"spectrum": {**SCAN_BLOCK, "window": 10 ** 30}}, "window",
+     str(10 ** 30)),
+    ("lyapunov", {"lyapunov": {**LYAPUNOV_BLOCK, "scales": [-1e300]}}, "scales", "-1e+300"),
+    ("lyapunov", {"seed": 1e300, "lyapunov": LYAPUNOV_BLOCK}, "seed", "1e+300"),
+    ("lyapunov", {"seed": 2 ** 63, "lyapunov": LYAPUNOV_BLOCK}, "seed", str(2 ** 63)),
+], ids=["grid-1e300", "window-int-1e30", "scales-negative", "seed", "seed-2pow63"])
+def test_an_integer_field_beyond_int64_exits_2(tmp_path, capsys, command, extra, field,
+                                               got):
+    # not a traceback from np.isfinite on a Python int numpy cannot hold
+    cfg = write_cfg(tmp_path, "c.json", extra)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: '{field}' must fit in a 64-bit integer, got {got}" \
+        in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_an_integral_float_is_an_integer_field(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"spectrum": {**SCAN_BLOCK, "grid": 4.0}})
     out = tmp_path / "o"
