@@ -6,7 +6,9 @@ resolved config, seed, and a content hash.  Outputs are byte-stable: BLAS
 threading is pinned to one thread before numpy loads, all randomness is
 counter-seeded, and floats are serialized in shortest round-trip form.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 hypothesis
+Exit codes: 0 success, 2 config error (a config name no reader declares is
+one: a command's block and its keys are declared in ``COMMANDS``, threshold
+overrides in ``ScaleSchedule.THRESHOLDS``), 3 numeric failure, 4 hypothesis
 failure (multiscale preconditions).
 """
 
@@ -21,6 +23,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,8 +72,6 @@ def load_config(path: str, command: str) -> dict:
             raise ConfigError(
                 f"manifest was written by '{data['command']}', not '{command}'")
         data = data["config"]
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {data!r}")
     return data
 
 
@@ -93,6 +94,19 @@ def config_number(value, name: str, cast=float, low=None):
     return out
 
 
+def config_object(spec, names, where: str) -> dict:
+    """``spec``, a config object whose keys are all among ``names``.  Anything
+    else, or any other key, is a config error that names it: a name no reader
+    declares is refused, not dropped without a word."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'{where}' must be an object, got {spec!r}")
+    unknown = [k for k in spec if k not in names]
+    if unknown:
+        raise ConfigError(f"unknown name {', '.join(map(repr, unknown))} in {where}"
+                          f" (known: {', '.join(names)})")
+    return spec
+
+
 def config_list(value, name: str) -> list:
     """A list-valued config value with at least one item; anything else is a
     config error."""
@@ -105,8 +119,6 @@ def config_list(value, name: str) -> list:
 
 def resolve_sampling(cfg: dict) -> SamplingFunction:
     spec = cfg.get("sampling")
-    if spec is None:
-        raise ConfigError("config lacks 'sampling'")
     if isinstance(spec, dict) and "preset" in spec:
         name = spec["preset"]
         factory = {
@@ -124,6 +136,7 @@ def resolve_sampling(cfg: dict) -> SamplingFunction:
             return factory(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad arguments for preset '{name}': {exc}") from exc
+    config_object(spec, ("dim", "coeffs", "h"), "sampling")
     try:
         return SamplingFunction.from_json(json.dumps(spec))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -132,9 +145,10 @@ def resolve_sampling(cfg: dict) -> SamplingFunction:
 
 def resolve_frequency(cfg: dict, dim: int) -> Frequency:
     spec = cfg.get("frequency")
-    if spec is None:
-        raise ConfigError("config lacks 'frequency'")
-    if isinstance(spec, dict) and "preset" in spec:
+    preset = isinstance(spec, dict) and "preset" in spec
+    config_object(spec, ("preset",) if preset else ("coords", "p", "q", "k_max"),
+                  "frequency")
+    if preset:
         name = spec["preset"]
         factory = {"golden": presets.golden_frequency,
                    "sqrt": presets.sqrt_frequency}.get(name)
@@ -153,9 +167,7 @@ def resolve_frequency(cfg: dict, dim: int) -> Frequency:
 
 
 def resolve_boundary(cfg: dict):
-    spec = cfg.get("boundary", {})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"'boundary' must be an object, got {spec!r}")
+    spec = config_object(cfg.get("boundary", {}), ("beta", "eta"), "boundary")
 
     def unit(v, name):
         if not isinstance(v, list):
@@ -190,18 +202,13 @@ def write_csv(path: Path, header: str, rows) -> None:
 # commands
 
 
-def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("lyapunov")
-    if not isinstance(block, dict):
-        raise ConfigError("config lacks a 'lyapunov' block")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
+def cmd_lyapunov(block: dict, f, freq, outdir: Path, seed: int) -> int:
     thetas = block.get("thetas")
     if thetas is None:
         grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
         thetas = [2 * np.pi * g / grid for g in range(grid)]
     scales = [config_number(n, "scales", int, 1) for n in
-              config_list(block.get("scales", [block.get("n", 100)]), "scales")]
+              config_list(block.get("scales", [100]), "scales")]
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
@@ -216,13 +223,7 @@ def cmd_lyapunov(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("spectrum")
-    if not isinstance(block, dict):
-        raise ConfigError("config lacks a 'spectrum' block")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
-    beta, eta = resolve_boundary(cfg)
+def cmd_spectrum_scan(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     arc = block.get("arc", [0.0, 2 * np.pi])
     if not isinstance(arc, list) or len(arc) != 2:
         raise ConfigError("'arc' must be [theta1, theta2]")
@@ -258,13 +259,7 @@ def cmd_spectrum_scan(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("ldt")
-    if not isinstance(block, dict):
-        raise ConfigError("config lacks an 'ldt' block")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
-    beta, eta = resolve_boundary(cfg)
+def cmd_ldt(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     z = SpectralPoint(config_number(block.get("theta", 0.0), "theta"))
     n_list = [config_number(v, "n_list", int, 1)
               for v in config_list(block.get("n_list", [50, 100, 200]), "n_list")]
@@ -288,11 +283,10 @@ def cmd_ldt(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def _overrides(block: dict) -> dict:
-    """The block's threshold overrides, each read as a number."""
-    overrides = block.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'overrides' must be an object")
+def _overrides(block: dict, where: str) -> dict:
+    """The block's threshold overrides: declared names, each read as a number."""
+    overrides = config_object(block.get("overrides", {}), ScaleSchedule.THRESHOLDS,
+                              f"{where}.overrides")
     return {k: config_number(v, f"overrides.{k}") for k, v in overrides.items()}
 
 
@@ -326,15 +320,9 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
     return z, gamma, state
 
 
-def cmd_localize(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("localize")
-    if not isinstance(block, dict):
-        raise ConfigError("config lacks a 'localize' block")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
-    beta, eta = resolve_boundary(cfg)
+def cmd_localize(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     n0 = config_number(block.get("n0", 16), "n0", int, 1)
-    schedule = ScaleSchedule(n0=n0, s_max=0, overrides=_overrides(block))
+    schedule = ScaleSchedule(n0=n0, s_max=0, overrides=_overrides(block, "localize"))
     gamma_samples = config_number(block.get("gamma_samples", 100), "gamma_samples",
                                   int, 1)
     z, gamma, state = _center_and_state(block, f, freq, beta, eta, schedule, seed,
@@ -363,26 +351,20 @@ def cmd_localize(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("multiscale")
-    if not isinstance(block, dict):
-        raise ConfigError("config lacks a 'multiscale' block")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
-    beta, eta = resolve_boundary(cfg)
+def cmd_multiscale(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     n0 = config_number(block.get("n0", 16), "n0", int, 1)
     depth = config_number(block.get("depth", 0), "depth", int)
     if depth not in (0, 1):
         raise ConfigError(f"'depth' {depth} is outside the supported range 0-1")
     samples = config_number(block.get("samples", 40), "samples", int, 1)
-    sched_cfg = block.get("schedule", {})
-    if not isinstance(sched_cfg, dict):
-        raise ConfigError("'schedule' must be an object")
-    fields = {k: config_number(sched_cfg[k], k)
-              for k in ("nu_prime", "c0", "c1", "c2", "nu", "growth")
+    names = ("nu_prime", "c0", "c1", "c2", "nu", "growth")
+    sched_cfg = config_object(block.get("schedule", {}), names + ("overrides",),
+                              "multiscale.schedule")
+    fields = {k: config_number(sched_cfg[k], k) for k in names
               if sched_cfg.get(k) is not None}
+    overrides = _overrides(sched_cfg, "multiscale.schedule")
     try:
-        schedule = ScaleSchedule(n0=n0, overrides=_overrides(sched_cfg), **fields)
+        schedule = ScaleSchedule(n0=n0, overrides=overrides, **fields)
         probe = schedule.scale(1) + n0 if depth == 1 else None
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
@@ -416,22 +398,20 @@ def cmd_multiscale(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
-    block = cfg.get("identity", {})
-    if not isinstance(block, dict):
-        raise ConfigError("'identity' must be an object")
+def cmd_identity_suite(block: dict, f, freq, outdir: Path, seed: int) -> int:
     cases = config_number(block.get("cases", 25), "cases", int, 1)
     threshold = config_number(block.get("threshold", 1e-8), "threshold")
-    f = resolve_sampling(cfg)
-    freq = resolve_frequency(cfg, f.dim)
     results = []
+
+    def draw(*stream):
+        """A counter-seeded generator, and the sequence at the phase it draws first."""
+        rng = counter_rng(seed, *stream)
+        return rng, VerblunskySequence(f, freq, Phase(tuple(rng.random(f.dim))))
 
     worst_unitary = 0.0
     worst_factor = 0.0
     for c in range(cases):
-        rng = counter_rng(seed, 1, c)
-        x = Phase(tuple(rng.random(f.dim)))
-        seq = VerblunskySequence(f, freq, x)
+        rng, seq = draw(1, c)
         n = int(rng.integers(4, 40))
         beta = complex(np.exp(2j * np.pi * rng.random()))
         eta = complex(np.exp(2j * np.pi * rng.random()))
@@ -461,9 +441,7 @@ def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
 
     worst_green = 0.0
     for c in range(cases):
-        rng = counter_rng(seed, 3, c)
-        x = Phase(tuple(rng.random(f.dim)))
-        seq = VerblunskySequence(f, freq, x)
+        rng, seq = draw(3, c)
         n = int(rng.integers(8, 40))
         z = complex(np.exp(1j * 2 * np.pi * rng.random()))
         j = int(rng.integers(0, n))
@@ -477,9 +455,7 @@ def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
                     "threshold": threshold})
 
     # representative Green-decay scan on one window
-    rng = counter_rng(seed, 5)
-    x = Phase(tuple(rng.random(f.dim)))
-    seq = VerblunskySequence(f, freq, x)
+    rng, seq = draw(5)
     z = complex(np.exp(1j * 2 * np.pi * rng.random()))
     n_scan = 40
     decay_rows = []
@@ -492,9 +468,7 @@ def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
 
     worst_poisson = 0.0
     for c in range(cases):
-        rng = counter_rng(seed, 4, c)
-        x = Phase(tuple(rng.random(f.dim)))
-        seq = VerblunskySequence(f, freq, x)
+        rng, seq = draw(4, c)
         big_n = 30 + int(rng.integers(0, 8))
         pairs = eigensolve(build_finite_cmv(seq, 0, big_n))
         pair = pairs[int(rng.integers(0, len(pairs)))]
@@ -519,13 +493,28 @@ def cmd_identity_suite(cfg: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """A subcommand's runner, its config block and the keys the runner reads
+    there, whether it reads ``boundary``, and whether the block may be absent."""
+    run: Callable
+    block: str
+    keys: tuple
+    boundary: bool = True
+    optional: bool = False
+
+
 COMMANDS = {
-    "lyapunov": cmd_lyapunov,
-    "spectrum-scan": cmd_spectrum_scan,
-    "ldt": cmd_ldt,
-    "localize": cmd_localize,
-    "multiscale": cmd_multiscale,
-    "identity-suite": cmd_identity_suite,
+    "lyapunov": Command(cmd_lyapunov, "lyapunov",
+                        ("thetas", "theta_grid", "scales", "samples"), boundary=False),
+    "spectrum-scan": Command(cmd_spectrum_scan, "spectrum",
+                             ("arc", "tol", "grid", "window", "phase_samples")),
+    "ldt": Command(cmd_ldt, "ldt", ("theta", "n_list", "tau", "samples", "determinant")),
+    "localize": Command(cmd_localize, "localize", ("theta", "scan_grid", "gamma", "n0",
+                                                   "gamma_samples", "overrides")),
+    "multiscale": Command(cmd_multiscale, "multiscale", ("theta", "scan_grid", "gamma", "n0",
+                                                         "depth", "samples", "schedule")),
+    "identity-suite": Command(cmd_identity_suite, "identity", ("cases", "threshold"),
+                              boundary=False, optional=True),
 }
 
 
@@ -543,12 +532,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        command = COMMANDS[args.command]
         cfg = load_config(args.config, args.command)
+        # one config may serve several commands, so any command's block is known
+        config_object(cfg, ("sampling", "frequency", "seed", "boundary")
+                      + tuple(c.block for c in COMMANDS.values()), "config")
         seed = args.seed if args.seed is not None else \
             config_number(cfg.get("seed", 0), "seed", int)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        rc = COMMANDS[args.command](cfg, outdir, seed)
+        block = config_object(cfg.get(command.block, {} if command.optional else None),
+                              command.keys, command.block)
+        f = resolve_sampling(cfg)
+        freq = resolve_frequency(cfg, f.dim)
+        boundary = resolve_boundary(cfg) if command.boundary else ()
+        rc = command.run(block, f, freq, outdir, seed, *boundary)
         write_manifest(outdir, args.command, cfg, seed)
         return rc
     except ConfigError as exc:

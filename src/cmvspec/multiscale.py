@@ -48,8 +48,14 @@ class ScaleSchedule:
     enforced at construction.  The scale growth N_{s+1} = floor(N_s^(1/beta))
     is astronomically fast for small beta; ``growth`` overrides the exponent
     1/beta for runnable experiments and ``overrides`` replaces individual
-    thresholds by name (recorded in every report).
+    thresholds by name (recorded in every report).  ``THRESHOLDS`` names
+    every threshold that ``threshold`` is asked for, here and at its call
+    sites in the depth-0 state, the advance and the localization step.
     """
+
+    THRESHOLDS = ("radius", "separation", "good_dist", "proximity", "c_threshold",
+                  "c_target", "upsilon_floor", "d_floor_log", "box_radius",
+                  "arc_radius", "solver_tol", "step_separation")
 
     n0: int
     s_max: int = 1

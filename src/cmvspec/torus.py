@@ -197,6 +197,14 @@ class SamplingFunction:
         self._ks = np.array(sorted(self.coeffs), dtype=int).reshape(-1, self.dim) \
             if self.coeffs else np.zeros((0, self.dim), dtype=int)
         self._cs = np.array([self.coeffs[tuple(k)] for k in self._ks], dtype=complex)
+        if self.coeffs:   # _wiener_sup's grid: each mode's slot and a DFT matrix per axis
+            shape = [2 * (int(k.max()) - int(k.min())) + 1 for k in self._ks.T]
+            if np.prod(shape, dtype=float) * max(shape) > _DFT_VALUES:
+                raise ValueError(f"Fourier modes span {[s // 2 for s in shape]}: "
+                                 "too wide to certify")
+            self._slots = tuple((self._ks % shape).T)
+            self._dfts = [np.exp(2j * np.pi * (np.outer(range(m), range(m)) % m) / m)
+                          for m in shape]
         self.sup_bound = self._wiener_sup(np.zeros(self.dim))
         if not self.sup_bound < 1.0:
             raise ValueError(f"certified sup bound {self.sup_bound:.6f} is not < 1")
@@ -209,22 +217,18 @@ class SamplingFunction:
         span_i + 1) points, plus 4 (sum n_i + 1) n eps sum |c_k e^(-2 pi k.y)|^2."""
         if len(self._cs) == 0:
             return 0.0
-        shape = [2 * (int(k.max()) - int(k.min())) + 1 for k in self._ks.T]
-        if np.prod(shape, dtype=float) * max(shape) > _DFT_VALUES:
-            raise ValueError(f"Fourier modes span {[s // 2 for s in shape]}: too wide to certify")
-        fs = [np.exp(2j * np.pi * (np.outer(range(m), range(m)) % m) / m) for m in shape]
 
         def dft(g):   # a DFT matrix per axis: numpy's FFT or BLAS would page in 0.1-0.6 MB
-            for f in fs:
+            for f in self._dfts:
                 g = (np.moveaxis(g, 0, -1)[..., None] * f).sum(axis=-2)
             return g
         with np.errstate(over="ignore", invalid="ignore"):
             a = self._cs * np.exp(-2 * np.pi * sum(v * k for v, k in zip(y, self._ks.T)))
-            grid = np.zeros(shape, dtype=complex)
-            grid[tuple((self._ks % shape).T)] = a
+            grid = np.zeros([len(f) for f in self._dfts], dtype=complex)
+            grid[self._slots] = a
             # alpha on the grid, then n conj(coefficients) of the real |alpha|^2
             wiener = np.abs(dft(np.abs(dft(grid)) ** 2)).sum() / grid.size
-            slack = 4 * (sum(shape) + 1) * grid.size * 2.0 ** -52 * np.sum(np.abs(a) ** 2)
+            slack = 4 * (sum(grid.shape) + 1) * grid.size * 2.0 ** -52 * np.sum(np.abs(a) ** 2)
             return float(np.sqrt(wiener + slack))
 
     def _fit_strip(self, requested: float | None) -> float:
