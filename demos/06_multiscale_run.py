@@ -6,7 +6,7 @@ continues the eigenvalue-tracking map, reporting each contraction
 inequality as (required, measured, ok).  At these window sizes the
 asymptotic eigenvector-contraction bounds typically fail, and the run
 prints exactly which inequality broke -- that is the intended behavior of
-the harness, not an error.  Runtime is about 9 s (one BLAS thread, 2-vCPU
+the harness, not an error.  Runtime is about 3 s (one BLAS thread, 2-vCPU
 VM).
 """
 

@@ -76,8 +76,6 @@ class CocycleProduct:
     matrix: np.ndarray
     log_norm: float
     log_det_abs: float
-    base: Phase
-    omega: np.ndarray
     point: SpectralPoint | tuple[SpectralPoint, ...]
 
     @property
@@ -159,8 +157,7 @@ def _transfer_products(f, omega, z, x, marks, y=None) -> list[CocycleProduct]:
         if one_point:
             matrix, log_norm, log_det = matrix[0], log_norm[0], log_det[0]
         products[n] = CocycleProduct(n=n, matrix=matrix, log_norm=log_norm,
-                                     log_det_abs=log_det, base=x, omega=om,
-                                     point=z if one_point else points)
+                                     log_det_abs=log_det, point=z if one_point else points)
     return [products[n] for n in marks]
 
 

@@ -155,6 +155,20 @@ class Check:
         return f"[{flag}] {self.name}: measured {self.measured:.4g} vs {self.required:.4g}"
 
 
+# the divisor c of each check bounded by exp(-gamma N0 / c): conclusions (1)
+# and (4) of the localization step, and the advance's bulk contractions
+_GAMMA_DIVISORS = {"(1) eigenvalue tracking": 40.0, "(4) eigenvector closeness": 40.0,
+                   "bulk-(1) phase-map contraction |x1 - x0|": 50.0,
+                   "bulk-(2) eigenvector contraction": 500.0}
+
+
+def _gamma_check(name: str, gamma: float, n0: int, measured: float) -> Check:
+    """The check ``name``: measured < exp(-gamma n0 / c), with c its divisor
+    in _GAMMA_DIVISORS."""
+    required = float(np.exp(-gamma * n0 / _GAMMA_DIVISORS[name]))
+    return Check(name, required, measured, measured < required)
+
+
 def _windows(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
              points, beta, eta) -> FiniteCMV:
     """The windows E^{beta,eta} on [a, b] at the rows of the (N, d) phase
@@ -374,6 +388,23 @@ def _theta_grid(theta0: float, radius: float) -> list:
                   key=lambda t: abs(t - theta0))
 
 
+def _grid_tries(schedule: ScaleSchedule, depth: int, phi_center: tuple,
+                theta0: float):
+    """The tries of a grid continuation at the depth, each (box radius, arc
+    radius, phi grid, theta grid, nodes), the nodes (phi index, theta index)
+    theta-major with the center (0, 0) first; _ATTEMPTS tries, the box and
+    the arc shrinking by _SHRINK from one to the next."""
+    radius = schedule.radius(depth)
+    box = schedule.threshold("box_radius", radius)
+    arc = schedule.threshold("arc_radius", radius)
+    for _ in range(_ATTEMPTS):
+        grid_phi, grid_theta = _phi_grid(phi_center, box), _theta_grid(theta0, arc)
+        yield box, arc, grid_phi, grid_theta, [
+            (ip, iz) for iz, ip in product(range(len(grid_theta)), range(len(grid_phi)))]
+        box *= _SHRINK
+        arc *= _SHRINK
+
+
 def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
                    schedule: ScaleSchedule, scan_grid: int = 24,
                    beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
@@ -465,30 +496,23 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
         raise RuntimeError("state construction failed: no admissible root "
                            f"near seed (best dist {dsol:.3e})")
     phi_center = tuple(float(v) for v in sol.coords[:-1])
-    box_r = schedule.threshold("box_radius", schedule.radius(0))
-    arc_r = schedule.threshold("arc_radius", schedule.radius(0))
-    for _attempt in range(_ATTEMPTS):
+    for box_r, arc_r, grid_phi, grid_theta, nodes in _grid_tries(schedule, 0, phi_center,
+                                                                 z0.theta):
         state = InductiveState(depth=0, n_scale=n0, window=(n0, n0),
                                z_center=z0, arc_radius=arc_r,
                                phi_center=phi_center, box_radius=box_r,
-                               grid_phi=_phi_grid(phi_center, box_r),
-                               grid_theta=_theta_grid(z0.theta, arc_r),
+                               grid_phi=grid_phi, grid_theta=grid_theta,
                                x_map={(0, 0): sol}, residuals={(0, 0): dsol},
                                gamma=gamma)
         state.solver = _line_solver(f, om, window, beta, eta, state)
-        for iz, ip in product(range(len(state.grid_theta)),
-                              range(len(state.grid_phi))):
-            if (ip, iz) == (0, 0):
-                continue
-            node, dn = state.solve_map(state.grid_phi[ip], state.grid_theta[iz])
+        for ip, iz in nodes[1:]:
+            node, dn = state.solve_map(grid_phi[ip], grid_theta[iz])
             if node is None:
                 break
             state.x_map[(ip, iz)] = node
             state.residuals[(ip, iz)] = dn
         else:
             return state
-        box_r *= _SHRINK
-        arc_r *= _SHRINK
     raise RuntimeError("state construction failed: grid continuation failed")
 
 
@@ -670,6 +694,32 @@ def _tracked_pair(seq: VerblunskySequence, window: tuple[int, int], z: complex,
                                               beta=beta, eta=eta), z)
 
 
+def _tweaks(n: int) -> list:
+    """End shifts (n1, n2), |n_i| < max(1, floor(sqrt n)), of a window of
+    scale n; the smallest |n1| + |n2| first."""
+    half = max(1, int(np.floor(np.sqrt(n))))
+    return sorted(product(range(-half + 1, half), repeat=2),
+                  key=lambda t: (abs(t[0]) + abs(t[1]), t))
+
+
+def _good_window(seq: VerblunskySequence, m: int, n: int, z: complex,
+                 margin: float, beta, eta) -> tuple[int, int] | None:
+    """The first tweak [m - n + n1, m + n + n2] of seq's window around m
+    whose spectrum keeps distance >= margin from z, or None."""
+    for n1, n2 in _tweaks(n):
+        a, b = m - n + n1, m + n + n2
+        if spectral_distance(build_finite_cmv(seq, a, b, beta=beta, eta=eta), z) >= margin:
+            return a, b
+    return None
+
+
+def _sampled_map(state: InductiveState, seed: int, first: int, samples: int):
+    """x(phi, theta_c) at the sampled phi of the ``_sample_phi`` counters
+    first, first + 1, ..., or None where the map fails."""
+    for counter in range(first, first + samples):
+        yield state.solve_map(_sample_phi(state, seed, counter), state.z_center.theta)[0]
+
+
 def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
                            f: SamplingFunction, omega, samples: int = 60,
                            seed: int = 1, h_hat=None, h0=None,
@@ -741,21 +791,12 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
 
     c_thr = schedule.c_threshold(ns)
     c_target = schedule.c_target(ns)
-    half = int(np.floor(np.sqrt(ns)))
-    tweaks = [(n1, n2) for n1 in range(-half + 1, half)
-              for n2 in range(-half + 1, half)]
     zz = state.z_center.z
-    hits = 0
-    for s in range(samples):
-        phi = _sample_phi(state, seed, s)
-        x, _ = state.solve_map(phi, state.z_center.theta)
-        if x is None:
-            hits += 1        # unsolvable node counts as exceptional
-            continue
-        seq = VerblunskySequence(f, om, x.shift(h_vec))
-        hits += all(spectral_distance(build_finite_cmv(seq, -ns + n1, ns + n2,
-                                                       beta=beta, eta=eta), zz) < c_thr
-                    for n1, n2 in tweaks)
+    # exceptional: the map fails, or no tweak of [-N, N] at x + h_hat keeps
+    # its spectrum c_threshold away from z
+    hits = sum(x is None or _good_window(VerblunskySequence(f, om, x.shift(h_vec)), 0,
+                                         ns, zz, c_thr, beta, eta) is None
+               for x in _sampled_map(state, seed, 0, samples))
     c_est = WilsonInterval.from_counts(hits, samples)
     c_checks.append(Check("(C) exceptional measure", c_target, c_est.estimate,
                           c_est.estimate < c_target))
@@ -776,9 +817,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     d_target = schedule.c_target(ns)
     hits = 0
     richardson_worst = 0.0
-    for s in range(samples):
-        phi = _sample_phi(state, seed, 1000 + s)
-        x, _ = state.solve_map(phi, state.z_center.theta)
+    for x in _sampled_map(state, seed, 1000, samples):
         if x is None:
             hits += 1
             continue
@@ -920,8 +959,6 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
         return LocalizationStepReport(hypothesis_checks=hyp, window=None,
                                       conclusion_checks=[])
 
-    concl: list = []
-    track_req = float(np.exp(-gamma * n0 / 40.0))
     sep_req = float(np.exp(-float(n0) ** schedule.beta_hat)) / 8.0
     sep_req = schedule.threshold("step_separation", sep_req)
     disp = schedule.proximity(n0)
@@ -939,13 +976,10 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
                              decay_ratio(vector_b, big, 3.0 * n0 / 4.0, gamma, 20.0))
         worst["close"] = max(worst["close"], aligned_distance(
             pad_vector(vector_s, base_window, big), vector_b))
-    concl.append(Check("(1) eigenvalue tracking", track_req, worst["track"],
-                       worst["track"] < track_req))
-    concl.append(Check("(2) separation", sep_req, worst["sep"],
-                       worst["sep"] > sep_req))
-    concl.append(Check("(3) decay ratio", 1.0, worst["decay"], worst["decay"] < 1.0))
-    concl.append(Check("(4) eigenvector closeness", track_req, worst["close"],
-                       worst["close"] < track_req))
+    concl = [_gamma_check("(1) eigenvalue tracking", gamma, n0, worst["track"]),
+             Check("(2) separation", sep_req, worst["sep"], worst["sep"] > sep_req),
+             Check("(3) decay ratio", 1.0, worst["decay"], worst["decay"] < 1.0),
+             _gamma_check("(4) eigenvector closeness", gamma, n0, worst["close"])]
     return LocalizationStepReport(hypothesis_checks=hyp, window=big,
                                   conclusion_checks=concl)
 
@@ -983,8 +1017,8 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     phase map, and check the contraction inequalities.
 
     Returns (next_state, report); next_state is None when construction
-    itself fails (no admissible subwindows, discontiguous union, or solver
-    divergence after shrinking the new domain three times).
+    itself fails (no admissible subwindows, or solver divergence after
+    shrinking the new domain three times).
     Inequality violations never abort: they are recorded as named failing
     checks, which is the harness's honest-failure channel.
     """
@@ -996,96 +1030,67 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     x0 = state.base_x
     seq0 = VerblunskySequence(f, om, x0)
     good = schedule.good_dist(n0)
-    half = max(1, int(np.floor(np.sqrt(n0))))
-    tweaks = sorted(((n1_, n2_) for n1_ in range(-half + 1, half)
-                     for n2_ in range(-half + 1, half)),
-                    key=lambda t: (abs(t[0]) + abs(t[1]), t))
     z1 = state.z_center
 
     subwindows = {}
     failures = []
     lo_m, hi_m = int(3 * n0 / 2) + 1, n1
     for m in [v for k in range(lo_m, hi_m + 1) for v in (k, -k)]:
-        for n1_, n2_ in tweaks:
-            a, b = m - n0 + n1_, m + n0 + n2_
-            m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
-            if spectral_distance(m_win, z1.z) >= good:
-                subwindows[m] = (a, b)
-                break
-        else:
+        window = _good_window(seq0, m, n0, z1.z, good, beta, eta)
+        if window is None:
             failures.append((m, f"no window tweak reaches margin {good:.3e}"))
+        else:
+            subwindows[m] = window
     if failures:
         return None, AdvanceReport(subwindow_failures=failures, window=None,
                                    checks=[], localization=None)
-    try:
-        big = assemble_window(n0, subwindows)
-    except ValueError as exc:
-        return None, AdvanceReport(subwindow_failures=[(0, str(exc))],
-                                   window=None, checks=[], localization=None)
-
-    checks: list = []
-    new_box = schedule.threshold("box_radius", schedule.radius(state.depth + 1))
-    new_arc = schedule.threshold("arc_radius", schedule.radius(state.depth + 1))
-    track_x = float(np.exp(-state.gamma * n0 / 50.0))
-    track_u = float(np.exp(-state.gamma * n0 / 500.0))
+    # contiguous: a tweak moves an end by <= n0, and the first window starts by lo_m
+    big = assemble_window(n0, subwindows)
+    small = state.window_interval()
     solver = _planar_solver(f, om, big, state, beta, eta)
 
     # micro-gaps of the localized spectrum can make an arc point
     # unattainable at the larger window; shrink the new domain and retry
-    last_fail = None
-    for _attempt in range(_ATTEMPTS):
-        grid_phi = _phi_grid(state.phi_center, new_box)
-        grid_theta = _theta_grid(z1.theta, new_arc)
-        x_map, residuals = {}, {}
-        worst_dx, worst_du = 0.0, 0.0
-        sep_new = np.inf
-        failed_node = None
-        for iz, theta in enumerate(grid_theta):
-            zz = np.exp(1j * theta)
-            for ip, phi in enumerate(grid_phi):
-                old_x, old_dist = state.solve_map(phi, theta)
-                if old_x is None:
-                    failed_node = ("parent map divergence", (ip, iz), old_dist)
-                    break
-                sol, dist = solver(phi, theta)
-                if sol is None:
-                    failed_node = ("continuation divergence", (ip, iz), dist)
-                    break
-                x_map[(ip, iz)] = sol
-                residuals[(ip, iz)] = dist
-                dx = np.linalg.norm(_dist_to_integer(sol.array() - old_x.array()))
-                worst_dx = max(worst_dx, float(dx))
-
-                _, u_new, _, sep = _tracked_pair(VerblunskySequence(f, om, sol), big,
-                                                 zz, beta, eta)
-                sep_new = min(sep_new, sep)
-                _, u_old, _, _ = _tracked_pair(VerblunskySequence(f, om, old_x),
-                                               state.window_interval(), zz, beta, eta)
-                worst_du = max(worst_du, aligned_distance(
-                    pad_vector(u_old, state.window_interval(), big), u_new))
-            if failed_node:
+    for new_box, new_arc, grid_phi, grid_theta, nodes in _grid_tries(
+            schedule, state.depth + 1, state.phi_center, z1.theta):
+        old_map, x_map, residuals = {}, {}, {}
+        for node in nodes:
+            phi, theta = grid_phi[node[0]], grid_theta[node[1]]
+            old_map[node], dist = state.solve_map(phi, theta)
+            if old_map[node] is None:
+                fail = Check(f"parent map divergence at node {node}", _NEAR_ROOT, dist,
+                             False)
                 break
-        if failed_node is None:
+            x_map[node], residuals[node] = solver(phi, theta)
+            if x_map[node] is None:
+                fail = Check(f"continuation divergence at node {node}", _NEAR_ROOT,
+                             residuals[node], False)
+                break
+        else:
             break
-        last_fail = failed_node
-        new_box *= _SHRINK
-        new_arc *= _SHRINK
     else:
-        kind, node, dist = last_fail
-        return None, AdvanceReport(
-            subwindow_failures=[], window=big,
-            checks=[Check(f"{kind} at node {node}", _NEAR_ROOT, dist, False)],
-            localization=None)
+        return None, AdvanceReport(subwindow_failures=[], window=big, checks=[fail],
+                                   localization=None)
 
-    checks.append(Check("bulk-(1) phase-map contraction |x1 - x0|",
-                        track_x, worst_dx, worst_dx < track_x))
-    checks.append(Check("bulk-(2) eigenvector contraction",
-                        track_u, worst_du, worst_du < track_u))
+    worst_dx, worst_du, sep_new = 0.0, 0.0, np.inf
+    for node, sol in x_map.items():
+        old_x, zz = old_map[node], np.exp(1j * grid_theta[node[1]])
+        dx = np.linalg.norm(_dist_to_integer(sol.array() - old_x.array()))
+        worst_dx = max(worst_dx, float(dx))
+        _, u_new, _, sep = _tracked_pair(VerblunskySequence(f, om, sol), big, zz, beta, eta)
+        sep_new = min(sep_new, sep)
+        _, u_old, _, _ = _tracked_pair(VerblunskySequence(f, om, old_x), small, zz,
+                                       beta, eta)
+        worst_du = max(worst_du, aligned_distance(pad_vector(u_old, small, big), u_new))
+
     sep_req = schedule.separation(n1)
-    checks.append(Check("depth+1 separation", sep_req, sep_new, sep_new > sep_req))
+    checks = [_gamma_check("bulk-(1) phase-map contraction |x1 - x0|", state.gamma, n0,
+                           worst_dx),
+              _gamma_check("bulk-(2) eigenvector contraction", state.gamma, n0, worst_du),
+              Check("depth+1 separation", sep_req, sep_new, sep_new > sep_req)]
 
     loc = finite_localization_step(f, om, x0, z1, n0, subwindows, schedule,
-                                   state.gamma, base_window=state.window_interval(),
+                                   state.gamma, base_window=small,
                                    seed=seed, beta=beta, eta=eta)
 
     new_state = InductiveState(depth=state.depth + 1, n_scale=n1,
@@ -1108,22 +1113,14 @@ def rethreshold_advance(report: AdvanceReport, gamma: float,
     with an absurd value) can be judged against the already-measured
     quantities without re-running the solve.
     """
-    def rejudge(checks, divisors: dict) -> list:
-        """Checks named with a key prefix, re-judged at exp(-gamma n0 / divisor)."""
-        out = []
-        for c in checks:
-            div = next((v for k, v in divisors.items() if c.name.startswith(k)), None)
-            req = None if div is None else float(np.exp(-gamma * n0 / div))
-            out.append(c if req is None else Check(c.name, req, c.measured,
-                                                   c.measured < req))
-        return out
+    def rejudge(checks) -> list:
+        return [_gamma_check(c.name, gamma, n0, c.measured) if c.name in _GAMMA_DIVISORS
+                else c for c in checks]
 
     loc = report.localization
     if loc is not None:
-        loc = replace(loc, conclusion_checks=rejudge(loc.conclusion_checks,
-                                                     {"(1)": 40.0, "(4)": 40.0}))
-    return replace(report, localization=loc, checks=rejudge(
-        report.checks, {"bulk-(1)": 50.0, "bulk-(2)": 500.0}))
+        loc = replace(loc, conclusion_checks=rejudge(loc.conclusion_checks))
+    return replace(report, localization=loc, checks=rejudge(report.checks))
 
 
 def _nearest_node(state: InductiveState, phi: tuple, theta: float) -> Phase:

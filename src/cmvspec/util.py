@@ -64,9 +64,6 @@ class WilsonInterval:
         return cls(estimate=p, lo=max(0.0, center - half), hi=min(1.0, center + half),
                    hits=hits, samples=samples)
 
-    def overlaps(self, other: "WilsonInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 def pad_vector(vec: np.ndarray, src: tuple[int, int], dst: tuple[int, int]) -> np.ndarray:
     """Embed a vector indexed by sites src=[a,b] into sites dst=[c,d], zero-filled.
