@@ -6,6 +6,9 @@ window with modified boundary, checking unitarity and the block
 factorization numerically.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from cmvspec.cmv import VerblunskySequence, apply_cmv, build_finite_cmv
@@ -38,5 +41,6 @@ w = apply_cmv(m, v)
 print(f"banded apply touches {np.count_nonzero(np.abs(w) > 1e-14)} entries "
       "of a basis vector (pentadiagonal stencil)")
 
-m.to_csv("window_0_24.csv")
-print("dense entries exported to window_0_24.csv")
+path = Path(tempfile.mkdtemp(prefix="cmvspec_demo01_")) / "window_0_24.csv"
+m.to_csv(path)
+print(f"dense entries exported to {path}")

@@ -6,6 +6,9 @@ of covered/uncovered points against the oracle band is saved when
 matplotlib is available.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from cmvspec.coverage import interval_coverage_scan
@@ -51,5 +54,6 @@ if plt is not None:
     ax.set_ylabel("dist(z, window spectrum)")
     ax.legend(loc="upper center", fontsize=8)
     fig.tight_layout()
-    fig.savefig("spectrum_gap.png", dpi=150)
-    print("plot saved to spectrum_gap.png")
+    path = Path(tempfile.mkdtemp(prefix="cmvspec_demo04_")) / "spectrum_gap.png"
+    fig.savefig(path, dpi=150)
+    print(f"plot saved to {path}")

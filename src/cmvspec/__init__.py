@@ -1,23 +1,8 @@
 """Numerical toolkit for multi-frequency quasi-periodic CMV operators.
 
-Submodules are imported lazily so the command-line entry point can pin BLAS
-thread counts before any numerical library loads.
+The package imports no submodule, so the command-line entry point can pin
+BLAS thread counts before any numerical library loads; import each
+submodule by name.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("torus", "cmv", "cocycle", "determinants", "green", "spectral",
-               "ldt", "coverage", "multiscale", "presets", "util", "cli")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module 'cmvspec' has no attribute '{name}'")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

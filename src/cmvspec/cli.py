@@ -35,10 +35,10 @@ from .green import green_value, poisson_residual
 from .ldt import ldt_determinant_scan, ldt_measure_scan
 from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
                          suggest_center, verify_conditions_ABCD)
-from .spectral import eigensolve, localization_profile, nearest_eigen
+from .spectral import DEFAULT_MAX_DIM, eigensolve, localization_profile, nearest_eigen
 from .torus import Frequency, Phase, SamplingFunction, reduce_phase
 from . import presets
-from .util import as_integer, counter_rng, format_float
+from .util import arc_span, as_integer, counter_rng, format_float
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -92,6 +92,15 @@ def config_number(value, name: str, cast=float, low=None):
     if low is not None and out < low:
         raise ConfigError(f"'{name}' must be at least {low}, got {out}")
     return out
+
+
+def config_half_width(value, name: str, low: int) -> int:
+    """A window half-width N from ``low`` to 2047: 2N + 1 sites are within
+    ``spectral.DEFAULT_MAX_DIM``, the size ``eigensolve`` refuses beyond."""
+    n = config_number(value, name, int, low)
+    if 2 * n + 1 > DEFAULT_MAX_DIM:
+        raise ConfigError(f"'{name}' must be at most {(DEFAULT_MAX_DIM - 1) // 2}, got {n}")
+    return n
 
 
 def config_object(spec, names, where: str) -> dict:
@@ -203,15 +212,17 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_lyapunov(block: dict, f, freq, outdir: Path, seed: int) -> int:
+    grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
     thetas = block.get("thetas")
     if thetas is None:
-        grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
         thetas = [2 * np.pi * g / grid for g in range(grid)]
     scales = [config_number(n, "scales", int, 1) for n in
               config_list(block.get("scales", [100]), "scales")]
     samples = config_number(block.get("samples", 100), "samples", int, 1)
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
+    if block.get("thetas") is not None and "theta_grid" in block:
+        raise ConfigError("'thetas' and 'theta_grid' are both given; give one")
     # one draw of phases, one pass over every point and scale
     by_scale = lyapunov_finite(f, freq, points, scales, samples, seed)
     rows = []
@@ -228,16 +239,17 @@ def cmd_spectrum_scan(block: dict, f, freq, outdir: Path, seed: int, beta, eta) 
     if not isinstance(arc, list) or len(arc) != 2:
         raise ConfigError("'arc' must be [theta1, theta2]")
     lo, hi = (config_number(v, "arc") for v in arc)
-    full_circle = abs(hi - lo) >= 2 * np.pi - 1e-12
-    if (hi - lo) % (2 * np.pi) == 0.0 and not full_circle:
-        raise ConfigError("'arc' endpoints coincide")
+    try:
+        arc_span(lo, hi)
+    except ValueError as exc:
+        raise ConfigError(f"'arc' {exc}") from exc
     tol = config_number(block.get("tol", 0.02), "tol")
     if not tol > 0:
         raise ConfigError(f"'tol' must be finite and positive, got {tol}")
     scan = interval_coverage_scan(
         f, freq, (lo, hi),
         grid=config_number(block.get("grid", 360), "grid", int, 2),
-        window=config_number(block.get("window", 100), "window", int, 0),
+        window=config_half_width(block.get("window", 100), "window", 0),
         tol=tol,
         phase_samples=config_number(block.get("phase_samples", 8),
                                     "phase_samples", int, 1),
@@ -296,8 +308,8 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
     ``suggest_center`` picks near theta, the block's gamma or else
     L_n - 3 sigma at the center over gamma_samples draws, and
     ``find_base_state`` around the center.  A configured gamma must be
-    positive (a config error otherwise); a failed search is a hypothesis
-    failure."""
+    positive, with no gamma_samples (a config error otherwise); a failed
+    search is a hypothesis failure."""
     near_theta = config_number(block.get("theta", 2.5), "theta")
     scan_grid = config_number(block.get("scan_grid", 16), "scan_grid", int, 1)
     gamma = block.get("gamma")
@@ -305,6 +317,8 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
         gamma = config_number(gamma, "gamma")
         if not gamma > 0:       # exp(-gamma |s|) >= 1 would pass every decay check
             raise ConfigError(f"'gamma' must be positive, got {gamma}")
+    if gamma is not None and "gamma_samples" in block:
+        raise ConfigError("'gamma' and 'gamma_samples' are both given; give one")
     n0 = schedule.n0
     try:
         z, x_hint = suggest_center(f, freq, near_theta, n0, schedule,
@@ -321,7 +335,7 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
 
 
 def cmd_localize(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
-    n0 = config_number(block.get("n0", 16), "n0", int, 1)
+    n0 = config_half_width(block.get("n0", 16), "n0", 1)
     schedule = ScaleSchedule(n0=n0, s_max=0, overrides=_overrides(block, "localize"))
     gamma_samples = config_number(block.get("gamma_samples", 100), "gamma_samples",
                                   int, 1)
@@ -352,7 +366,7 @@ def cmd_localize(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> in
 
 
 def cmd_multiscale(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
-    n0 = config_number(block.get("n0", 16), "n0", int, 1)
+    n0 = config_half_width(block.get("n0", 16), "n0", 1)
     depth = config_number(block.get("depth", 0), "depth", int)
     if depth not in (0, 1):
         raise ConfigError(f"'depth' {depth} is outside the supported range 0-1")

@@ -440,7 +440,6 @@ class MonotonicityReport:
     estimates: dict
     violations: list
     fitted_c: float
-    sigma: float
 
     @property
     def ok(self) -> bool:
@@ -448,13 +447,12 @@ class MonotonicityReport:
 
 
 def check_ln_monotonicity(f: SamplingFunction, omega, z: SpectralPoint,
-                          scales, samples: int, seed: int,
-                          sigma: float = 0.5) -> MonotonicityReport:
+                          scales, samples: int, seed: int) -> MonotonicityReport:
     """Check L_n <= L_m + 3 SE for every divisor pair m | n in scales.
 
     All scales are computed from the same sampled orbits, so the comparison
     is exact in the common-noise part.  Also fits the constant in the
-    finite-scale defect C (log n)^{1/sigma} / n against the largest scale.
+    finite-scale defect C (log n)^2 / n against the largest scale.
     """
     scales = sorted(set(int(v) for v in scales))
     logs = transfer_log_norms(f, omega, z, counter_phases(f.dim, samples, seed), scales)
@@ -474,11 +472,11 @@ def check_ln_monotonicity(f: SamplingFunction, omega, z: SpectralPoint,
                 if means[j] > means[i] + slack:
                     violations.append((m, n, float(means[j] - means[i])))
     tail = means[-1]
-    cs = [(means[i] - tail) * n / np.log(n) ** (1.0 / sigma)
+    cs = [(means[i] - tail) * n / np.log(n) ** 2.0
           for i, n in enumerate(scales[:-1]) if n >= 2]
     fitted = float(max(cs)) if cs else 0.0
     return MonotonicityReport(estimates=estimates, violations=violations,
-                              fitted_c=fitted, sigma=sigma)
+                              fitted_c=fitted)
 
 
 @dataclass(frozen=True)

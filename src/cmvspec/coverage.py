@@ -29,7 +29,7 @@ from scipy.linalg import solve_banded
 from .cmv import FiniteCMV, VerblunskySequence, _start, apply_cmv, build_finite_cmv
 from .spectral import edge_value, hermitian_eigenphases, rayleigh_value
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
-from .util import TWO_PI, counter_rng, phase_of, wrap_angle
+from .util import TWO_PI, arc_span, counter_rng, phase_of, wrap_angle
 
 _PROBE_ITERS = 30       # inverse-iteration steps per probe
 _PROBE_RES_TOL = 1e-10  # residual at which a probe has converged
@@ -113,7 +113,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
                            phase_samples: int = 8, seed: int = 0,
                            beta: complex = 1.0 + 0j,
                            eta: complex = 1.0 + 0j) -> CoverageScan:
-    """Scan ``grid`` points of the arc [theta1, theta2] for coverage.
+    """Scan ``grid`` points of the arc [theta1, theta2] (``util.arc_span``) for coverage.
 
     Each grid point starts from the best of ``phase_samples`` precomputed
     seeded phases; if that misses tolerance but is within 16*tol, the last
@@ -138,9 +138,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
     if phase_samples < 1:
         raise ValueError(f"phase_samples must be at least 1, got {phase_samples}")
     th1, th2 = arc
-    span = (th2 - th1) % TWO_PI
-    if span == 0:
-        span = TWO_PI
+    span = arc_span(th1, th2)
     om = omega_array(omega)
     d = f.dim
     N = int(window)
@@ -259,7 +257,6 @@ def _covered_arcs(points, span):
     if not any(covered):
         return []
     arcs = []
-    full_circle = abs(span - TWO_PI) < 1e-12
     start = None
     for i in range(n):
         if covered[i] and start is None:
@@ -270,7 +267,7 @@ def _covered_arcs(points, span):
     if start is not None:
         arcs.append((points[start].theta, points[n - 1].theta))
     # merge a run that wraps around the grid seam on full circles
-    if full_circle and len(arcs) >= 2 and covered[0] and covered[-1]:
+    if span == TWO_PI and len(arcs) >= 2 and covered[0] and covered[-1]:
         first, last = arcs[0], arcs.pop()
         arcs[0] = (last[0], first[1])
     return arcs

@@ -10,7 +10,7 @@ two-sided residual tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -107,17 +107,12 @@ def normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,
     """(rho_a ... rho_b)^{-1} det(z - E^{beta,eta}_{[a,b]}); 1 when a > b.
 
     The normalizing rho's come from the unmodified sampling values, so they
-    never vanish.
+    never vanish; past e^700 the value is ``CharDet.value``'s inf.
     """
     if a > b:
         return 1.0 + 0j
     det = char_det(seq, a, b, z, beta=beta, eta=eta)
-    if det.singular:
-        return 0j
-    log_val = det.log_abs - det.log_rho
-    if log_val > 700.0:
-        return complex(np.inf * det.phase)
-    return complex(np.exp(log_val) * det.phase)
+    return replace(det, log_abs=det.log_abs - det.log_rho).value
 
 
 def log_normalized_phi(seq: VerblunskySequence, a: int, b: int, z: complex,

@@ -125,10 +125,9 @@ def poisson_residual(seq: VerblunskySequence, a: int, b: int,
 
 
 def covering_predicate(seq: VerblunskySequence, z: complex, m: int,
-                       window: tuple[int, int], outer: tuple[int, int],
-                       beta: complex = 1.0 + 0j,
-                       eta: complex = 1.0 + 0j) -> tuple[bool, float]:
-    """Criterion excluding z from the spectrum of the outer window.
+                       window: tuple[int, int],
+                       outer: tuple[int, int]) -> tuple[bool, float]:
+    """Criterion excluding z from the spectrum of the outer window; beta = eta = 1.
 
     For the subwindow I_m = [am, bm] containing m, evaluates
 
@@ -144,14 +143,14 @@ def covering_predicate(seq: VerblunskySequence, z: complex, m: int,
     a, b = outer
     if not (a + 1 <= am <= m <= bm <= b - 1):
         raise ValueError("need I_m inside [a+1, b-1] and m inside I_m")
-    (ca0, ca1), (cb0, cb1) = _boundary_weights(seq, am, bm, z, beta, eta)
+    (ca0, ca1), (cb0, cb1) = _boundary_weights(seq, am, bm, z, 1.0 + 0j, 1.0 + 0j)
     weight_a = abs(ca0) + abs(ca1)
     weight_b = abs(cb0) + abs(cb1)
 
     def log_g(j: int, k: int) -> float:
-        log_num = (log_normalized_phi(seq, am, j - 1, z, beta=beta, eta=None)
-                   + log_normalized_phi(seq, k + 1, bm, z, beta=None, eta=eta))
-        log_den = log_normalized_phi(seq, am, bm, z, beta=beta, eta=eta)
+        log_num = (log_normalized_phi(seq, am, j - 1, z, eta=None)
+                   + log_normalized_phi(seq, k + 1, bm, z, beta=None))
+        log_den = log_normalized_phi(seq, am, bm, z)
         if not np.isfinite(log_den):
             return np.inf
         return log_num - log_den - np.log(seq.raw_rho(k))

@@ -136,9 +136,9 @@ class SpectralFormResult:
 
 def spectral_form_predicate(seq: VerblunskySequence, n: int, z: SpectralPoint,
                             nu: float, tau: float, l_n: float,
-                            beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                            c: float = 1.0) -> SpectralFormResult:
-    """resolvent_ok: ||(E - z)^{-1}|| <= c exp(n^{nu/2});
+                            beta: complex = 1.0 + 0j,
+                            eta: complex = 1.0 + 0j) -> SpectralFormResult:
+    """resolvent_ok: ||(E - z)^{-1}|| <= exp(n^{nu/2});
     logphi_ok: log|phi_{[0,n-1]}| > n L_n - n^{1-tau/2}.
 
     The window operator is normal, so the resolvent norm is the reciprocal
@@ -147,7 +147,7 @@ def spectral_form_predicate(seq: VerblunskySequence, n: int, z: SpectralPoint,
     """
     dist = spectral_distance(build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta),
                              z.z)
-    bound = float(c * np.exp(float(n) ** (nu / 2.0)))
+    bound = float(np.exp(float(n) ** (nu / 2.0)))
     resolvent_ok = bool(dist > 0 and 1.0 / dist <= bound)
     log_phi = log_normalized_phi(seq, 0, n - 1, z.z, beta=beta, eta=eta)
     floor = n * l_n - float(n) ** (1.0 - tau / 2.0)
@@ -167,14 +167,13 @@ class CoveringFormResult:
 
 
 def covering_form_check(seq: VerblunskySequence, n: int, z: SpectralPoint,
-                        subwindows: dict, tau: float, l_values: dict,
-                        min_length: int = 8, beta: complex = 1.0 + 0j,
-                        eta: complex = 1.0 + 0j) -> CoveringFormResult:
-    """Covering-form check on the window [0, n-1].
+                        subwindows: dict, tau: float,
+                        l_values: dict) -> CoveringFormResult:
+    """Covering-form check on the window [0, n-1], with beta = eta = 1.
 
     subwindows maps each site m to an interval [am, bm] inside [0, n-1];
     preconditions per site: (i) dist(m, complement) >= |I_m|/100,
-    (ii) |I_m| >= min_length, (iii) log|phi_{I_m}| > |I|L_{|I|} - |I|^{1-tau/4}.
+    (ii) |I_m| >= 8, (iii) log|phi_{I_m}| > |I|L_{|I|} - |I|^{1-tau/4}.
     l_values maps window lengths to L_{length}.  The conclusion
     dist(z, spec) >= exp(-2 max |I_m|^{1-tau/4}) is checked by eigensolve.
     """
@@ -198,20 +197,19 @@ def covering_form_check(seq: VerblunskySequence, n: int, z: SpectralPoint,
         inner_dist = min(dists) if dists else length
         if inner_dist < length / 100.0:
             failures.append((m, f"dist to complement {inner_dist} < |I|/100"))
-        if length < min_length:
-            failures.append((m, f"|I| = {length} below floor {min_length}"))
+        if length < 8:
+            failures.append((m, f"|I| = {length} below floor 8"))
         if length not in l_values:
             failures.append((m, f"no L value for length {length}"))
             continue
-        log_phi = log_normalized_phi(seq, am, bm, z.z, beta=beta, eta=eta)
+        log_phi = log_normalized_phi(seq, am, bm, z.z)
         floor = length * l_values[length] - float(length) ** (1.0 - tau / 4.0)
         if not log_phi > floor:
             failures.append((m, f"log|phi| = {log_phi:.3f} <= floor {floor:.3f}"))
         max_len_term = max(max_len_term, float(length) ** (1.0 - tau / 4.0))
 
     required = float(np.exp(-2.0 * max_len_term)) if max_len_term > 0 else 1.0
-    dist = spectral_distance(build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta),
-                             z.z)
+    dist = spectral_distance(build_finite_cmv(seq, 0, n - 1), z.z)
     return CoveringFormResult(precondition_failures=failures, dist=dist,
                               required=required,
                               conclusion_ok=bool(dist >= required),
@@ -229,10 +227,9 @@ class UnionCoveringResult:
 
 def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
                          k_param: float, nu: float, x0: Phase,
-                         displacement_samples: int = 4, seed: int = 0,
-                         beta: complex = 1.0 + 0j,
-                         eta: complex = 1.0 + 0j) -> UnionCoveringResult:
-    """Union form: per-site windows J_m with spectra exp(-K)-far from the
+                         displacement_samples: int = 4,
+                         seed: int = 0) -> UnionCoveringResult:
+    """Union form (beta = eta = 1): per-site windows J_m with spectra exp(-K)-far from the
     target set stay (1/2) exp(-K)-far after assembling J = union J_m and
     displacing the phase by less than exp(-2K).
 
@@ -255,7 +252,7 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         if edge < (b - a + 1) / 100.0:
             failures.append((m, f"dist to boundary {edge} < |J|/100"))
         seq0 = VerblunskySequence(f, seq.omega, x0)
-        m_win = build_finite_cmv(seq0, a, b, beta=beta, eta=eta)
+        m_win = build_finite_cmv(seq0, a, b)
         d = min(spectral_distance(m_win, t) for t in targets)
         if d < thr:
             failures.append((m, f"window spectrum {d:.3e} closer than exp(-K)={thr:.3e}"))
@@ -277,7 +274,7 @@ def union_covering_check(seq: VerblunskySequence, targets, windows: dict,
         if s == 0:
             delta = np.zeros(d_dim)
         seq_x = VerblunskySequence(f, seq.omega, x0.shift(delta))
-        m_union = build_finite_cmv(seq_x, lo, hi, beta=beta, eta=eta)
+        m_union = build_finite_cmv(seq_x, lo, hi)
         d = min(spectral_distance(m_union, t) for t in targets)
         dists.append(d)
         if d < 0.5 * thr:

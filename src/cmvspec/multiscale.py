@@ -733,7 +733,8 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     admissibly when not supplied, rejected when violating the orbit-distance
     floor); (D) sampled measure of the degenerate-gradient phi set for a
     unit vector h0 (random when not supplied), gradients by central
-    differences with a half-step consistency check.
+    differences with a half-step consistency check.  (C) and (D) each draw
+    ``samples`` phi, or count the one phi of an empty box (d = 1) once.
     """
     om = omega_array(omega)
     d = f.dim
@@ -792,12 +793,13 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     c_thr = schedule.c_threshold(ns)
     c_target = schedule.c_target(ns)
     zz = state.z_center.z
+    draws = samples if len(state.phi_center) else 1
     # exceptional: the map fails, or no tweak of [-N, N] at x + h_hat keeps
     # its spectrum c_threshold away from z
     hits = sum(x is None or _good_window(VerblunskySequence(f, om, x.shift(h_vec)), 0,
                                          ns, zz, c_thr, beta, eta) is None
-               for x in _sampled_map(state, seed, 0, samples))
-    c_est = WilsonInterval.from_counts(hits, samples)
+               for x in _sampled_map(state, seed, 0, draws))
+    c_est = WilsonInterval.from_counts(hits, draws)
     c_checks.append(Check("(C) exceptional measure", c_target, c_est.estimate,
                           c_est.estimate < c_target))
 
@@ -817,7 +819,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     d_target = schedule.c_target(ns)
     hits = 0
     richardson_worst = 0.0
-    for x in _sampled_map(state, seed, 1000, samples):
+    for x in _sampled_map(state, seed, 1000, draws):
         if x is None:
             hits += 1
             continue
@@ -826,7 +828,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
         proj = abs(np.sum(grad * np.conj(h0_vec)))
         if not proj > 0 or np.log(proj) < floor_log:
             hits += 1
-    d_est = WilsonInterval.from_counts(hits, samples)
+    d_est = WilsonInterval.from_counts(hits, draws)
     d_checks.append(Check("(D) degenerate-gradient measure", d_target,
                           d_est.estimate, d_est.estimate < d_target))
     d_checks.append(Check("(D) finite-difference consistency", 1e-3,

@@ -50,12 +50,12 @@ def localization_example() -> SamplingFunction:
     return two_mode(0.475)
 
 
-def golden_frequency(p: float = 0.2, q: float = 2.0, k_max: int = 1000) -> Frequency:
+def golden_frequency() -> Frequency:
     """d=1 golden-mean frequency (sqrt(5)-1)/2."""
-    return Frequency.checked([(np.sqrt(5.0) - 1.0) / 2.0], p=p, q=q, k_max=k_max)
+    return Frequency.checked([(np.sqrt(5.0) - 1.0) / 2.0], p=0.2, q=2.0, k_max=1000)
 
 
-def sqrt_frequency(p: float = 0.05, q: float = 3.0, k_max: int = 200) -> Frequency:
+def sqrt_frequency() -> Frequency:
     """d=2 frequency (sqrt(2)-1, sqrt(3)-1) with a verified certificate."""
     return Frequency.checked([np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0],
-                             p=p, q=q, k_max=k_max)
+                             p=0.05, q=3.0, k_max=200)

@@ -43,9 +43,20 @@ def phase_of(z: complex) -> float:
     return float(np.angle(z) % TWO_PI)
 
 
+def arc_span(theta1: float, theta2: float) -> float:
+    """Counterclockwise length, in (0, 2*pi], of the arc from theta1 to
+    theta2: the whole circle when |theta2 - theta1| >= 2*pi - 1e-12, and a
+    ValueError when the endpoints otherwise coincide."""
+    whole = abs(theta2 - theta1) >= TWO_PI - 1e-12
+    span = TWO_PI if whole else (theta2 - theta1) % TWO_PI
+    if span == 0:
+        raise ValueError("endpoints coincide")
+    return span
+
+
 @dataclass(frozen=True)
 class WilsonInterval:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval (95%, z = 1.96) for a binomial proportion."""
 
     estimate: float
     lo: float
@@ -54,10 +65,10 @@ class WilsonInterval:
     samples: int
 
     @classmethod
-    def from_counts(cls, hits: int, samples: int, z: float = 1.96) -> "WilsonInterval":
+    def from_counts(cls, hits: int, samples: int) -> "WilsonInterval":
         if samples <= 0:
             raise ValueError("samples must be positive")
-        p = hits / samples
+        p, z = hits / samples, 1.96
         denom = 1.0 + z * z / samples
         center = (p + z * z / (2 * samples)) / denom
         half = z * np.sqrt(p * (1 - p) / samples + z * z / (4 * samples * samples)) / denom
