@@ -36,13 +36,15 @@ from .ldt import ldt_determinant_scan, ldt_measure_scan
 from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
                          suggest_center, verify_conditions_ABCD)
 from .spectral import DEFAULT_MAX_DIM, eigensolve, localization_profile, nearest_eigen
-from .torus import Frequency, Phase, SamplingFunction, reduce_phase
+from .torus import Frequency, Phase, SamplingFunction
 from . import presets
 from .util import arc_span, as_integer, counter_rng, format_float
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_HYPOTHESIS = 4
+MAX_COUNT = 2 ** 20
+MAX_SCAN_WINDOWS = 2 ** 16  # the center scan builds scan_grid^dim windows in one batch
 
 
 class ConfigError(Exception):
@@ -100,6 +102,16 @@ def config_half_width(value, name: str, low: int) -> int:
     n = config_number(value, name, int, low)
     if 2 * n + 1 > DEFAULT_MAX_DIM:
         raise ConfigError(f"'{name}' must be at most {(DEFAULT_MAX_DIM - 1) // 2}, got {n}")
+    return n
+
+
+def config_count(value, name: str, low: int) -> int:
+    """A count from ``low`` to MAX_COUNT: each count sizes one axis of an
+    array the run allocates (grid points, phase draws, transfer steps, cases),
+    and a larger one is refused before that array is made."""
+    n = config_number(value, name, int, low)
+    if n > MAX_COUNT:
+        raise ConfigError(f"'{name}' must be at most {MAX_COUNT}, got {n}")
     return n
 
 
@@ -196,7 +208,11 @@ def resolve_boundary(cfg: dict):
 def write_manifest(outdir: Path, command: str, cfg: dict, seed: int) -> None:
     body = {"command": command, "config": cfg, "seed": seed}
     body["content_hash"] = hashlib.sha256(_canonical(body).encode()).hexdigest()
-    (outdir / "manifest.json").write_text(_canonical(body) + "\n", encoding="utf-8")
+    write_json(outdir / "manifest.json", body)
+
+
+def write_json(path: Path, obj) -> None:
+    path.write_text(_canonical(obj) + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, header: str, rows) -> None:
@@ -212,13 +228,13 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_lyapunov(block: dict, f, freq, outdir: Path, seed: int) -> int:
-    grid = config_number(block.get("theta_grid", 16), "theta_grid", int, 1)
+    grid = config_count(block.get("theta_grid", 16), "theta_grid", 1)
     thetas = block.get("thetas")
     if thetas is None:
         thetas = [2 * np.pi * g / grid for g in range(grid)]
-    scales = [config_number(n, "scales", int, 1) for n in
+    scales = [config_count(n, "scales", 1) for n in
               config_list(block.get("scales", [100]), "scales")]
-    samples = config_number(block.get("samples", 100), "samples", int, 1)
+    samples = config_count(block.get("samples", 100), "samples", 1)
     points = [SpectralPoint(config_number(theta, "thetas"))
               for theta in config_list(thetas, "thetas")]
     if block.get("thetas") is not None and "theta_grid" in block:
@@ -248,11 +264,10 @@ def cmd_spectrum_scan(block: dict, f, freq, outdir: Path, seed: int, beta, eta) 
         raise ConfigError(f"'tol' must be finite and positive, got {tol}")
     scan = interval_coverage_scan(
         f, freq, (lo, hi),
-        grid=config_number(block.get("grid", 360), "grid", int, 2),
+        grid=config_count(block.get("grid", 360), "grid", 2),
         window=config_half_width(block.get("window", 100), "window", 0),
         tol=tol,
-        phase_samples=config_number(block.get("phase_samples", 8),
-                                    "phase_samples", int, 1),
+        phase_samples=config_count(block.get("phase_samples", 8), "phase_samples", 1),
         seed=seed, beta=beta, eta=eta)
     d = f.dim
     header = "theta,covered,best_dist," + ",".join(f"phase_x{i}" for i in range(d)) \
@@ -266,32 +281,28 @@ def cmd_spectrum_scan(block: dict, f, freq, outdir: Path, seed: int, beta, eta) 
         "window": scan.window,
         "tol": scan.tol,
     }
-    (outdir / "arc_summary.json").write_text(_canonical(summary) + "\n",
-                                             encoding="utf-8")
+    write_json(outdir / "arc_summary.json", summary)
     return 0
 
 
 def cmd_ldt(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     z = SpectralPoint(config_number(block.get("theta", 0.0), "theta"))
-    n_list = [config_number(v, "n_list", int, 1)
+    n_list = [config_count(v, "n_list", 1)
               for v in config_list(block.get("n_list", [50, 100, 200]), "n_list")]
     tau = config_number(block.get("tau", 0.3), "tau")
-    samples = config_number(block.get("samples", 500), "samples", int, 1)
+    samples = config_count(block.get("samples", 500), "samples", 1)
     determinant = block.get("determinant", False)
     if not isinstance(determinant, bool):
         raise ConfigError(f"'determinant' must be true or false, got {determinant!r}")
-    scan = ldt_measure_scan(f, freq, z, n_list, tau, samples, seed)
-    rows = [(e.n, float(e.estimate), float(e.interval.lo), float(e.interval.hi),
-             float(scan.l_values[e.n])) for e in scan.estimates]
-    write_csv(outdir / "ldt_matrix.csv", "n,estimate,wilson_lo,wilson_hi,L_n", rows)
+    measure = ldt_measure_scan(f, freq, z, n_list, tau, samples, seed)
+    scans = {"ldt_matrix.csv": measure}
     if determinant:
-        dscan = ldt_determinant_scan(f, freq, z, n_list, tau, samples, seed,
-                                     beta=beta, eta=eta, measure=scan)
-        rows = [(e.n, float(e.estimate), float(e.interval.lo),
-                 float(e.interval.hi), float(dscan.l_values[e.n]))
-                for e in dscan.estimates]
-        write_csv(outdir / "ldt_determinant.csv",
-                  "n,estimate,wilson_lo,wilson_hi,L_n", rows)
+        scans["ldt_determinant.csv"] = ldt_determinant_scan(
+            f, freq, z, n_list, tau, samples, seed, beta=beta, eta=eta, measure=measure)
+    for name, scan in scans.items():
+        write_csv(outdir / name, "n,estimate,wilson_lo,wilson_hi,L_n",
+                  [(e.n, float(e.estimate), float(e.interval.lo), float(e.interval.hi),
+                    float(scan.l_values[e.n])) for e in scan.estimates])
     return 0
 
 
@@ -311,7 +322,10 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
     positive, with no gamma_samples (a config error otherwise); a failed
     search is a hypothesis failure."""
     near_theta = config_number(block.get("theta", 2.5), "theta")
-    scan_grid = config_number(block.get("scan_grid", 16), "scan_grid", int, 1)
+    scan_grid = config_count(block.get("scan_grid", 16), "scan_grid", 1)
+    if scan_grid ** f.dim > MAX_SCAN_WINDOWS:
+        raise ConfigError(f"'scan_grid' ^ dim must be at most {MAX_SCAN_WINDOWS}, "
+                          f"got {scan_grid}^{f.dim}")
     gamma = block.get("gamma")
     if gamma is not None:
         gamma = config_number(gamma, "gamma")
@@ -337,8 +351,7 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
 def cmd_localize(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> int:
     n0 = config_half_width(block.get("n0", 16), "n0", 1)
     schedule = ScaleSchedule(n0=n0, s_max=0, overrides=_overrides(block, "localize"))
-    gamma_samples = config_number(block.get("gamma_samples", 100), "gamma_samples",
-                                  int, 1)
+    gamma_samples = config_count(block.get("gamma_samples", 100), "gamma_samples", 1)
     z, gamma, state = _center_and_state(block, f, freq, beta, eta, schedule, seed,
                                         gamma_samples)
     x = state.base_x
@@ -360,8 +373,7 @@ def cmd_localize(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> in
         "passes": profile.passes,
         "base_phase": [float(v) for v in x.coords],
     }
-    (outdir / "localize.json").write_text(_canonical(verdict) + "\n",
-                                          encoding="utf-8")
+    write_json(outdir / "localize.json", verdict)
     return 0
 
 
@@ -370,7 +382,7 @@ def cmd_multiscale(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> 
     depth = config_number(block.get("depth", 0), "depth", int)
     if depth not in (0, 1):
         raise ConfigError(f"'depth' {depth} is outside the supported range 0-1")
-    samples = config_number(block.get("samples", 40), "samples", int, 1)
+    samples = config_count(block.get("samples", 40), "samples", 1)
     names = ("nu_prime", "c0", "c1", "c2", "nu", "growth")
     sched_cfg = config_object(block.get("schedule", {}), names + ("overrides",),
                               "multiscale.schedule")
@@ -407,66 +419,67 @@ def cmd_multiscale(block: dict, f, freq, outdir: Path, seed: int, beta, eta) -> 
             "failures": adv.failures(),
             "checks": [str(c) for c in adv.checks],
         }
-    (outdir / "multiscale.json").write_text(_canonical(out) + "\n",
-                                            encoding="utf-8")
+    write_json(outdir / "multiscale.json", out)
     return 0
 
 
 def cmd_identity_suite(block: dict, f, freq, outdir: Path, seed: int) -> int:
-    cases = config_number(block.get("cases", 25), "cases", int, 1)
+    cases = config_count(block.get("cases", 25), "cases", 1)
     threshold = config_number(block.get("threshold", 1e-8), "threshold")
-    results = []
 
     def draw(*stream):
         """A counter-seeded generator, and the sequence at the phase it draws first."""
         rng = counter_rng(seed, *stream)
         return rng, VerblunskySequence(f, freq, Phase(tuple(rng.random(f.dim))))
 
-    worst_unitary = 0.0
-    worst_factor = 0.0
-    for c in range(cases):
-        rng, seq = draw(1, c)
+    # each residual draws its sizes from rng after the phase; None marks a
+    # draw where the identity is undefined
+    def window(rng, seq):
         n = int(rng.integers(4, 40))
         beta = complex(np.exp(2j * np.pi * rng.random()))
         eta = complex(np.exp(2j * np.pi * rng.random()))
-        m = build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta)
-        E = m.dense()
-        worst_unitary = max(worst_unitary, float(np.max(np.abs(
-            E.conj().T @ E - np.eye(n)))))
-        worst_factor = max(worst_factor, float(np.max(np.abs(
-            E - m.l_dense() @ m.m_dense()))))
-    results.append({"case": "unitarity", "residual": worst_unitary,
-                    "threshold": 1e-12})
-    results.append({"case": "factorization", "residual": worst_factor,
-                    "threshold": 1e-13})
+        return build_finite_cmv(seq, 0, n - 1, beta=beta, eta=eta)
 
-    worst_rel = 0.0
-    for c in range(cases):
-        rng = counter_rng(seed, 2, c)
-        x = reduce_phase(rng.random(f.dim))
+    def unitarity(rng, seq):
+        E = window(rng, seq).dense()
+        return np.max(np.abs(E.conj().T @ E - np.eye(len(E))))
+
+    def factorization(rng, seq):
+        m = window(rng, seq)
+        return np.max(np.abs(m.dense() - m.l_dense() @ m.m_dense()))
+
+    def determinant_transfer(rng, seq):
         n = int(rng.integers(2, 16))
         z = SpectralPoint(float(2 * np.pi * rng.random()))
         try:
-            worst_rel = max(worst_rel, relation_residual(f, freq, z, x, n))
-        except ValueError:
-            continue
-    results.append({"case": "determinant_transfer", "residual": worst_rel,
-                    "threshold": threshold})
+            return relation_residual(f, freq, z, seq.base, n)
+        except ValueError:          # alpha_{-1} ~ 0
+            return None
 
-    worst_green = 0.0
-    for c in range(cases):
-        rng, seq = draw(3, c)
+    def green_ratio(rng, seq):
         n = int(rng.integers(8, 40))
         z = complex(np.exp(1j * 2 * np.pi * rng.random()))
         j = int(rng.integers(0, n))
         k = int(rng.integers(j, n))
         gv = green_value(seq, 0, n - 1, j, k, z)
         if gv.singular or abs(gv.value) < 1e-12:
-            continue
-        worst_green = max(worst_green,
-                          abs(gv.magnitude - abs(gv.value)) / abs(gv.value))
-    results.append({"case": "green_ratio", "residual": worst_green,
-                    "threshold": threshold})
+            return None
+        return abs(gv.magnitude - abs(gv.value)) / abs(gv.value)
+
+    def poisson(rng, seq):
+        big_n = 30 + int(rng.integers(0, 8))
+        pairs = eigensolve(build_finite_cmv(seq, 0, big_n))
+        pair = pairs[int(rng.integers(0, len(pairs)))]
+        a = 3 + int(rng.integers(0, 2))
+        b = big_n - 3 - int(rng.integers(0, 2))
+        m_site = int(rng.integers(a + 1, b))
+        return poisson_residual(seq, a, b, pair.value, pair.vector, (0, big_n), m_site)
+
+    identities = (("unitarity", 1, unitarity, 1e-12),
+                  ("factorization", 1, factorization, 1e-13),
+                  ("determinant_transfer", 2, determinant_transfer, threshold),
+                  ("green_ratio", 3, green_ratio, threshold),
+                  ("poisson", 4, poisson, 1e-9))
 
     # representative Green-decay scan on one window
     rng, seq = draw(5)
@@ -480,23 +493,12 @@ def cmd_identity_suite(block: dict, f, freq, outdir: Path, seed: int) -> int:
         decay_rows.append((j0, k, float(np.log(max(mag, 1e-300)))))
     write_csv(outdir / "green_decay.csv", "j,k,log_abs_G", decay_rows)
 
-    worst_poisson = 0.0
-    for c in range(cases):
-        rng, seq = draw(4, c)
-        big_n = 30 + int(rng.integers(0, 8))
-        pairs = eigensolve(build_finite_cmv(seq, 0, big_n))
-        pair = pairs[int(rng.integers(0, len(pairs)))]
-        a = 3 + int(rng.integers(0, 2))
-        b = big_n - 3 - int(rng.integers(0, 2))
-        m_site = int(rng.integers(a + 1, b))
-        res = poisson_residual(seq, a, b, pair.value, pair.vector, (0, big_n),
-                               m_site)
-        worst_poisson = max(worst_poisson, res)
-    results.append({"case": "poisson", "residual": worst_poisson,
-                    "threshold": 1e-9})
-
-    (outdir / "identity_suite.json").write_text(
-        _canonical({"results": results}) + "\n", encoding="utf-8")
+    results = []
+    for case, stream, residual, limit in identities:
+        measured = (residual(*draw(stream, c)) for c in range(cases))
+        worst = max([0.0] + [float(r) for r in measured if r is not None])
+        results.append({"case": case, "residual": worst, "threshold": limit})
+    write_json(outdir / "identity_suite.json", {"results": results})
     bad = [r for r in results if r["residual"] > r["threshold"]]
     for r in results:
         print(f"{r['case']}: max residual {r['residual']:.3e} "

@@ -450,20 +450,15 @@ def check_ln_monotonicity(f: SamplingFunction, omega, z: SpectralPoint,
                           scales, samples: int, seed: int) -> MonotonicityReport:
     """Check L_n <= L_m + 3 SE for every divisor pair m | n in scales.
 
-    All scales are computed from the same sampled orbits, so the comparison
-    is exact in the common-noise part.  Also fits the constant in the
-    finite-scale defect C (log n)^2 / n against the largest scale.
+    Every estimate is ``lyapunov_finite``'s, all scales from one pass over
+    the same sampled orbits, so the comparison is exact in the common-noise
+    part.  Also fits the constant in the finite-scale defect C (log n)^2 / n
+    against the largest scale.
     """
     scales = sorted(set(int(v) for v in scales))
-    logs = transfer_log_norms(f, omega, z, counter_phases(f.dim, samples, seed), scales)
-    table = np.column_stack([logs[n] / n for n in scales])
-    means = table.mean(axis=0)
-    errs = table.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1 \
-        else np.zeros(len(scales))
-    estimates = {n: LyapunovEstimate(n=n, value=float(means[i]),
-                                     sample_count=samples,
-                                     std_error=float(errs[i]), method="direct")
-                 for i, n in enumerate(scales)}
+    estimates = dict(zip(scales, lyapunov_finite(f, omega, z, scales, samples, seed)))
+    means = [estimates[n].value for n in scales]
+    errs = [estimates[n].std_error for n in scales]
     violations = []
     for i, m in enumerate(scales):
         for j, n in enumerate(scales):

@@ -175,7 +175,8 @@ def covering_form_check(seq: VerblunskySequence, n: int, z: SpectralPoint,
     preconditions per site: (i) dist(m, complement) >= |I_m|/100,
     (ii) |I_m| >= 8, (iii) log|phi_{I_m}| > |I|L_{|I|} - |I|^{1-tau/4}.
     l_values maps window lengths to L_{length}.  The conclusion
-    dist(z, spec) >= exp(-2 max |I_m|^{1-tau/4}) is checked by eigensolve.
+    dist(z, spec) >= exp(-2 max |I_m|^{1-tau/4}) is checked by
+    ``spectral_distance``, the banded nearest-eigenvalue query.
     """
     failures = []
     max_len_term = 0.0

@@ -75,11 +75,6 @@ def eigensolve(m, max_dim: int = DEFAULT_MAX_DIM) -> list[EigenPair]:
     n = A.shape[0]
     if n > max_dim:
         raise ValueError(f"window size {n} exceeds max_dim={max_dim}")
-    if n == 1:
-        lam = complex(A[0, 0])
-        value = lam / abs(lam)
-        return [EigenPair(index=0, value=value, vector=np.ones(1, dtype=complex),
-                          residual=abs(lam - value), raw_modulus=abs(lam))]
     T, Z = schur(A, output="complex")
     w = np.diag(T).copy()
     residuals = np.array([np.linalg.norm(A @ Z[:, k] - w[k] * Z[:, k])
@@ -249,8 +244,7 @@ def eigen_screen(m: FiniteCMV) -> list:
         EV = E @ V
         lam = np.einsum("kij,kij->kj", np.conj(V), EV)
         res = np.linalg.norm(EV - V * lam[:, None, :], axis=1)
-        U = np.abs(V)
-        edges = np.maximum(U[:, :4].max(axis=1), U[:, -4:].max(axis=1))
+        edges = edge_value(np.swapaxes(V, 1, 2))
         for k in range(len(E)):
             if np.diff(h[k]).min(initial=np.inf) <= _GAP_TOL \
                     or not res[k].max() <= _SCREEN_RES_TOL:
@@ -470,11 +464,13 @@ def separation_gap(pairs: list[EigenPair], k: int) -> float:
     return float(min(abs(p.value - zk) for i, p in enumerate(pairs) if i != k))
 
 
-def edge_value(vector: np.ndarray) -> float:
+def edge_value(vector: np.ndarray) -> float | np.ndarray:
     """Largest |u(s)| over the four outer sites at each end of the window;
-    on fewer than 8 sites the two ends overlap."""
+    on fewer than 8 sites the two ends overlap.  For a stack of vectors, sites
+    on the last axis, the array of each vector's value."""
     u = np.abs(vector)
-    return float(max(u[:4].max(), u[-4:].max()))
+    edge = np.maximum(u[..., :4].max(axis=-1), u[..., -4:].max(axis=-1))
+    return float(edge) if edge.ndim == 0 else edge
 
 
 def decay_ratio(vector: np.ndarray, interval: tuple[int, int], cut: float,

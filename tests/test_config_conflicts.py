@@ -1,12 +1,12 @@
 """Configs the CLI refuses: two names of which the reader would leave one
-unread, and a window half-width whose 2N + 1 sites exceed
-``spectral.DEFAULT_MAX_DIM``."""
+unread, a window half-width whose 2N + 1 sites exceed
+``spectral.DEFAULT_MAX_DIM``, and a count past ``cli.MAX_COUNT``."""
 
 import json
 
 import pytest
 
-from cmvspec.cli import ConfigError, config_half_width, main
+from cmvspec.cli import MAX_COUNT, ConfigError, config_count, config_half_width, main
 
 BASE = {"sampling": {"preset": "constant", "value": 0.5, "dim": 1},
         "frequency": {"preset": "golden"}}
@@ -59,3 +59,43 @@ def test_2047_is_the_largest_half_width():
     assert config_half_width(2047, "window", 0) == 2047
     with pytest.raises(ConfigError):
         config_half_width(2048, "window", 0)
+
+
+BIG = 2 ** 62
+
+
+@pytest.mark.parametrize("command,cfg,name", [
+    ("spectrum-scan", {**BASE, "spectrum": {"grid": BIG}}, "grid"),
+    ("spectrum-scan", {**BASE, "spectrum": {"phase_samples": BIG}}, "phase_samples"),
+    ("lyapunov", {**BASE, "lyapunov": {"theta_grid": BIG}}, "theta_grid"),
+    ("lyapunov", {**BASE, "lyapunov": {"thetas": [0.5], "scales": [10, BIG]}}, "scales"),
+    ("lyapunov", {**BASE, "lyapunov": {"thetas": [0.5], "samples": BIG}}, "samples"),
+    ("ldt", {**BASE, "ldt": {"n_list": [BIG]}}, "n_list"),
+    ("ldt", {**BASE, "ldt": {"samples": BIG}}, "samples"),
+    ("localize", {**LOCALIZATION, "localize": {"gamma_samples": BIG}}, "gamma_samples"),
+    ("localize", {**LOCALIZATION, "localize": {"scan_grid": BIG}}, "scan_grid"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"scan_grid": BIG}}, "scan_grid"),
+    ("multiscale", {**LOCALIZATION, "multiscale": {"samples": BIG}}, "samples"),
+    ("identity-suite", {**BASE, "identity": {"cases": BIG}}, "cases"),
+], ids=["grid", "phase_samples", "theta_grid", "scales", "lyapunov-samples", "n_list",
+        "ldt-samples", "gamma_samples", "localize-scan_grid", "multiscale-scan_grid",
+        "multiscale-samples", "cases"])
+def test_a_count_past_2_to_the_20_exits_2(tmp_path, capsys, command, cfg, name):
+    assert _run(tmp_path, command, cfg) == 2
+    assert f"config error: '{name}' must be at most {MAX_COUNT}, got {BIG}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["localize", "multiscale"])
+def test_a_center_scan_past_2_to_the_16_windows_exits_2(tmp_path, capsys, command):
+    # 257^2 windows at d = 2; 256^2 = 2^16 is the largest scan
+    cfg = {**LOCALIZATION, command: {"scan_grid": 257}}
+    assert _run(tmp_path, command, cfg) == 2
+    assert "config error: 'scan_grid' ^ dim must be at most 65536, got 257^2" \
+        in capsys.readouterr().err
+
+
+def test_2_to_the_20_is_the_largest_count():
+    assert config_count(MAX_COUNT, "grid", 2) == MAX_COUNT
+    with pytest.raises(ConfigError):
+        config_count(MAX_COUNT + 1, "grid", 2)
