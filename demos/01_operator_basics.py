@@ -41,6 +41,8 @@ w = apply_cmv(m, v)
 print(f"banded apply touches {np.count_nonzero(np.abs(w) > 1e-14)} entries "
       "of a basis vector (pentadiagonal stencil)")
 
-path = Path(tempfile.mkdtemp(prefix="cmvspec_demo01_")) / "window_0_24.csv"
-m.to_csv(path)
-print(f"dense entries exported to {path}")
+with tempfile.TemporaryDirectory(prefix="cmvspec_demo01_") as tmp:
+    path = Path(tmp) / "window_0_24.csv"
+    m.to_csv(path)
+    rows = len(path.read_text(encoding="utf-8").splitlines()) - 1
+print(f"dense entries exported as CSV: {rows} nonzero entries")

@@ -12,8 +12,7 @@ VM).
 
 import time
 
-from cmvspec.cocycle import lyapunov_finite
-from cmvspec.multiscale import (ScaleSchedule, find_base_state,
+from cmvspec.multiscale import (ScaleSchedule, estimate_gamma, find_base_state,
                                 inductive_advance, suggest_center,
                                 verify_conditions_ABCD)
 from cmvspec.presets import localization_example, sqrt_frequency
@@ -35,7 +34,8 @@ z0, x0 = suggest_center(f, freq, 2.5, 16, schedule, scan_grid=16,
 print(f"center chosen at theta = {z0.theta:.6f} (exactly attained, "
       f"attainable one scale up), {time.time()-t0:.0f}s")
 
-gamma = float(max(lyapunov_finite(f, freq, z0, 200, 100, seed=0).value, 1e-3))
+gamma = estimate_gamma(f, freq, z0, 16, samples=100, seed=0)
+print(f"gamma = L_100 - 3 sigma over 100 phases = {gamma:.4f}")
 state = find_base_state(f, freq, z0, 16, schedule, gamma, x_hint=x0)
 print(f"depth-0 state: window [-16,16], {len(state.x_map)} solved grid nodes, "
       f"worst residual {max(state.residuals.values()):.1e}")

@@ -33,8 +33,8 @@ from .coverage import interval_coverage_scan
 from .determinants import relation_residual
 from .green import green_value, poisson_residual
 from .ldt import ldt_determinant_scan, ldt_measure_scan
-from .multiscale import (ScaleSchedule, find_base_state, inductive_advance,
-                         suggest_center, verify_conditions_ABCD)
+from .multiscale import (ScaleSchedule, estimate_gamma, find_base_state,
+                         inductive_advance, suggest_center, verify_conditions_ABCD)
 from .spectral import DEFAULT_MAX_DIM, eigensolve, localization_profile, nearest_eigen
 from .torus import Frequency, Phase, SamplingFunction
 from . import presets
@@ -317,7 +317,7 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
                       seed: int, gamma_samples: int, probe=None):
     """(center, gamma, depth-0 state) for the block's theta: the center
     ``suggest_center`` picks near theta, the block's gamma or else
-    L_n - 3 sigma at the center over gamma_samples draws, and
+    ``estimate_gamma`` at the center over gamma_samples draws, and
     ``find_base_state`` around the center.  A configured gamma must be
     positive, with no gamma_samples (a config error otherwise); a failed
     search is a hypothesis failure."""
@@ -339,8 +339,7 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
                                    scan_grid=scan_grid, beta=beta, eta=eta,
                                    probe_halfwidth=probe)
         if gamma is None:
-            est = lyapunov_finite(f, freq, z, max(100, 2 * n0), gamma_samples, seed)
-            gamma = float(est.value - 3 * est.std_error)
+            gamma = estimate_gamma(f, freq, z, n0, gamma_samples, seed)
         state = find_base_state(f, freq, z, n0, schedule, gamma,
                                 beta=beta, eta=eta, x_hint=x_hint)
     except RuntimeError as exc:

@@ -174,20 +174,47 @@ class FiniteCMV:
             E[..., rows, rows + off] = self.bands[..., off + 2, rows]
         return E
 
+    def _blocks(self, alpha: np.ndarray, rho: np.ndarray) -> tuple:
+        """Diagonal and (symmetric) first off-diagonal of L, then of M, from
+        alpha and rho on sites a-1..b (on the last axis; leading axes are a
+        batch).  The map is real-linear in (alpha, rho), so it takes their
+        derivatives to the derivatives of the factors."""
+        own = np.zeros(self.size, dtype=bool)    # an L block starts on the row:
+        own[self.a % 2::2] = True                # the rows of even sites
+        return tuple((np.where(starts, np.conj(alpha[..., 1:]), -alpha[..., :-1]),
+                      np.where(starts[:-1], rho[..., 1:-1], 0.0))
+                     for starts in (own, ~own))
+
     @cached_property
     def _factors(self) -> tuple:
-        """Diagonal and (symmetric) first off-diagonal of L, then of M: the
-        factor made of the blocks at even sites, then at odd ones.  Read-only
-        and evaluated once per window (nothing mutates a window after it is
+        """``_blocks`` of the window's coefficients: L is the factor made of
+        the blocks at even sites, M of those at odd ones.  Read-only and
+        evaluated once per window (nothing mutates a window after it is
         built); each window that ``row`` returns has its own."""
-        own = np.arange(self.a, self.b + 1) % 2 == 0    # an L block starts on the row
-        out = []
-        for starts in (own, ~own):
-            diag = np.where(starts, np.conj(self.alpha[1:]), -self.alpha[:-1])
-            off = np.where(starts[:-1], self.rho[1:-1], 0.0)
+        out = self._blocks(self.alpha, self.rho)
+        for diag, off in out:
             diag.flags.writeable = off.flags.writeable = False
-            out.append((diag, off))
-        return tuple(out)
+        return out
+
+    def derivative_form(self, v: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
+        """v* (d_i E) v of a vector v for each column i of dalpha, the (b - a
+        + 2, d) derivatives d_i alpha on sites a-1..b, as a complex (d,) array.
+
+        d E = dL M + L dM, with dL and dM the ``_blocks`` of (d alpha, d rho)
+        and d rho = -Re(conj(alpha) d alpha) / rho.  The cut sites a-1 and b
+        hold boundary values, so their derivative is zero whatever dalpha
+        holds there, and d rho is zero wherever rho is (no division by 0).
+        For a normal window and a unit eigenvector v of a simple eigenvalue
+        lambda, this is d_i lambda (Hellmann-Feynman).
+        """
+        dal = np.array(dalpha, dtype=complex).T
+        dal[:, [0, -1]] = 0.0
+        drho = np.zeros(dal.shape)
+        np.divide(-(np.conj(self.alpha) * dal).real, self.rho, out=drho,
+                  where=self.rho > 0)
+        (dl, dm), m = self._blocks(dal, drho), self._factors[1]
+        return (np.conj(v) * _tridiagonal_times(dl, _tridiagonal_times(m, v))
+                + np.conj(self.lstar_times(v)) * _tridiagonal_times(dm, v)).sum(axis=-1)
 
     def reflection_halves(self) -> tuple:
         """An orthonormal eigenbasis of L for real coefficients, as (rows,
@@ -244,11 +271,7 @@ class FiniteCMV:
 
     def lstar_times(self, v: np.ndarray) -> np.ndarray:
         """L* v of a vector, from the band of ``lstar_banded``."""
-        ls = self._lstar
-        out = ls[1] * v
-        out[:-1] += ls[0, 1:] * v[1:]
-        out[1:] += ls[2, :-1] * v[:-1]
-        return out
+        return _tridiagonal_times((self._lstar[1], self._factors[0][1]), v)
 
     @cached_property
     def _probe_rhs(self) -> np.ndarray:
@@ -282,6 +305,16 @@ class FiniteCMV:
                     lines.append(f"{i},{j},{format_float(v.real)},{format_float(v.imag)}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _tridiagonal_times(factor: tuple, v: np.ndarray) -> np.ndarray:
+    """T v for the symmetric tridiagonal T = (diag, off) of a factor, any
+    leading axes of diag and off a batch of factors."""
+    diag, off = factor
+    out = diag * v
+    out[..., :-1] += off * v[1:]
+    out[..., 1:] += off * v[:-1]
+    return out
 
 
 def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,

@@ -16,10 +16,10 @@ from itertools import accumulate, chain, islice, product
 import numpy as np
 
 from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
-from .cocycle import SpectralPoint
+from .cocycle import SpectralPoint, lyapunov_finite
 from .spectral import (_CHUNK, aligned_distance, decay_ratio, edge_candidates,
-                       edge_value, nearest_eigenvalue, nearest_eigenvalues,
-                       spectral_distance, tracked_eigenpair)
+                       edge_value, eigenphase_gradient, nearest_eigenvalue,
+                       nearest_eigenvalues, spectral_distance, tracked_eigenpair)
 from .torus import Phase, SamplingFunction, _dist_to_integer, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -30,7 +30,6 @@ _PLANAR_RADIUS = 0.015  # half-width of the planar search grid
 _PLANAR_GRID = 9        # grid points per coordinate of the planar search
 _GN_ITERS = 40          # Gauss-Newton steps
 _GN_MAX_STEP = 2e-2     # trust-region cap on a Gauss-Newton step
-_GN_FD_STEP = 1e-7      # finite-difference step of the Gauss-Newton gradient
 _D_FD_STEP = 1e-6       # finite-difference step of the (D) gradient
 _ATTEMPTS = 4           # tries of a grid continuation ...
 _SHRINK = 0.125         # ... each shrinking the box and the arc by this factor
@@ -468,6 +467,15 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
         "every candidate sits at the edge of its local band")
 
 
+def estimate_gamma(f: SamplingFunction, omega, z: SpectralPoint, n0: int,
+                   samples: int, seed: int) -> float:
+    """The decay rate gamma of a depth-0 state at z: L_n - 3 sigma at n =
+    max(100, 2 n0), the ``lyapunov_finite`` estimate less three standard
+    errors over ``samples`` phases drawn at ``seed``."""
+    est = lyapunov_finite(f, omega, z, max(100, 2 * n0), samples, seed)
+    return float(est.value - 3 * est.std_error)
+
+
 def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
                     schedule: ScaleSchedule, gamma: float, *, x_hint: Phase,
                     beta: complex = 1.0 + 0j,
@@ -551,25 +559,23 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     Fallback for scales where the reparametrized-curve structure is too
     weak: each step moves x along the gradient of the scalar wrapped phase
     defect by the Gauss-Newton minimal-norm increment, with a trust-region
-    cap.  The windows at x and at its 2d central-difference neighbours are
-    built in one batch per step, and the neighbours are one batched query
-    after x's own.  Returns (Phase, dist) or (None, best dist).
+    cap.  Each step builds the one window at x and makes one query, whose
+    eigenvector gives the gradient (``eigenphase_gradient``, from d alpha on
+    the window's orbit).  Returns (Phase, dist) or (None, best dist).
     """
     z = np.exp(1j * theta0)
-    fd = _GN_FD_STEP * np.eye(len(x_init))
+    sites = np.arange(window[0] - 1, window[1] + 1)[:, None]
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
     for _ in range(_GN_ITERS):
-        rows = _windows(f, om, window, np.vstack([x, x + fd, x - fd]), beta, eta)
-        lam, _ = nearest_eigenvalue(rows.row(0), z)
+        dalpha = f.alpha_gradient(x + sites * om)   # periodic: no reduction mod 1
+        lam, grad = eigenphase_gradient(_windows(f, om, window, x, beta, eta).row(0),
+                                        z, dalpha)
         g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
         if dist < best_d:
             best_x, best_d = x.copy(), dist
         if dist < _ROOT_TOL:
             return reduce_phase(x), dist
-        gs = np.array([_phase_gap(lam, theta0) for lam, _ in
-                       nearest_eigenvalues(rows.row(slice(1, None)), z)])
-        grad = (gs[:len(x)] - gs[len(x):]) / (2 * _GN_FD_STEP)
         n2 = float(grad @ grad)
         if n2 < 1e-18:
             break
@@ -589,9 +595,10 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
 
     Evaluates the wrapped defect on a small grid around x_init, runs
     ``_bracket_root`` on the segment joining the best grid points of
-    opposite sign, then polishes with the minimal-norm Gauss-Newton step
-    from the nearest point seen.  A sign change on the segment may be a jump
-    of the nearest eigenvalue to another branch rather than a root; the
+    opposite sign, then polishes with ``_gauss_newton_solve`` from the
+    nearest point seen: minimal-norm steps on the eigenphase gradient, one
+    window and one query per step.  A sign change on the segment may be a
+    jump of the nearest eigenvalue to another branch rather than a root; the
     search then stops at the first tie.  This is the whole depth-(s+1) solve:
     at desk scale the curve structure of the asymptotic argument is absent.
     The grid's windows are built in one batch and queried in one call.

@@ -16,7 +16,9 @@ eigenvalue nearest a point use a banded Hermitian companion of the window
 (``nearest_eigenpair``, ``nearest_eigenvalue``, ``nearest_eigenvalues``
 for a batch) and need no dense solve.  A tracked eigenpair with its
 separation from the rest of the spectrum (``tracked_eigenpair``) comes
-from two such queries, with an ``eigensolve`` fallback.
+from two such queries, with an ``eigensolve`` fallback, and the gradient of
+the nearest eigenvalue's phase from the vector of one
+(``eigenphase_gradient``).
 """
 
 from __future__ import annotations
@@ -437,6 +439,24 @@ def nearest_eigenvalues(m: FiniteCMV, z: complex) -> list[tuple[complex, bool]]:
     bit for bit that of the window alone, with one band assembly of H and
     one E v per chunk of windows."""
     return [(value, tie) for value, _, _, tie in _nearest(m, z)]
+
+
+def eigenphase_gradient(m: FiniteCMV, z: complex,
+                        dalpha: np.ndarray) -> tuple[complex, np.ndarray]:
+    """The value of ``nearest_eigenvalue`` of a unitary window and the
+    gradient Im(conj(lambda) d_i lambda) of its phase, for the derivatives
+    d_i alpha on sites a-1..b in the columns of dalpha.
+
+    E is normal, so d_i lambda = v* (d_i E) v for the unit vector v of a
+    simple eigenvalue (``FiniteCMV.derivative_form``), and the one query
+    gives both.  When that query falls back (a tie, an exactly singular
+    shift, a residual above _RES_TOL, fewer than 3 sites or z = 0), v is
+    the vector of ``eigensolve``'s pair nearest the value.
+    """
+    value, vector, _, _ = _nearest(m, z)[0]
+    if vector is None:
+        vector = nearest_eigen(eigensolve(m), value)[0].vector
+    return value, (np.conj(value) * m.derivative_form(vector, dalpha)).imag
 
 
 def spectral_distance(m: FiniteCMV, z: complex) -> float:

@@ -272,18 +272,28 @@ class SamplingFunction:
             return complex(self._series(x.array()[None, :], y)[0])
         return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), y)
 
-    def _series(self, pts: np.ndarray, y) -> np.ndarray:
-        """sum c_k exp(2 pi i k.(x + iy)) at the (N, d) points pts, the modes
-        taken in order, max(1, _EXP_BLOCK // N) of them per exp: an exp takes
-        at most max(N, _EXP_BLOCK) values, and few points do not pay one pass
-        per mode.  k.x, c_k e_k and the sum over modes are spelled out in real
-        arithmetic (a BLAS product, numpy's complex product and an axis sum
-        each round a lone row unlike a batch row), so a row rounds alike alone
-        and in any batch."""
+    def alpha_gradient(self, points) -> np.ndarray:
+        """The partial derivatives d alpha / d x_i = sum 2 pi i k_i c_k
+        exp(2 pi i k.x) at an (N, d) array of real points, as an (N, d)
+        array: one Fourier sum per coordinate, by ``_series``."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        return np.stack([self._series(pts, None, 2j * np.pi * k * self._cs)
+                         for k in self._ks.T], axis=-1)
+
+    def _series(self, pts: np.ndarray, y, coeffs=None) -> np.ndarray:
+        """sum c_k exp(2 pi i k.(x + iy)) at the (N, d) points pts, with c_k
+        the function's coefficients or else ``coeffs`` (one per mode, in the
+        order of ``_ks``), the modes taken in order, max(1, _EXP_BLOCK // N)
+        of them per exp: an exp takes at most max(N, _EXP_BLOCK) values, and
+        few points do not pay one pass per mode.  k.x, c_k e_k and the sum
+        over modes are spelled out in real arithmetic (a BLAS product,
+        numpy's complex product and an axis sum each round a lone row unlike
+        a batch row), so a row rounds alike alone and in any batch."""
+        coeffs = self._cs if coeffs is None else coeffs
         out = np.zeros(len(pts), dtype=complex)
         group = max(1, _EXP_BLOCK // max(1, len(pts)))
-        for m in range(0, len(self._cs), group):
-            ks, cs = self._ks[m:m + group], self._cs[m:m + group]
+        for m in range(0, len(coeffs), group):
+            ks, cs = self._ks[m:m + group], coeffs[m:m + group]
             ph = np.empty((len(pts), len(cs)), dtype=complex)
             ph.imag = 2 * np.pi * sum(pts[:, i, None] * ks[:, i] for i in range(self.dim))
             ph.real = 0.0 if y is None else \

@@ -117,8 +117,9 @@ def gauss_newton_oracle(f, om, window, theta0, x_init):
             best_x, best_d = x.copy(), dist
         if dist < ms._ROOT_TOL:
             return reduce_phase(x), dist
-        grad = np.array([(defect(x + e)[0] - defect(x - e)[0]) / (2 * ms._GN_FD_STEP)
-                         for e in ms._GN_FD_STEP * np.eye(len(x))])
+        alone = build_finite_cmv(VerblunskySequence(f, om, reduce_phase(x)), *window)
+        grad = spectral.eigenphase_gradient(alone, z, f.alpha_gradient(
+            x + np.arange(window[0] - 1, window[1] + 1)[:, None] * om))[1]
         n2 = float(grad @ grad)
         if n2 < 1e-18:
             break
