@@ -773,7 +773,6 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
 
     # ---- condition (C)
     c_checks: list = []
-    c_est = None
     ups_floor = schedule.upsilon_floor(ns)
     orbit_pts = np.array([reduce_phase(n * om).array()
                           for n in range(-int(3 * ns / 2), int(3 * ns / 2) + 1)])
@@ -906,15 +905,13 @@ def assemble_window(n0: int, subwindows: dict) -> tuple[int, int]:
     The union must be a contiguous interval.
     """
     lo, hi = -int(3 * n0 / 2), int(3 * n0 / 2)
-    marks = [(lo, hi)] + sorted(subwindows.values())
-    marks.sort()
-    cur_lo, cur_hi = marks[0]
+    marks = sorted([(lo, hi), *subwindows.values()])
+    cur_hi = marks[0][1]
     for a, b in marks[1:]:
         if a > cur_hi + 1:
             raise ValueError(f"window union is not contiguous: gap before [{a},{b}]")
         cur_hi = max(cur_hi, b)
-        cur_lo = min(cur_lo, a)
-    return (cur_lo, cur_hi)
+    return (marks[0][0], cur_hi)
 
 
 def finite_localization_step(f: SamplingFunction, omega, x0: Phase,

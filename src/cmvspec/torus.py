@@ -223,7 +223,7 @@ class SamplingFunction:
                 g = (np.moveaxis(g, 0, -1)[..., None] * f).sum(axis=-2)
             return g
         with np.errstate(over="ignore", invalid="ignore"):
-            a = self._cs * np.exp(-2 * np.pi * sum(v * k for v, k in zip(y, self._ks.T)))
+            a = self._strip_coeffs(y)
             grid = np.zeros([len(f) for f in self._dfts], dtype=complex)
             grid[self._slots] = a
             # alpha on the grid, then n conj(coefficients) of the real |alpha|^2
@@ -268,39 +268,42 @@ class SamplingFunction:
         A Phase runs as a one-row array: it agrees bit for bit with its row.
         """
         y = self.displacement(x, imag)
+        cs = (self._cs if y is None else self._strip_coeffs(y))[:, None]
         if isinstance(x, Phase):
-            return complex(self._series(x.array()[None, :], y)[0])
-        return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), y)
+            return complex(self._series(x.array()[None, :], cs)[0, 0])
+        return self._series(np.asarray(x, dtype=float).reshape(-1, self.dim), cs)[:, 0]
 
     def alpha_gradient(self, points) -> np.ndarray:
         """The partial derivatives d alpha / d x_i = sum 2 pi i k_i c_k
         exp(2 pi i k.x) at an (N, d) array of real points, as an (N, d)
-        array: one Fourier sum per coordinate, by ``_series``."""
+        array: one ``_series`` sum with a coefficient column per coordinate."""
         pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        return np.stack([self._series(pts, None, 2j * np.pi * k * self._cs)
-                         for k in self._ks.T], axis=-1)
+        return self._series(pts, 2j * np.pi * self._ks * self._cs[:, None])
 
-    def _series(self, pts: np.ndarray, y, coeffs=None) -> np.ndarray:
-        """sum c_k exp(2 pi i k.(x + iy)) at the (N, d) points pts, with c_k
-        the function's coefficients or else ``coeffs`` (one per mode, in the
-        order of ``_ks``), the modes taken in order, max(1, _EXP_BLOCK // N)
-        of them per exp: an exp takes at most max(N, _EXP_BLOCK) values, and
-        few points do not pay one pass per mode.  k.x, c_k e_k and the sum
-        over modes are spelled out in real arithmetic (a BLAS product,
-        numpy's complex product and an axis sum each round a lone row unlike
-        a batch row), so a row rounds alike alone and in any batch."""
-        coeffs = self._cs if coeffs is None else coeffs
-        out = np.zeros(len(pts), dtype=complex)
+    def _strip_coeffs(self, y) -> np.ndarray:
+        """c_k exp(-2 pi k.y): the coefficients of x -> alpha(x + iy)."""
+        return self._cs * np.exp(-2 * np.pi * sum(v * k for v, k in zip(y, self._ks.T)))
+
+    def _series(self, pts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """The (N, r) sums over modes k of coeffs[k, j] exp(2 pi i k.x) at the
+        (N, d) real points pts, one column per column j of coeffs (one row per
+        mode, in the order of ``_ks``).  The modes go in order, max(1,
+        _EXP_BLOCK // N) per exp table, which all columns share: an exp takes
+        at most max(N, _EXP_BLOCK) values.  k.x, c_k e_k and the mode sum are
+        spelled out in real arithmetic, a column at a time (a BLAS product,
+        numpy's complex product and an axis sum each round a lone row unlike a
+        batch row), so a row rounds alike alone and in any batch, a column too."""
+        out = np.zeros((len(pts), coeffs.shape[1]), dtype=complex)
         group = max(1, _EXP_BLOCK // max(1, len(pts)))
         for m in range(0, len(coeffs), group):
-            ks, cs = self._ks[m:m + group], coeffs[m:m + group]
-            ph = np.empty((len(pts), len(cs)), dtype=complex)
+            ks = self._ks[m:m + group]
+            ph = np.empty((len(pts), len(ks)), dtype=complex)
             ph.imag = 2 * np.pi * sum(pts[:, i, None] * ks[:, i] for i in range(self.dim))
-            ph.real = 0.0 if y is None else \
-                -2 * np.pi * sum(y[i] * ks[:, i] for i in range(self.dim))
+            ph.real = 0.0
             e = np.exp(ph, out=ph)
-            out.real = sum((cs.real * e.real - cs.imag * e.imag).T, out.real)
-            out.imag = sum((cs.real * e.imag + cs.imag * e.real).T, out.imag)
+            for col, cs in zip(out.T, coeffs[m:m + group].T):
+                col.real = sum((cs.real * e.real - cs.imag * e.imag).T, col.real)
+                col.imag = sum((cs.real * e.imag + cs.imag * e.real).T, col.imag)
         return out
 
     def rho(self, x: Phase) -> float:
