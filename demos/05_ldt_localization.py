@@ -10,9 +10,9 @@ test.
 import numpy as np
 
 from cmvspec.cmv import VerblunskySequence, build_finite_cmv
-from cmvspec.cocycle import SpectralPoint, lyapunov_finite
+from cmvspec.cocycle import SpectralPoint
 from cmvspec.ldt import ldt_measure_scan
-from cmvspec.multiscale import ScaleSchedule, suggest_center
+from cmvspec.multiscale import ScaleSchedule, estimate_gamma, suggest_center
 from cmvspec.spectral import eigensolve, localization_profile, nearest_eigen
 from cmvspec.presets import localization_example, sqrt_frequency, strong_coupling
 
@@ -35,7 +35,7 @@ n0 = 16
 sched = ScaleSchedule(n0=n0, s_max=0, overrides={"box_radius": 1e-4,
                                                  "arc_radius": 1e-4})
 z0, x0 = suggest_center(f_loc, freq, 2.5, n0, sched, scan_grid=16)
-gamma = lyapunov_finite(f_loc, freq, z0, 200, 60, seed=0).value
+gamma = estimate_gamma(f_loc, freq, z0, n0, samples=60, seed=0)
 seq = VerblunskySequence(f_loc, freq, x0)
 pairs = eigensolve(build_finite_cmv(seq, -n0, n0))
 pair, dist = nearest_eigen(pairs, z0.z)

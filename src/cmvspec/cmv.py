@@ -205,9 +205,10 @@ class FiniteCMV:
         hold boundary values, so their derivative is zero whatever dalpha
         holds there, and d rho is zero wherever rho is (no division by 0).
         For a normal window and a unit eigenvector v of a simple eigenvalue
-        lambda, this is d_i lambda (Hellmann-Feynman).
+        lambda, this is d_i lambda (Hellmann-Feynman).  dalpha is copied to C
+        order first, so its memory layout does not change the rounding.
         """
-        dal = np.array(dalpha, dtype=complex).T
+        dal = np.array(dalpha, dtype=complex, order="C").T
         dal[:, [0, -1]] = 0.0
         drho = np.zeros(dal.shape)
         np.divide(-(np.conj(self.alpha) * dal).real, self.rho, out=drho,
@@ -319,8 +320,7 @@ def _tridiagonal_times(factor: tuple, v: np.ndarray) -> np.ndarray:
 
 def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
                      beta: complex = 1.0 + 0j, eta: complex = 1.0 + 0j,
-                     _allow_natural: bool = False,
-                     values: np.ndarray | None = None) -> FiniteCMV:
+                     _allow_natural: bool = False) -> FiniteCMV:
     """Assemble E^{beta,eta}_{[a,b]} with its L and M factors.
 
     beta/eta must be unimodular; passing None keeps the sampled coefficient
@@ -328,8 +328,6 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
     by determinant identities) and requires ``_allow_natural``.  A sequence
     over an (N, d) array of phases gives the N windows at once, with a
     leading N axis on every array, each row equal to its window alone.
-    ``values``, when given, is ``seq.values(a - 1, b)`` already evaluated;
-    the window is then assembled from it without sampling alpha again.
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -342,7 +340,7 @@ def build_finite_cmv(seq: VerblunskySequence, a: int, b: int,
 
     # alpha and rho on sites a-2..b+1, zero at the two outer sites: those
     # reach only entries outside the window, cut below
-    vals = seq.values(a - 1, b) if values is None else values
+    vals = seq.values(a - 1, b)
     al = np.zeros(vals.shape[:-1] + (b - a + 4,), dtype=complex)
     rh = np.zeros(al.shape)
     al[..., 1:-1] = vals

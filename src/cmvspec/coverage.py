@@ -13,10 +13,10 @@ costs O(window) per probe.  The edge test shifts at an eigenvalue already
 known to rounding, so its probe stops after one solve.  Refinement moves
 the last phase coordinate alone, so a function with no Fourier mode along
 it is not refined: every probe would be its seed window.  Each window's
-work is done once: a refinement probe evaluates its coefficients once
-and, when they are a seed window's, is that window, not a new assembly of
-it; the pencil's factors, L*'s band and the first right-hand side L* v0
-of the start vector v0 are kept on the window, not formed per probe.
+work is done once: a refinement probe whose coefficients are a seed
+window's is that seed window, so what is kept on it serves the probe too;
+the pencil's factors, L*'s band and the first right-hand side L* v0 of the
+start vector v0 are kept on the window, not formed per probe.
 """
 
 from __future__ import annotations
@@ -160,14 +160,9 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
 
     def build_at(coords: np.ndarray) -> FiniteCMV:
         # a probe whose coefficients are a seed window's is that window
-        seq = VerblunskySequence(f, om, reduce_phase(coords))
-        vals = seq.values(a - 1, b)
-        alpha = vals.astype(complex)
-        alpha[0], alpha[-1] = beta, eta
-        seed_window = seeds.get(alpha.tobytes())
-        if seed_window is not None:
-            return seed_window
-        return build_finite_cmv(seq, a, b, beta=beta, eta=eta, values=vals)
+        m = build_finite_cmv(VerblunskySequence(f, om, reduce_phase(coords)), a, b,
+                             beta=beta, eta=eta)
+        return seeds.get(m.alpha.tobytes(), m)
 
     points = []
     sqrt_tol = float(np.sqrt(tol))

@@ -41,6 +41,12 @@ def _green_column(m: FiniteCMV, z: complex, k: int) -> np.ndarray:
     return solve_banded((1, 1), ab, e)
 
 
+def _singular(log_den: float) -> bool:
+    """Whether a window with log |normalized phi| = log_den is singular at
+    z: -inf at an exact eigenvalue, or below _SINGULAR_LOG."""
+    return not np.isfinite(log_den) or log_den < _SINGULAR_LOG
+
+
 def green_value(seq: VerblunskySequence, a: int, b: int, j: int, k: int,
                 z: complex, beta: complex = 1.0 + 0j,
                 eta: complex = 1.0 + 0j) -> GreenValue:
@@ -56,7 +62,7 @@ def green_value(seq: VerblunskySequence, a: int, b: int, j: int, k: int,
     log_num = (log_normalized_phi(seq, a, j - 1, z, beta=beta, eta=None)
                + log_normalized_phi(seq, k + 1, b, z, beta=None, eta=eta))
     log_den = log_normalized_phi(seq, a, b, z, beta=beta, eta=eta)
-    singular = not np.isfinite(log_den) or log_den < _SINGULAR_LOG
+    singular = _singular(log_den)
     rho_k = seq.raw_rho(k)
     magnitude = float(np.exp(log_num - log_den) / rho_k) if not singular else np.inf
 
@@ -137,7 +143,8 @@ def covering_predicate(seq: VerblunskySequence, z: complex, m: int,
     with the parity-matched weight variants; returns (sum < 1, sum).  The
     Green magnitudes use the determinant-ratio route (transpose-symmetric
     in magnitude), so the predicate is meaningful arbitrarily close to the
-    subwindow spectrum.
+    subwindow spectrum; a subwindow singular by ``green_value``'s rule
+    excludes nothing.
     """
     am, bm = window
     a, b = outer
@@ -151,7 +158,7 @@ def covering_predicate(seq: VerblunskySequence, z: complex, m: int,
         log_num = (log_normalized_phi(seq, am, j - 1, z, eta=None)
                    + log_normalized_phi(seq, k + 1, bm, z, beta=None))
         log_den = log_normalized_phi(seq, am, bm, z)
-        if not np.isfinite(log_den):
+        if _singular(log_den):
             return np.inf
         return log_num - log_den - np.log(seq.raw_rho(k))
 

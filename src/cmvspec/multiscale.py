@@ -17,7 +17,7 @@ import numpy as np
 
 from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint, lyapunov_finite
-from .spectral import (_CHUNK, aligned_distance, decay_ratio, edge_candidates,
+from .spectral import (aligned_distance, decay_ratio, edge_candidates,
                        edge_value, eigenphase_gradient, nearest_eigenvalue,
                        nearest_eigenvalues, spectral_distance, tracked_eigenpair)
 from .torus import Phase, SamplingFunction, _dist_to_integer, omega_array, reduce_phase
@@ -254,39 +254,34 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     result differs from marching +1 in full first: when that first step
     moves away and both directions hold an accepted root, the -1 root, on
     the side where the defect shrinks, is returned.  A march that finds no
-    root queries both directions in full either way.  The step phases of a
-    direction do not depend on the tracked values, so its windows are built
-    in batches of _CHUNK as the march reaches them; x_init's window is
-    built with the first +1 batch.
+    root queries both directions in full either way.  Each window, x_init's
+    and each step's, is built when its query comes, so the march builds
+    only the windows it queries.
     """
     theta = phase_of(z)
 
-    def coords_at(ts) -> np.ndarray:
-        """One row of x_init per t, its last coordinate set to t."""
-        coords = np.tile(x_init, (len(ts), 1))
-        coords[:, -1] = ts
+    def coords_at(t: float) -> np.ndarray:
+        """x_init with its last coordinate set to t."""
+        coords = np.array(x_init)
+        coords[-1] = t
         return coords
 
     def point_at(t: float) -> Phase:
-        return reduce_phase(coords_at([t])[0])
+        return reduce_phase(coords_at(t))
 
     def nearest(t: float, ref: complex):
-        return (*_nearest_value(f, om, window, coords_at([t]), ref, beta, eta), None)
+        return (*_nearest_value(f, om, window, coords_at(t), ref, beta, eta), None)
 
     def accepted(t: float) -> bool:
         return accept is None or accept(point_at(t))
 
-    def march(ts, rows=None, off=0):
+    def march(ts):
         """One direction, one step per ``next``: yields the step's accepted
-        root (x, dist) or None, and its phase defect.  ``rows`` holds the
-        first batch from row ``off`` on, or is built at the first step."""
+        root (x, dist) or None, and its phase defect."""
         nonlocal best_d, best_t
         t, lam, g = t0, lam0, g0
-        for k, t_next in enumerate(ts):
-            if k % _CHUNK == 0 and (k or rows is None):
-                rows, off = _windows(f, om, window, coords_at(ts[k:k + _CHUNK]),
-                                     beta, eta), 0
-            lam_next = nearest_eigenvalue(rows.row(off + k % _CHUNK), lam)[0]
+        for t_next in ts:
+            lam_next = nearest(t_next, lam)[0]
             g_next = _phase_gap(lam_next, theta)
             d_next = float(abs(lam_next - z))
             if d_next < best_d:
@@ -307,14 +302,13 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     step = span / max(coarse - 1, 1)
     ahead, behind = (list(accumulate([t0] + [dirn * step] * coarse))[1:]
                      for dirn in (1.0, -1.0))
-    first = _windows(f, om, window, coords_at([t0] + ahead[:_CHUNK]), beta, eta)
-    lam0 = nearest_eigenvalue(first.row(0), z)[0]
+    lam0 = nearest(t0, z)[0]
     best_d, best_t = float(abs(lam0 - z)), t0
     if best_d < _ROOT_TOL and accepted(t0):
         return point_at(t0), best_d
 
     g0 = _phase_gap(lam0, theta)
-    plus = march(ahead, first, 1)
+    plus = march(ahead)
     root, g1 = next(plus)
     if root is not None:
         return root

@@ -1,9 +1,9 @@
 """The ``_solve_phase`` march builds its step windows as it reaches them.
 
-Each direction of the march builds its windows in batches of
-``spectral._CHUNK`` when the first step of a batch comes up, so a march
-that stops early leaves fewer than one chunk of windows built and never
-queried.  The rows are the windows alone bit for bit
+Each direction of the march builds each step's window when that step's
+query comes, so a march that stops early leaves no window built and never
+queried, well under the one chunk of ``spectral._CHUNK`` rows these
+counts allow.  The rows are the windows alone bit for bit
 (``tests/test_batched_queries.py`` pins the march against a per-query
 oracle), so only the count of rows built against rows queried is checked
 here, per direction.
