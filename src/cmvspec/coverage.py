@@ -10,13 +10,14 @@ symmetric eigensolve of the window's Hermitian part each
 (``spectral.hermitian_eigenphases``); all local refinement work runs
 through shift-invert iteration on the tridiagonal pencil z L* - M, which
 costs O(window) per probe.  The edge test shifts at an eigenvalue already
-known to rounding, so its probe stops after one solve.  Refinement moves
-the last phase coordinate alone, so a function with no Fourier mode along
-it is not refined: every probe would be its seed window.  Each window's
-work is done once: a refinement probe whose coefficients are a seed
-window's is that seed window, so what is kept on it serves the probe too;
-the pencil's factors, L*'s band and the first right-hand side L* v0 of the
-start vector v0 are kept on the window, not formed per probe.
+known to rounding, so its probe stops after one solve.  Refinement, a
+bracketed root search, moves the last phase coordinate alone, so a function
+with no Fourier mode along it is not refined: every probe would be its seed
+window.  Each window's work is done once: a refinement probe whose
+coefficients are a seed window's is that seed window, so what is kept on it
+serves the probe too; the pencil's factors, L*'s band and the first
+right-hand side L* v0 of the start vector v0 are kept on the window, not
+formed per probe.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .cmv import FiniteCMV, VerblunskySequence, _start, apply_cmv, build_finite_cmv
+from .multiscale import _bracket_root, _phase_gap
 from .spectral import edge_value, hermitian_eigenphases, rayleigh_value
 from .torus import Phase, SamplingFunction, omega_array, reduce_phase
-from .util import TWO_PI, arc_span, counter_rng, phase_of, wrap_angle
+from .util import TWO_PI, arc_span, counter_rng, phase_of
 
 _PROBE_ITERS = 30       # inverse-iteration steps per probe
 _PROBE_RES_TOL = 1e-10  # residual at which a probe has converged
-_REFINE_STEPS = 16      # bisection steps of a refinement
 _REFINE_GATE = 16.0     # refine a seed distance in (tol, 16 tol]
 
 
@@ -117,10 +118,11 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
 
     Each grid point starts from the best of ``phase_samples`` precomputed
     seeded phases; if that misses tolerance but is within 16*tol, the last
-    phase coordinate is refined by bisecting the wrapped eigenphase
-    difference of the locally nearest eigenvalue.  A function with no
-    Fourier mode along the last coordinate is not refined: every probe is
-    its seed window, and the point keeps its seed's phase and distance.
+    phase coordinate is refined to a root of the wrapped eigenphase
+    difference of the locally nearest eigenvalue (``_refine``).  A function
+    with no Fourier mode along the last coordinate is not refined: every
+    probe is its seed window, and the point keeps its seed's phase and
+    distance.
     Covered additionally requires the matched eigenvector's outer edge
     entries to stay below sqrt(tol); that vector comes from inverse
     iteration shifted at the matched eigenvalue (the seeded sample's, from
@@ -178,8 +180,7 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
         phase, dist_best, matched = xs[best_s].coords, best_d, matrices[best_s]
         if refines and tol < dist_best <= _REFINE_GATE * tol:
             x_arr, dist_best, matched, lam = _refine(
-                build_at, z, np.array(phase), dist_best, matched, lam,
-                _REFINE_STEPS)
+                build_at, z, np.array(phase), dist_best, matched, lam)
             phase = reduce_phase(x_arr).coords
         covered = dist_best <= tol
         edge = np.inf
@@ -198,16 +199,20 @@ def interval_coverage_scan(f: SamplingFunction, omega, arc: tuple[float, float],
 
 
 def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
-            lam0: complex, steps: int):
-    """Bisection on the wrapped eigenphase difference along the last
-    coordinate, using shift-invert probes.  Returns (phase, certified
-    distance, window, eigenvalue) of the best point, (x0, d0, m0, lam0) when
-    no probe beats it.  Each distinct window is probed once: a window seen
-    before (the seed's included) reuses its eigenvalue and distance."""
+            lam0: complex):
+    """Root of the wrapped eigenphase difference along the last coordinate,
+    using shift-invert probes: the 16 phases x0 - 0.5 + k/16 are probed once
+    each (the first closing the grid as x0 + 0.5) and the first sign change
+    is refined by ``_bracket_root``.  Returns (phase, certified distance,
+    window, eigenvalue) of the best point, (x0, d0, m0, lam0) when no probe
+    beats it.  Each distinct window is probed once: a window seen before
+    (the seed's included) reuses its eigenvalue and distance."""
     theta = phase_of(z)
     seen = {m0.alpha.tobytes(): (lam0, d0)}
+    best = (x0, d0, m0, lam0)
 
-    def probe(t: float):
+    def probe(t: float, _ref=None):
+        nonlocal best
         coords = x0.copy()
         coords[-1] = t
         m = build_at(coords)
@@ -217,28 +222,17 @@ def _refine(build_at, z: complex, x0: np.ndarray, d0: float, m0: FiniteCMV,
             # certified distance bound for a normal matrix
             seen[key] = (lam, float(abs(lam - z) + res))
         lam, dist = seen[key]
-        return wrap_angle(phase_of(lam) - theta), (coords, dist, m, lam)
+        if dist < best[1]:
+            best = (coords, dist, m, lam)
+        return lam, False, None
 
-    best = (x0, d0, m0, lam0)
     ts = x0[-1] + np.linspace(-0.5, 0.5, 17)
-    vals = []
-    for t in ts:
-        g, point = probe(t)
-        vals.append(g)
-        if point[1] < best[1]:
-            best = point
-    for i in range(len(ts) - 1):
-        if np.sign(vals[i]) != np.sign(vals[i + 1]):
-            lo, hi, flo = ts[i], ts[i + 1], vals[i]
-            for _ in range(steps):
-                mid = 0.5 * (lo + hi)
-                g, point = probe(mid)
-                if point[1] < best[1]:
-                    best = point
-                if np.sign(g) == np.sign(flo):
-                    lo, flo = mid, g
-                else:
-                    hi = mid
+    lams = [probe(t)[0] for t in ts[:-1]]
+    lams.append(lams[0])        # x0 + 0.5 is the phase x0 - 0.5
+    signs = [np.sign(_phase_gap(lam, theta)) for lam in lams]
+    for i in range(16):
+        if signs[i] != signs[i + 1]:
+            _bracket_root(probe, theta, (ts[i], lams[i]), (ts[i + 1], lams[i + 1]))
             break
     return best
 

@@ -73,7 +73,8 @@ def test_a_config_may_carry_every_command_block(tmp_path):
 
 def _block_keys(tree: ast.Module, name: str) -> set:
     """The ``block.get("...")`` keys of function ``name`` and of every module
-    function it passes ``block`` to."""
+    function it passes ``block`` to.  A read whose key is not a string
+    literal cannot be declared: it is reported as ``<undeclarable: key>``."""
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     keys, todo = set(), [name]
     while todo:
@@ -83,7 +84,8 @@ def _block_keys(tree: ast.Module, name: str) -> set:
             first, func = node.args[0], node.func
             if isinstance(func, ast.Attribute) and func.attr == "get" \
                     and isinstance(func.value, ast.Name) and func.value.id == "block":
-                keys.add(first.value)
+                literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+                keys.add(first.value if literal else f"<undeclarable: {ast.unparse(first)}>")
             elif isinstance(func, ast.Name) and func.id in funcs \
                     and isinstance(first, ast.Name) and first.id == "block":
                 todo.append(func.id)
@@ -96,6 +98,17 @@ def test_each_block_declares_what_its_runner_reads(command):
     entry = COMMANDS[command]
     assert _block_keys(tree, entry.run.__name__) == set(entry.keys)
     assert len(set(entry.keys)) == len(entry.keys)
+
+
+def test_block_keys_reports_a_non_literal_read():
+    tree = ast.parse("def run(block, other):\n"
+                     "    block.get('grid', 4)\n"
+                     "    helper(block, 'tol')\n"
+                     "    other.get(name)\n"
+                     "def helper(block, name):\n"
+                     "    block.get('window')\n"
+                     "    block.get(name, 0.1)\n")
+    assert _block_keys(tree, "run") == {"grid", "window", "<undeclarable: name>"}
 
 
 def _threshold_names(source: str) -> list:

@@ -227,7 +227,7 @@ class TestRefineProbeCache:
         x0 = counter_rng(0, 0).random(1)
         windows = _counted_probes(monkeypatch)
         x, d, mm, lam = _refine(_window_builder(f_const, freq1, 400), z, x0,
-                                d0, m, lam0, 16)
+                                d0, m, lam0)
         assert windows == []
         assert x is x0 and d == d0 and mm is m and lam == lam0
 
@@ -248,7 +248,7 @@ class TestRefineProbeCache:
         z = np.exp(0.5j)
         k = int(np.argmin(np.abs(w - z)))
         windows = _counted_probes(monkeypatch)
-        _refine(build_at, z, x0, float(abs(w[k] - z)), m0, w[k], 16)
+        _refine(build_at, z, x0, float(abs(w[k] - z)), m0, w[k])
         seed = m0.alpha.tobytes()
         assert len(built) > 17                      # the bisection ran
         assert seed in built and seed not in windows
