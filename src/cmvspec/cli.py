@@ -319,8 +319,8 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
     ``suggest_center`` picks near theta, the block's gamma or else
     ``estimate_gamma`` at the center over gamma_samples draws, and
     ``find_base_state`` around the center.  A configured gamma must be
-    positive, with no gamma_samples (a config error otherwise); a failed
-    search is a hypothesis failure."""
+    positive, with no gamma_samples (a config error otherwise); an estimate
+    that is not positive, or a failed search, is a hypothesis failure."""
     near_theta = config_number(block.get("theta", 2.5), "theta")
     scan_grid = config_count(block.get("scan_grid", 16), "scan_grid", 1)
     if scan_grid ** f.dim > MAX_SCAN_WINDOWS:
@@ -340,6 +340,9 @@ def _center_and_state(block: dict, f, freq, beta, eta, schedule: ScaleSchedule,
                                    probe_halfwidth=probe)
         if gamma is None:
             gamma = estimate_gamma(f, freq, z, n0, gamma_samples, seed)
+            if not gamma > 0:
+                raise HypothesisFailure(f"estimated gamma {gamma:.4g} is not positive, "
+                                        "so every decay check would pass")
         state = find_base_state(f, freq, z, n0, schedule, gamma,
                                 beta=beta, eta=eta, x_hint=x_hint)
     except RuntimeError as exc:

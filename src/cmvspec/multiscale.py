@@ -17,9 +17,9 @@ import numpy as np
 
 from .cmv import FiniteCMV, VerblunskySequence, build_finite_cmv
 from .cocycle import SpectralPoint, lyapunov_finite
-from .spectral import (aligned_distance, decay_ratio, edge_candidates,
-                       edge_value, eigenphase_gradient, nearest_eigenvalue,
-                       nearest_eigenvalues, spectral_distance, tracked_eigenpair)
+from .spectral import (aligned_distance, decay_ratio, edge_candidates, edge_value,
+                       eigenphase_gradient, nearest_eigenvalues, spectral_distance,
+                       tracked_eigenpair)
 from .torus import Phase, SamplingFunction, _dist_to_integer, omega_array, reduce_phase
 from .util import WilsonInterval, counter_rng, pad_vector, phase_of, wrap_angle
 
@@ -168,20 +168,49 @@ def _gamma_check(name: str, gamma: float, n0: int, measured: float) -> Check:
     return Check(name, required, measured, measured < required)
 
 
-def _windows(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-             points, beta, eta) -> FiniteCMV:
-    """The windows E^{beta,eta} on [a, b] at the rows of the (N, d) phase
-    array ``points`` (reduced mod 1) from one batched build; ``row(k)`` is
-    the window at points[k], equal to its window alone bit for bit."""
-    seq = VerblunskySequence(f, om, reduce_phase(np.reshape(points, (-1, f.dim))))
-    return build_finite_cmv(seq, window[0], window[1], beta=beta, eta=eta)
+@dataclass(frozen=True)
+class WindowFamily:
+    """The windows E^{beta,eta} on one interval [a, b] as a function of the
+    phase, every window with the unimodular Verblunsky ``overrides``.
 
+    Its methods are the module's only window builds and state reads, and
+    each reads the eigenvalue nearest z.  A Phase gives one window; an (N, d)
+    array of points (reduced mod 1) gives one batched build, whose row k
+    equals the window at points[k] alone bit for bit.
+    """
 
-def _nearest_value(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                   coords, z: complex, beta, eta) -> tuple[complex, bool]:
-    """Eigenvalue nearest z of the window on [a, b] at the phase coords, and
-    whether two eigenvalues tie as nearest (``nearest_eigenvalue``)."""
-    return nearest_eigenvalue(_windows(f, om, window, coords, beta, eta).row(0), z)
+    f: SamplingFunction
+    om: np.ndarray
+    window: tuple[int, int]
+    beta: complex
+    eta: complex
+    overrides: dict | None = None
+
+    def at(self, points) -> FiniteCMV:
+        base = points if isinstance(points, Phase) else \
+            reduce_phase(np.reshape(points, (-1, self.f.dim)))
+        seq = VerblunskySequence(self.f, self.om, base, overrides=self.overrides)
+        return build_finite_cmv(seq, *self.window, beta=self.beta, eta=self.eta)
+
+    def nearest(self, points, z: complex) -> list:
+        """(value, tie) per row of the points (``nearest_eigenvalues``)."""
+        return nearest_eigenvalues(self.at(points), z)
+
+    def pair(self, x: Phase, z: complex):
+        """``tracked_eigenpair`` (value, vector, distance, separation) at x."""
+        return tracked_eigenpair(self.at(x), z)
+
+    def distance(self, x: Phase, z: complex) -> float:
+        """dist(z, spec E(x)) (``spectral_distance``)."""
+        return spectral_distance(self.at(x), z)
+
+    def gradient(self, x: np.ndarray, z: complex) -> tuple[complex, np.ndarray]:
+        """The value and phase gradient of ``eigenphase_gradient`` at the real
+        point x, from d alpha on the window's orbit."""
+        sites = np.arange(self.window[0] - 1, self.window[1] + 1)[:, None]
+        # alpha is periodic: the orbit needs no reduction mod 1
+        dalpha = self.f.alpha_gradient(x + sites * self.om)
+        return eigenphase_gradient(self.at(x).row(0), z, dalpha)
 
 
 def _phase_gap(lam: complex, theta: float) -> float:
@@ -234,8 +263,7 @@ def _bracket_root(query, theta: float, lo: tuple, hi: tuple):
     return best
 
 
-def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                 z: complex, x_init: np.ndarray, beta: complex, eta: complex,
+def _solve_phase(family: WindowFamily, z: complex, x_init: np.ndarray,
                  span: float = 0.5, coarse: int = 33, accept=None):
     """Root of (tracked eigenvalue phase) - arg z along the last coordinate.
 
@@ -270,7 +298,7 @@ def _solve_phase(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
         return reduce_phase(coords_at(t))
 
     def nearest(t: float, ref: complex):
-        return (*_nearest_value(f, om, window, coords_at(t), ref, beta, eta), None)
+        return (*family.nearest(coords_at(t), ref)[0], None)
 
     def accepted(t: float) -> bool:
         return accept is None or accept(point_at(t))
@@ -426,16 +454,14 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
     extremal edge of its local band (unreachable one scale up) is skipped.
     Each candidate's probe windows are one batch and one batched query.
     """
-    om = omega_array(omega)
+    family = WindowFamily(f, omega_array(omega), (-n0, n0), beta, eta)
     d = f.dim
-    a, b = -n0, n0
     edge_thr = schedule.proximity(n0)
     target = np.exp(1j * float(near_theta))
     axes = [np.arange(scan_grid) / scan_grid] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    scan = _windows(f, om, (a, b), mesh, beta, eta)
     found = ((value, tuple(float(v) for v in mesh[k]))
-             for _, value, k in edge_candidates(scan, target, edge_thr))
+             for _, value, k in edge_candidates(family.at(mesh), target, edge_thr))
     first = next(found, None)
     if first is None:
         raise RuntimeError(
@@ -449,11 +475,11 @@ def suggest_center(f: SamplingFunction, omega, near_theta: float, n0: int,
     offsets = [np.zeros(d), *step, *-step]
     if d == 2:
         offsets += [np.array([0.01, 0.01]), np.array([0.01, -0.01])]
+    probes = replace(family, window=(-probe_halfwidth, probe_halfwidth))
     for value, xv in islice(chain([first], found), 40):
         theta_c = phase_of(value)
-        probes = _windows(f, om, (-probe_halfwidth, probe_halfwidth),
-                          np.array(xv) + np.array(offsets), beta, eta)
-        gs = [_phase_gap(lam, theta_c) for lam, _ in nearest_eigenvalues(probes, value)]
+        gs = [_phase_gap(lam, theta_c)
+              for lam, _ in probes.nearest(np.array(xv) + np.array(offsets), value)]
         if min(gs) < 0.0 < max(gs) or min(abs(g) for g in gs) < 1e-7:
             return SpectralPoint.from_z(value), Phase(xv)
     raise RuntimeError(
@@ -483,17 +509,14 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
     continuation, shrinking the grid when a node fails.  Raises if no
     admissible root is found or the continuation fails at every size.
     """
-    om = omega_array(omega)
-    window = (-n0, n0)
+    family = WindowFamily(f, omega_array(omega), (-n0, n0), beta, eta)
     edge_thr = schedule.proximity(n0)
 
     def edge_ok(x: Phase) -> bool:
-        _, vector, _, _ = _tracked_pair(VerblunskySequence(f, om, x), window, z0.z,
-                                        beta, eta)
-        return edge_value(vector) < edge_thr
+        return edge_value(family.pair(x, z0.z)[1]) < edge_thr
 
-    sol, dsol = _solve_phase(f, om, window, z0.z, np.array(x_hint.coords),
-                             beta, eta, span=0.45, coarse=91, accept=edge_ok)
+    sol, dsol = _solve_phase(family, z0.z, np.array(x_hint.coords), span=0.45,
+                             coarse=91, accept=edge_ok)
     if sol is None:
         raise RuntimeError("state construction failed: no admissible root "
                            f"near seed (best dist {dsol:.3e})")
@@ -506,7 +529,7 @@ def find_base_state(f: SamplingFunction, omega, z0: SpectralPoint, n0: int,
                                grid_phi=grid_phi, grid_theta=grid_theta,
                                x_map={(0, 0): sol}, residuals={(0, 0): dsol},
                                gamma=gamma)
-        state.solver = _line_solver(f, om, window, beta, eta, state)
+        state.solver = _line_solver(family, state)
         for ip, iz in nodes[1:]:
             node, dn = state.solve_map(grid_phi[ip], grid_theta[iz])
             if node is None:
@@ -531,23 +554,19 @@ def _memoized(solve):
     return cached
 
 
-def _line_solver(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                 beta, eta, state: InductiveState):
+def _line_solver(family: WindowFamily, state: InductiveState):
     """Depth-0 map evaluator: root solve along the last phase coordinate,
     seeded from the nearest solved grid node."""
 
     def solve(phi: tuple, theta: float):
         node = _nearest_node(state, phi, theta)
         init = np.array(list(phi) + [node.coords[-1]])
-        return _solve_phase(f, om, window, np.exp(1j * theta), init,
-                            beta, eta, span=0.15, coarse=31)
+        return _solve_phase(family, np.exp(1j * theta), init, span=0.15, coarse=31)
 
     return _memoized(solve)
 
 
-def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
-                        window: tuple[int, int], theta0: float,
-                        x_init: np.ndarray, beta, eta):
+def _gauss_newton_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
     """Minimal-norm root of (nearest eigenphase - theta0) over all coordinates.
 
     Fallback for scales where the reparametrized-curve structure is too
@@ -558,13 +577,10 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     the window's orbit).  Returns (Phase, dist) or (None, best dist).
     """
     z = np.exp(1j * theta0)
-    sites = np.arange(window[0] - 1, window[1] + 1)[:, None]
     x = x_init.copy() % 1.0
     best_x, best_d = x.copy(), np.inf
     for _ in range(_GN_ITERS):
-        dalpha = f.alpha_gradient(x + sites * om)   # periodic: no reduction mod 1
-        lam, grad = eigenphase_gradient(_windows(f, om, window, x, beta, eta).row(0),
-                                        z, dalpha)
+        lam, grad = family.gradient(x, z)
         g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
         if dist < best_d:
             best_x, best_d = x.copy(), dist
@@ -583,8 +599,7 @@ def _gauss_newton_solve(f: SamplingFunction, om: np.ndarray,
     return None, best_d
 
 
-def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
-                  theta0: float, x_init: np.ndarray, beta, eta):
+def _planar_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
     """Two-dimensional root search for (nearest eigenphase - theta0) = 0.
 
     Evaluates the wrapped defect on a small grid around x_init, runs
@@ -603,7 +618,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
     grid = offs[:, None] if d == 1 else \
         np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     points = x_init + np.pad(grid, ((0, 0), (d - grid.shape[1], 0)))
-    values = nearest_eigenvalues(_windows(f, om, window, points, beta, eta), z)
+    values = family.nearest(points, z)
     best_pos, best_neg = None, None      # (|g|, coords, lam)
     best_d, best_x = np.inf, x_init
     for xx, (lam, _) in zip(points, values):
@@ -621,7 +636,7 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
 
         def query(t: float, _ref):
             x = lo + t * (hi - lo)
-            return (*_nearest_value(f, om, window, x, z, beta, eta), x)
+            return (*family.nearest(x, z)[0], x)
 
         dist, _, x = _bracket_root(query, theta0, (0.0, best_neg[2]),
                                    (1.0, best_pos[2]))
@@ -629,12 +644,11 @@ def _planar_solve(f: SamplingFunction, om: np.ndarray, window: tuple[int, int],
             return reduce_phase(x), dist
         if dist < best_d:
             best_d, best_x = dist, x
-    return _gauss_newton_solve(f, om, window, theta0, best_x, beta, eta)
+    return _gauss_newton_solve(family, theta0, best_x)
 
 
-def _planar_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
-                  parent: InductiveState, beta, eta):
-    """Depth-(s+1) map evaluator: ``_planar_solve`` on the big window from the
+def _planar_solver(family: WindowFamily, parent: InductiveState):
+    """Depth-(s+1) map evaluator: ``_planar_solve`` on the family's window from the
     parent's solution at (phi, theta), whose small-window eigenvalue is
     exactly e^{i theta}.  The Gauss-Newton polish moves all phase
     coordinates; callers see that drift in the returned phase."""
@@ -643,8 +657,7 @@ def _planar_solver(f: SamplingFunction, om: np.ndarray, big: tuple[int, int],
         seed_x, _ = parent.solve_map(phi, theta)
         if seed_x is None:
             return None, np.inf
-        return _planar_solve(f, om, big, theta, np.array(seed_x.coords),
-                             beta, eta)
+        return _planar_solve(family, theta, np.array(seed_x.coords))
 
     return _memoized(solve)
 
@@ -687,14 +700,6 @@ class ConditionsReport:
                             *self.d_checks) if not c.ok]
 
 
-def _tracked_pair(seq: VerblunskySequence, window: tuple[int, int], z: complex,
-                  beta, eta):
-    """``tracked_eigenpair`` (value, vector, distance, separation) of the
-    window [a, b] of seq at z."""
-    return tracked_eigenpair(build_finite_cmv(seq, window[0], window[1],
-                                              beta=beta, eta=eta), z)
-
-
 def _tweaks(n: int) -> list:
     """End shifts (n1, n2), |n_i| < max(1, floor(sqrt n)), of a window of
     scale n; the smallest |n1| + |n2| first."""
@@ -703,13 +708,13 @@ def _tweaks(n: int) -> list:
                   key=lambda t: (abs(t[0]) + abs(t[1]), t))
 
 
-def _good_window(seq: VerblunskySequence, m: int, n: int, z: complex,
-                 margin: float, beta, eta) -> tuple[int, int] | None:
-    """The first tweak [m - n + n1, m + n + n2] of seq's window around m
-    whose spectrum keeps distance >= margin from z, or None."""
+def _good_window(family: WindowFamily, x: Phase, m: int, n: int, z: complex,
+                 margin: float) -> tuple[int, int] | None:
+    """The first tweak [m - n + n1, m + n + n2] of the window around m whose
+    spectrum at x keeps distance >= margin from z, or None."""
     for n1, n2 in _tweaks(n):
         a, b = m - n + n1, m + n + n2
-        if spectral_distance(build_finite_cmv(seq, a, b, beta=beta, eta=eta), z) >= margin:
+        if replace(family, window=(a, b)).distance(x, z) >= margin:
             return a, b
     return None
 
@@ -740,7 +745,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     om = omega_array(omega)
     d = f.dim
     ns = state.n_scale
-    win = state.window_interval()
+    family = WindowFamily(f, om, state.window_interval(), beta, eta)
 
     a_checks, b_checks = [], []
     sep_req = schedule.separation(ns)
@@ -748,12 +753,11 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     decay_worst = 0.0
     for (ip, iz), x in state.x_map.items():
         zz = np.exp(1j * state.grid_theta[iz])
-        _, vector, dist, sep = _tracked_pair(VerblunskySequence(f, om, x), win, zz,
-                                             beta, eta)
+        _, vector, dist, sep = family.pair(x, zz)
         max_res = max(max_res, dist)
         min_sep = min(min_sep, sep)
         decay_worst = max(decay_worst,
-                          decay_ratio(vector, win, ns / 4.0, state.gamma, 10.0))
+                          decay_ratio(vector, family.window, ns / 4.0, state.gamma, 10.0))
     solver_tol = schedule.threshold("solver_tol", 1e-9)
     a_checks.append(Check("(A)-(1) eigenvalue residual", solver_tol, max_res,
                           max_res <= solver_tol))
@@ -796,8 +800,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
     draws = samples if len(state.phi_center) else 1
     # exceptional: the map fails, or no tweak of [-N, N] at x + h_hat keeps
     # its spectrum c_threshold away from z
-    hits = sum(x is None or _good_window(VerblunskySequence(f, om, x.shift(h_vec)), 0,
-                                         ns, zz, c_thr, beta, eta) is None
+    hits = sum(x is None or _good_window(family, x.shift(h_vec), 0, ns, zz, c_thr) is None
                for x in _sampled_map(state, seed, 0, draws))
     c_est = WilsonInterval.from_counts(hits, draws)
     c_checks.append(Check("(C) exceptional measure", c_target, c_est.estimate,
@@ -823,7 +826,7 @@ def verify_conditions_ABCD(state: InductiveState, schedule: ScaleSchedule,
         if x is None:
             hits += 1
             continue
-        grad, rich = _eigen_gradient(f, om, win, zz, x, beta, eta)
+        grad, rich = _eigen_gradient(family, zz, x)
         richardson_worst = max(richardson_worst, rich)
         proj = abs(np.sum(grad * np.conj(h0_vec)))
         if not proj > 0 or np.log(proj) < floor_log:
@@ -847,7 +850,7 @@ def _sample_phi(state: InductiveState, seed: int, counter: int) -> tuple:
     return tuple(float(c + o) for c, o in zip(state.phi_center, off))
 
 
-def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
+def _eigen_gradient(family: WindowFamily, z: complex, x: Phase):
     """Central-difference gradient of the tracked eigenvalue, with a
     half-step consistency estimate; the 4d windows are one batch and one
     batched query."""
@@ -855,10 +858,9 @@ def _eigen_gradient(f, om, win, z, x: Phase, beta, eta):
     base = np.array(x.coords)
     d = len(base)
     e = np.eye(d)
-    rows = _windows(f, om, win, np.vstack([base + h * e, base - h * e,
-                                           base + 0.5 * h * e, base - 0.5 * h * e]),
-                    beta, eta)
-    lam = [value for value, _ in nearest_eigenvalues(rows, z)]
+    points = np.vstack([base + h * e, base - h * e,
+                        base + 0.5 * h * e, base - 0.5 * h * e])
+    lam = [value for value, _ in family.nearest(points, z)]
     grad = np.zeros(d, dtype=complex)
     rich = 0.0
     for i in range(d):
@@ -925,14 +927,9 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
     eigenvector closeness under zero-padding.  ``overrides`` pins chosen
     Verblunsky sites to fixed unimodular values in every window built here.
     """
-    om = omega_array(omega)
-
-    def make_seq(x: Phase) -> VerblunskySequence:
-        return VerblunskySequence(f, om, x, overrides=overrides)
-
+    family = WindowFamily(f, omega_array(omega), base_window or (-n0, n0), beta, eta,
+                          overrides)
     hyp: list = []
-    if base_window is None:
-        base_window = (-n0, n0)
 
     good = schedule.good_dist(n0)
     prox = schedule.proximity(n0)
@@ -943,11 +940,10 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
             hyp.append(Check(f"J_{m} boundary distance", need, edge, False))
         if (b - a + 1) > 10 * n0:
             hyp.append(Check(f"J_{m} length <= 10 N0", 10 * n0, b - a + 1, False))
-        dist = spectral_distance(build_finite_cmv(make_seq(x0), a, b, beta=beta,
-                                                  eta=eta), z0.z)
+        dist = replace(family, window=(a, b)).distance(x0, z0.z)
         hyp.append(Check(f"J_{m} spectral margin", good, dist, dist >= good))
 
-    _, v0, d0, _ = _tracked_pair(make_seq(x0), base_window, z0.z, beta, eta)
+    _, v0, d0, _ = family.pair(x0, z0.z)
     hyp.append(Check("(i) base eigenvalue proximity", prox, d0, d0 < prox))
     edge0 = edge_value(v0)
     hyp.append(Check("(ii) base edge decay", prox, edge0, edge0 < prox))
@@ -959,6 +955,7 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
         return LocalizationStepReport(hypothesis_checks=hyp, window=None,
                                       conclusion_checks=[])
 
+    large = replace(family, window=big)
     sep_req = float(np.exp(-float(n0) ** schedule.beta_hat)) / 8.0
     sep_req = schedule.threshold("step_separation", sep_req)
     disp = schedule.proximity(n0)
@@ -967,15 +964,14 @@ def finite_localization_step(f: SamplingFunction, omega, x0: Phase,
         delta = np.zeros(f.dim) if s == 0 else \
             (counter_rng(seed, s).random(f.dim) - 0.5) * 2 * disp * 0.99
         x = x0.shift(delta)
-        seqx = make_seq(x)
-        value_s, vector_s, _, _ = _tracked_pair(seqx, base_window, z0.z, beta, eta)
-        value_b, vector_b, _, sep_b = _tracked_pair(seqx, big, value_s, beta, eta)
+        value_s, vector_s, _, _ = family.pair(x, z0.z)
+        value_b, vector_b, _, sep_b = large.pair(x, value_s)
         worst["track"] = max(worst["track"], abs(value_b - value_s))
         worst["sep"] = min(worst["sep"], sep_b)
         worst["decay"] = max(worst["decay"],
                              decay_ratio(vector_b, big, 3.0 * n0 / 4.0, gamma, 20.0))
         worst["close"] = max(worst["close"], aligned_distance(
-            pad_vector(vector_s, base_window, big), vector_b))
+            pad_vector(vector_s, family.window, big), vector_b))
     concl = [_gamma_check("(1) eigenvalue tracking", gamma, n0, worst["track"]),
              Check("(2) separation", sep_req, worst["sep"], worst["sep"] > sep_req),
              Check("(3) decay ratio", 1.0, worst["decay"], worst["decay"] < 1.0),
@@ -1024,11 +1020,10 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     """
     if state.depth + 1 > schedule.s_max:
         raise ValueError("schedule exhausted: depth+1 > s_max")
-    om = omega_array(omega)
     n0 = state.n_scale
     n1 = schedule.scale(state.depth + 1)
     x0 = state.base_x
-    seq0 = VerblunskySequence(f, om, x0)
+    small = WindowFamily(f, omega_array(omega), state.window_interval(), beta, eta)
     good = schedule.good_dist(n0)
     z1 = state.z_center
 
@@ -1036,7 +1031,7 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
     failures = []
     lo_m, hi_m = int(3 * n0 / 2) + 1, n1
     for m in [v for k in range(lo_m, hi_m + 1) for v in (k, -k)]:
-        window = _good_window(seq0, m, n0, z1.z, good, beta, eta)
+        window = _good_window(small, x0, m, n0, z1.z, good)
         if window is None:
             failures.append((m, f"no window tweak reaches margin {good:.3e}"))
         else:
@@ -1046,8 +1041,8 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
                                    checks=[], localization=None)
     # contiguous: a tweak moves an end by <= n0, and the first window starts by lo_m
     big = assemble_window(n0, subwindows)
-    small = state.window_interval()
-    solver = _planar_solver(f, om, big, state, beta, eta)
+    large = replace(small, window=big)
+    solver = _planar_solver(large, state)
 
     # micro-gaps of the localized spectrum can make an arc point
     # unattainable at the larger window; shrink the new domain and retry
@@ -1077,11 +1072,11 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
         old_x, zz = old_map[node], np.exp(1j * grid_theta[node[1]])
         dx = np.linalg.norm(_dist_to_integer(sol.array() - old_x.array()))
         worst_dx = max(worst_dx, float(dx))
-        _, u_new, _, sep = _tracked_pair(VerblunskySequence(f, om, sol), big, zz, beta, eta)
+        _, u_new, _, sep = large.pair(sol, zz)
         sep_new = min(sep_new, sep)
-        _, u_old, _, _ = _tracked_pair(VerblunskySequence(f, om, old_x), small, zz,
-                                       beta, eta)
-        worst_du = max(worst_du, aligned_distance(pad_vector(u_old, small, big), u_new))
+        _, u_old, _, _ = small.pair(old_x, zz)
+        worst_du = max(worst_du, aligned_distance(pad_vector(u_old, small.window, big),
+                                                  u_new))
 
     sep_req = schedule.separation(n1)
     checks = [_gamma_check("bulk-(1) phase-map contraction |x1 - x0|", state.gamma, n0,
@@ -1089,8 +1084,8 @@ def inductive_advance(state: InductiveState, schedule: ScaleSchedule,
               _gamma_check("bulk-(2) eigenvector contraction", state.gamma, n0, worst_du),
               Check("depth+1 separation", sep_req, sep_new, sep_new > sep_req)]
 
-    loc = finite_localization_step(f, om, x0, z1, n0, subwindows, schedule,
-                                   state.gamma, base_window=small,
+    loc = finite_localization_step(f, omega, x0, z1, n0, subwindows, schedule,
+                                   state.gamma, base_window=small.window,
                                    seed=seed, beta=beta, eta=eta)
 
     new_state = InductiveState(depth=state.depth + 1, n_scale=n1,

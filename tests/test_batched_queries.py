@@ -1,7 +1,7 @@
 """Multiscale query sets over one batched window build.
 
 The root solvers and ``suggest_center`` build the windows of a query set in
-one ``_windows`` call and query the rows in order.  Each is compared here,
+one ``WindowFamily.at`` call and query the rows in order.  Each is compared here,
 bit for bit, with a per-query oracle that builds every window alone when
 its query comes, as the solvers did before the batch: the same queries in
 the same order with the same early exits give the same results.
@@ -246,7 +246,7 @@ def test_row_is_the_single_phase_window(case, freq1, freq2):
 def test_tied_row_takes_the_dense_fallback(loc, monkeypatch):
     f, om, _ = loc
     xs = np.random.default_rng(8).random((3, 2))
-    batch = ms._windows(f, om, (-8, 8), xs, ONE, ONE)
+    batch = ms.WindowFamily(f, om, (-8, 8), ONE, ONE).at(xs)
     alone = build_finite_cmv(VerblunskySequence(f, om, Phase(tuple(xs[1]))), -8, 8)
     theta = np.sort(np.angle(eigenphases(batch.row(1))) % (2 * np.pi))
     z = np.exp(0.5j * (theta[3] + theta[4]))     # midway between two eigenvalues
@@ -268,8 +268,8 @@ def test_solve_phase_matches_oracle(loc, dtheta):
     z = z0 * np.exp(1j * dtheta)
     x_init = X0 + np.array([0.0, 0.01])
     for coarse, accept in [(31, None), (9, lambda x: x.coords[-1] > 0.7)]:
-        got = ms._solve_phase(f, om, (-8, 8), z, x_init, ONE, ONE, span=0.15,
-                              coarse=coarse, accept=accept)
+        got = ms._solve_phase(ms.WindowFamily(f, om, (-8, 8), ONE, ONE), z, x_init,
+                              span=0.15, coarse=coarse, accept=accept)
         _same(got, solve_phase_oracle(f, om, (-8, 8), z, x_init, 0.15, coarse, accept))
 
 
@@ -279,8 +279,8 @@ def test_solve_phase_full_march_matches_oracle(loc):
     def never(x):
         return False
 
-    got = ms._solve_phase(f, om, (-8, 8), z0, X0, ONE, ONE, span=0.2, coarse=11,
-                          accept=never)
+    got = ms._solve_phase(ms.WindowFamily(f, om, (-8, 8), ONE, ONE), z0, X0, span=0.2,
+                          coarse=11, accept=never)
     assert got[0] is None
     _same(got, solve_phase_oracle(f, om, (-8, 8), z0, X0, 0.2, 11, never))
 
@@ -290,16 +290,17 @@ def test_planar_and_gauss_newton_match_oracle(loc, offset):
     f, om, z0 = loc
     theta0 = phase_of(z0)
     x_init = X0 + np.array(offset)
-    _same(ms._planar_solve(f, om, (-12, 12), theta0, x_init, ONE, ONE),
+    _same(ms._planar_solve(ms.WindowFamily(f, om, (-12, 12), ONE, ONE), theta0, x_init),
           planar_oracle(f, om, (-12, 12), theta0, x_init))
-    _same(ms._gauss_newton_solve(f, om, (-8, 8), theta0, x_init, ONE, ONE),
+    _same(ms._gauss_newton_solve(ms.WindowFamily(f, om, (-8, 8), ONE, ONE), theta0,
+                                 x_init),
           gauss_newton_oracle(f, om, (-8, 8), theta0, x_init))
 
 
 def test_eigen_gradient_matches_oracle(loc):
     f, om, z0 = loc
     x = Phase(tuple(X0))
-    grad, rich = ms._eigen_gradient(f, om, (-8, 8), z0, x, ONE, ONE)
+    grad, rich = ms._eigen_gradient(ms.WindowFamily(f, om, (-8, 8), ONE, ONE), z0, x)
     want_grad, want_rich = eigen_gradient_oracle(f, om, (-8, 8), z0, x)
     assert np.array_equal(grad, want_grad) and rich == want_rich
 
@@ -365,14 +366,13 @@ def test_divergence_record_requires_a_root(loc, kind, monkeypatch):
 
 BUILDERS = {"build_finite_cmv", "build_cut_cmv", "VerblunskySequence",
             "cmv_row_window"}
-QUERY_FUNCTIONS = ("_nearest_value", "_bracket_root", "_solve_phase",
-                   "_planar_solve", "_gauss_newton_solve", "_eigen_gradient",
-                   "suggest_center")
+QUERY_FUNCTIONS = ("_bracket_root", "_solve_phase", "_planar_solve",
+                   "_gauss_newton_solve", "_eigen_gradient", "suggest_center")
 
 
 def direct_builds(source: str, names) -> dict:
     """Lines, per named top-level function, that call a window or sequence
-    builder directly instead of going through ``_windows``."""
+    builder directly instead of going through ``WindowFamily.at``."""
     tree = ast.parse(source)
     found = {}
     for node in tree.body:

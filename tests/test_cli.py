@@ -393,6 +393,20 @@ def test_a_gamma_that_is_not_positive_exits_2(tmp_path, capsys, command, gamma):
     assert "'gamma' must be positive" in capsys.readouterr().err
 
 
+def test_an_estimated_gamma_that_is_not_positive_exits_4(tmp_path, capsys):
+    # two draws at seed 1 estimate gamma = L_n - 3 sigma = -2.7e-4 at this center,
+    # which would pass every decay check as a configured gamma <= 0 would
+    cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION, "localize": {
+        "theta": 2.5, "n0": 12, "gamma_samples": 2,
+        "overrides": {"box_radius": 1e-4, "arc_radius": 1e-4}}})
+    out = tmp_path / "o"
+    assert run_cli(["localize", "--config", str(cfg), "--seed", "1",
+                    "--out", str(out)]) == 4
+    assert ("hypothesis failure: estimated gamma -0.0002716 is not positive"
+            in capsys.readouterr().err)
+    assert not (out / "localize.json").exists()
+
+
 @pytest.mark.parametrize("depth", [-1, 2])
 def test_multiscale_depth_outside_0_1_exits_2(tmp_path, capsys, depth):
     cfg = write_cfg(tmp_path, "c.json", {**LOCALIZATION,

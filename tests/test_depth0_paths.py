@@ -85,8 +85,8 @@ def _failing_line_solver(monkeypatch, fails):
     attempts = []
     line_solver = multiscale._line_solver
 
-    def patched(f, om, window, beta, eta, state):
-        solve = line_solver(f, om, window, beta, eta, state)
+    def patched(family, state):
+        solve = line_solver(family, state)
         attempt = len(attempts)
         attempts.append(state)
 

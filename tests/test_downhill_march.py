@@ -163,11 +163,11 @@ def record(monkeypatch):
     in order; ``built`` collects the same coordinate of every row built."""
     queried, built, tags = [], [], {}
     keep = []                   # holds every batch and row, so no id is reused
-    windows, row, nearest = ms._windows, FiniteCMV.row, ms.nearest_eigenvalue
+    windows, row, nearest = ms.WindowFamily.at, FiniteCMV.row, ms.nearest_eigenvalues
 
-    def recorded_windows(f_, om_, window, points, beta, eta):
-        m = windows(f_, om_, window, points, beta, eta)
-        ts = np.reshape(points, (-1, f_.dim))[:, -1]
+    def recorded_windows(family, points):
+        m = windows(family, points)
+        ts = np.reshape(points, (-1, family.f.dim))[:, -1]
         keep.append(m)
         tags[id(m)] = ts
         built.extend(ts)
@@ -180,12 +180,12 @@ def record(monkeypatch):
         return r
 
     def recorded_nearest(m, z):
-        queried.append(tags[id(m)])
+        queried.extend(tags[id(m)])
         return nearest(m, z)
 
-    monkeypatch.setattr(ms, "_windows", recorded_windows)
+    monkeypatch.setattr(ms.WindowFamily, "at", recorded_windows)
     monkeypatch.setattr(FiniteCMV, "row", recorded_row)
-    monkeypatch.setattr(ms, "nearest_eigenvalue", recorded_nearest)
+    monkeypatch.setattr(ms, "nearest_eigenvalues", recorded_nearest)
     return queried, built
 
 
@@ -202,8 +202,8 @@ def test_a_root_just_behind_x_init_is_found_at_the_first_minus_step(loc, monkeyp
     x_init = np.array(root.coords) + np.array([0.0, 0.5 * STEP])
     t0 = x_init[-1]
     queried, built = record(monkeypatch)
-    got = ms._solve_phase(f, om, WINDOW, z, x_init, ONE, ONE, span=SPAN,
-                          coarse=COARSE)
+    got = ms._solve_phase(ms.WindowFamily(f, om, WINDOW, ONE, ONE), z, x_init,
+                          span=SPAN, coarse=COARSE)
     ahead, behind = grid(t0, 1.0), grid(t0, -1.0)
     assert got[0] is not None and got[0].coords[-1] < t0
     # x_init, one +1 step, then the first -1 step and its bracket only
@@ -234,8 +234,8 @@ def test_roots_on_both_sides_return_the_minus_root(loc, monkeypatch):
     old = solve_phase_oracle(f, om, WINDOW, z, x_init, SPAN, COARSE)
     assert old[0] is not None and old[0].coords[-1] > t0
     queried, _ = record(monkeypatch)
-    got = ms._solve_phase(f, om, WINDOW, z, x_init, ONE, ONE, span=SPAN,
-                          coarse=COARSE)
+    got = ms._solve_phase(ms.WindowFamily(f, om, WINDOW, ONE, ONE), z, x_init,
+                          span=SPAN, coarse=COARSE)
     assert got[0] is not None and got[0].coords[-1] < t0
     # the +1 side queries its first step only: the -1 side holds the root
     ahead = grid(t0, 1.0)
@@ -251,8 +251,8 @@ def test_a_march_that_accepts_no_root_queries_both_sides_in_full(loc, monkeypatc
         return False
 
     queried, built = record(monkeypatch)
-    got = ms._solve_phase(f, om, WINDOW, z, x_init, ONE, ONE, span=SPAN,
-                          coarse=COARSE, accept=never)
+    got = ms._solve_phase(ms.WindowFamily(f, om, WINDOW, ONE, ONE), z, x_init,
+                          span=SPAN, coarse=COARSE, accept=never)
     assert got[0] is None
     ahead, behind = grid(t0, 1.0), grid(t0, -1.0)
     marched = [t for t in queried if t in ahead or t in behind]

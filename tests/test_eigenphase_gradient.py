@@ -116,13 +116,14 @@ def test_a_gauss_newton_step_makes_one_query(monkeypatch):
     f, om = _d2()
     x0 = np.array([0.31, 0.62])
     theta0 = phase_of(nearest_eigenvalue(_window(f, om, x0, 8, 1.0, 1.0), np.exp(2.5j))[0])
-    rows, factored, windows = [], [], ms._windows
-    monkeypatch.setattr(ms, "_windows",
-                        lambda *a: rows.append(len(np.reshape(a[3], (-1, 2)))) or windows(*a))
+    rows, factored, windows = [], [], ms.WindowFamily.at
+    monkeypatch.setattr(ms.WindowFamily, "at",
+                        lambda *a: rows.append(len(np.reshape(a[1], (-1, 2)))) or windows(*a))
     zgbtrf = spectral.lapack.zgbtrf
     monkeypatch.setattr(spectral.lapack, "zgbtrf",
                         lambda *a: factored.append(1) or zgbtrf(*a))
-    x, dist = ms._gauss_newton_solve(f, om, (-8, 8), theta0, x0 + [0.02, 0.03], 1.0, 1.0)
+    x, dist = ms._gauss_newton_solve(ms.WindowFamily(f, om, (-8, 8), 1.0, 1.0), theta0,
+                                     x0 + [0.02, 0.03])
     assert x is not None and dist < ms._ROOT_TOL
     assert len(rows) > 1 and rows == [1] * len(rows)
     assert len(factored) == len(rows)

@@ -30,10 +30,10 @@ def count_rows(monkeypatch, f, om, z, x_init, span, coarse, accept=None):
     batches, rows = {}, {}
     counts = {-1: [0, 0], 0: [0, 0], 1: [0, 0]}
     keep = []                   # holds every batch and row, so no id is reused
-    windows, row, nearest = ms._windows, FiniteCMV.row, ms.nearest_eigenvalue
+    windows, row, nearest = ms.WindowFamily.at, FiniteCMV.row, ms.nearest_eigenvalues
 
-    def counted_windows(f_, om_, window, points, beta, eta):
-        m = windows(f_, om_, window, points, beta, eta)
+    def counted_windows(family, points):
+        m = windows(family, points)
         dirs = np.sign(np.reshape(points, (-1, f.dim))[:, -1] - t0).astype(int)
         keep.append(m)
         batches[id(m)] = dirs
@@ -49,22 +49,23 @@ def count_rows(monkeypatch, f, om, z, x_init, span, coarse, accept=None):
         return r
 
     def counted_nearest(m, z_):
-        counts[rows[id(m)]][1] += 1
+        for d in batches[id(m)]:
+            counts[d][1] += 1
         return nearest(m, z_)
 
-    monkeypatch.setattr(ms, "_windows", counted_windows)
+    monkeypatch.setattr(ms.WindowFamily, "at", counted_windows)
     monkeypatch.setattr(FiniteCMV, "row", counted_row)
-    monkeypatch.setattr(ms, "nearest_eigenvalue", counted_nearest)
-    got = ms._solve_phase(f, om, WINDOW, z, x_init, ONE, ONE, span=span,
-                          coarse=coarse, accept=accept)
+    monkeypatch.setattr(ms, "nearest_eigenvalues", counted_nearest)
+    got = ms._solve_phase(ms.WindowFamily(f, om, WINDOW, ONE, ONE), z, x_init,
+                          span=span, coarse=coarse, accept=accept)
     return got, counts
 
 
 @pytest.fixture(scope="module")
 def loc(freq2):
     f, om = localization_example(), freq2.array()
-    z0 = spectral.nearest_eigenvalue(ms._windows(f, om, WINDOW, X0, ONE, ONE).row(0),
-                                     np.exp(2.5j))[0]
+    z0 = spectral.nearest_eigenvalue(
+        ms.WindowFamily(f, om, WINDOW, ONE, ONE).at(X0).row(0), np.exp(2.5j))[0]
     return f, om, z0
 
 

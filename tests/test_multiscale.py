@@ -392,8 +392,8 @@ class TestSolvePhaseQueries:
         x_init = np.array(state.base_x.coords) + np.array([0.0, 0.01])
         for dtheta in (0.003, -0.007, 0.02, -0.05, 0.1):
             z = np.exp(1j * (z0.theta + dtheta))
-            x, dist = ms._solve_phase(f_loc, freq2.array(), (-16, 16), z, x_init,
-                                      1.0 + 0j, 1.0 + 0j, span=0.15, coarse=31)
+            family = ms.WindowFamily(f_loc, freq2.array(), (-16, 16), 1.0 + 0j, 1.0 + 0j)
+            x, dist = ms._solve_phase(family, z, x_init, span=0.15, coarse=31)
             assert x is not None and dist < 1e-12
         refined = [n for n, d in roots if d < 1e-12]
         assert len(refined) >= 5

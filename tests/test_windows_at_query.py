@@ -1,7 +1,7 @@
 """Each window is built when its query comes.
 
 The ``_solve_phase`` march builds x_init's window and each step's window
-through one ``_windows`` call at that step's query, so the windows it
+through one ``WindowFamily.at`` call at that step's query, so the windows it
 builds are exactly the windows it queries, in the same order.  A coverage
 refinement probe is built first and then looked up among the seed
 windows: a probe whose coefficients are a seed window's is that seed
@@ -27,22 +27,22 @@ WINDOW = (-8, 8)
 @pytest.fixture(scope="module")
 def loc(freq2):
     f, om = localization_example(), freq2.array()
-    z0 = spectral.nearest_eigenvalue(ms._windows(f, om, WINDOW, X0, ONE, ONE).row(0),
-                                     np.exp(2.5j))[0]
+    z0 = spectral.nearest_eigenvalue(
+        ms.WindowFamily(f, om, WINDOW, ONE, ONE).at(X0).row(0), np.exp(2.5j))[0]
     return f, om, z0
 
 
 def march(monkeypatch, f, om, z, x_init, span, coarse, accept=None):
     """Run ``_solve_phase``; returns (result, built, queried): the last phase
-    coordinate of each row ``_windows`` builds and of each row queried, in
-    order, and the number of rows of each ``_windows`` call."""
+    coordinate of each row ``WindowFamily.at`` builds and of each row queried,
+    in order, and the number of rows of each ``WindowFamily.at`` call."""
     built, queried, sizes, tags = [], [], [], {}
     keep = []                   # holds every window and row, so no id is reused
-    windows, row, nearest = ms._windows, FiniteCMV.row, ms.nearest_eigenvalue
+    windows, row, nearest = ms.WindowFamily.at, FiniteCMV.row, ms.nearest_eigenvalues
 
-    def recorded_windows(f_, om_, window, points, beta, eta):
-        m = windows(f_, om_, window, points, beta, eta)
-        ts = list(np.reshape(points, (-1, f_.dim))[:, -1])
+    def recorded_windows(family, points):
+        m = windows(family, points)
+        ts = list(np.reshape(points, (-1, family.f.dim))[:, -1])
         keep.append(m)
         tags[id(m)] = ts
         built.extend(ts)
@@ -57,14 +57,14 @@ def march(monkeypatch, f, om, z, x_init, span, coarse, accept=None):
         return r
 
     def recorded_nearest(m, z_):
-        queried.append(tags[id(m)])
+        queried.extend(tags[id(m)])
         return nearest(m, z_)
 
-    monkeypatch.setattr(ms, "_windows", recorded_windows)
+    monkeypatch.setattr(ms.WindowFamily, "at", recorded_windows)
     monkeypatch.setattr(FiniteCMV, "row", recorded_row)
-    monkeypatch.setattr(ms, "nearest_eigenvalue", recorded_nearest)
-    got = ms._solve_phase(f, om, WINDOW, z, x_init, ONE, ONE, span=span,
-                          coarse=coarse, accept=accept)
+    monkeypatch.setattr(ms, "nearest_eigenvalues", recorded_nearest)
+    got = ms._solve_phase(ms.WindowFamily(f, om, WINDOW, ONE, ONE), z, x_init,
+                          span=span, coarse=coarse, accept=accept)
     return got, built, queried, sizes
 
 
