@@ -30,6 +30,7 @@ _PLANAR_RADIUS = 0.015  # half-width of the planar search grid
 _PLANAR_GRID = 9        # grid points per coordinate of the planar search
 _GN_ITERS = 40          # Gauss-Newton steps
 _GN_MAX_STEP = 2e-2     # trust-region cap on a Gauss-Newton step
+_NEWTON_STALL = 3       # steps over which a first Newton attempt must halve its distance
 _D_FD_STEP = 1e-6       # finite-difference step of the (D) gradient
 _ATTEMPTS = 4           # tries of a grid continuation ...
 _SHRINK = 0.125         # ... each shrinking the box and the arc by this factor
@@ -204,12 +205,17 @@ class WindowFamily:
         """dist(z, spec E(x)) (``spectral_distance``)."""
         return spectral_distance(self.at(x), z)
 
-    def gradient(self, x: np.ndarray, z: complex) -> tuple[complex, np.ndarray]:
+    def gradient(self, x: np.ndarray, z: complex) -> tuple[complex, np.ndarray | None]:
         """The value and phase gradient of ``eigenphase_gradient`` at the real
-        point x, from d alpha on the window's orbit."""
+        point x, from d alpha on the window's orbit; at a root (|value - z| <
+        _ROOT_TOL), where no step follows, the gradient is None, not formed."""
         sites = np.arange(self.window[0] - 1, self.window[1] + 1)[:, None]
-        # alpha is periodic: the orbit needs no reduction mod 1
-        dalpha = self.f.alpha_gradient(x + sites * self.om)
+
+        def dalpha(value: complex):
+            # alpha is periodic: the orbit needs no reduction mod 1
+            return None if abs(value - z) < _ROOT_TOL else \
+                self.f.alpha_gradient(x + sites * self.om)
+
         return eigenphase_gradient(self.at(x).row(0), z, dalpha)
 
 
@@ -357,8 +363,9 @@ class InductiveState:
     ``x_map`` holds the solved phase for every (phi index, z index) grid
     node; node (0, 0) is the box/arc center.  The window is [-n_neg, n_pos].
     ``solver`` evaluates the map at arbitrary (phi, theta): at depth 0 it
-    solves along the last phase coordinate; deeper states search the plane
-    around the parent map's solution (``_planar_solver``).
+    solves along the last phase coordinate; deeper states follow the branch
+    from the parent map's solution by Newton, with a planar search where
+    Newton stalls (``_planar_solver``).
     """
 
     depth: int
@@ -566,37 +573,58 @@ def _line_solver(family: WindowFamily, state: InductiveState):
     return _memoized(solve)
 
 
-def _gauss_newton_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
-    """Minimal-norm root of (nearest eigenphase - theta0) over all coordinates.
+def _gauss_newton_steps(family: WindowFamily, theta0: float, x: np.ndarray):
+    """Minimal-norm Gauss-Newton on (nearest eigenphase - theta0) over all
+    coordinates: yields (x, dist) at each of at most _GN_ITERS iterates, and
+    ends at a root or where the gradient vanishes.
 
-    Fallback for scales where the reparametrized-curve structure is too
-    weak: each step moves x along the gradient of the scalar wrapped phase
-    defect by the Gauss-Newton minimal-norm increment, with a trust-region
-    cap.  Each step builds the one window at x and makes one query, whose
-    eigenvector gives the gradient (``eigenphase_gradient``, from d alpha on
-    the window's orbit).  Returns (Phase, dist) or (None, best dist).
+    Each step moves x along the gradient of the scalar wrapped phase defect
+    by the minimal-norm increment, with a trust-region cap.  Each iterate
+    builds the one window at x and makes one query, whose eigenvector gives
+    the gradient (``eigenphase_gradient``, from d alpha on the window's orbit).
     """
     z = np.exp(1j * theta0)
-    x = x_init.copy() % 1.0
-    best_x, best_d = x.copy(), np.inf
+    x = x % 1.0
     for _ in range(_GN_ITERS):
         lam, grad = family.gradient(x, z)
-        g, dist = _phase_gap(lam, theta0), float(abs(lam - z))
-        if dist < best_d:
-            best_x, best_d = x.copy(), dist
-        if dist < _ROOT_TOL:
-            return reduce_phase(x), dist
-        n2 = float(grad @ grad)
+        yield x, float(abs(lam - z))
+        n2 = 0.0 if grad is None else float(grad @ grad)
         if n2 < 1e-18:
-            break
-        step = -g * grad / n2
+            return
+        step = -_phase_gap(lam, theta0) * grad / n2
         nrm = float(np.linalg.norm(step))
         if nrm > _GN_MAX_STEP:
             step *= _GN_MAX_STEP / nrm
         x = (x + step) % 1.0
+
+
+def _gauss_newton_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
+    """Root of (nearest eigenphase - theta0) by ``_gauss_newton_steps`` from
+    x_init: the first iterate at a root, else the nearest one within
+    _NEAR_ROOT.  Returns (Phase, dist) or (None, best dist)."""
+    best_x, best_d = x_init, np.inf
+    for x, dist in _gauss_newton_steps(family, theta0, x_init):
+        if dist < best_d:
+            best_x, best_d = x, dist
+        if dist < _ROOT_TOL:
+            return reduce_phase(x), dist
     if best_d < _NEAR_ROOT:
         return reduce_phase(best_x), best_d
     return None, best_d
+
+
+def _newton_root(family: WindowFamily, theta0: float, x_init: np.ndarray):
+    """(Phase, dist) at the first ``_gauss_newton_steps`` iterate from x_init
+    that is a root, or None once the distance has not halved over the last
+    _NEWTON_STALL steps, the gradient vanishes or the steps run out."""
+    dists = []
+    for x, dist in _gauss_newton_steps(family, theta0, x_init):
+        if dist < _ROOT_TOL:
+            return reduce_phase(x), dist
+        dists.append(dist)
+        if len(dists) > _NEWTON_STALL and dist > 0.5 * dists[-1 - _NEWTON_STALL]:
+            break
+    return None
 
 
 def _planar_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
@@ -608,9 +636,9 @@ def _planar_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
     nearest point seen: minimal-norm steps on the eigenphase gradient, one
     window and one query per step.  A sign change on the segment may be a
     jump of the nearest eigenvalue to another branch rather than a root; the
-    search then stops at the first tie.  This is the whole depth-(s+1) solve:
-    at desk scale the curve structure of the asymptotic argument is absent.
-    The grid's windows are built in one batch and queried in one call.
+    search then stops at the first tie.  This is the depth-(s+1) solve where
+    Newton from the parent's root stalls (``_planar_solver``).  The grid's
+    windows are built in one batch and queried in one call.
     """
     z = np.exp(1j * theta0)
     d = len(x_init)
@@ -648,16 +676,18 @@ def _planar_solve(family: WindowFamily, theta0: float, x_init: np.ndarray):
 
 
 def _planar_solver(family: WindowFamily, parent: InductiveState):
-    """Depth-(s+1) map evaluator: ``_planar_solve`` on the family's window from the
-    parent's solution at (phi, theta), whose small-window eigenvalue is
-    exactly e^{i theta}.  The Gauss-Newton polish moves all phase
+    """Depth-(s+1) map evaluator on the family's window from the parent's
+    solution at (phi, theta), whose small-window eigenvalue is exactly
+    e^{i theta}: ``_newton_root`` follows that branch from it, and where
+    Newton stalls ``_planar_solve`` searches around it.  Both move all phase
     coordinates; callers see that drift in the returned phase."""
 
     def solve(phi: tuple, theta: float):
         seed_x, _ = parent.solve_map(phi, theta)
         if seed_x is None:
             return None, np.inf
-        return _planar_solve(family, theta, np.array(seed_x.coords))
+        x = np.array(seed_x.coords)
+        return _newton_root(family, theta, x) or _planar_solve(family, theta, x)
 
     return _memoized(solve)
 

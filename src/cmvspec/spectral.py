@@ -442,7 +442,7 @@ def nearest_eigenvalues(m: FiniteCMV, z: complex) -> list[tuple[complex, bool]]:
 
 
 def eigenphase_gradient(m: FiniteCMV, z: complex,
-                        dalpha: np.ndarray) -> tuple[complex, np.ndarray]:
+                        dalpha) -> tuple[complex, np.ndarray | None]:
     """The value of ``nearest_eigenvalue`` of a unitary window and the
     gradient Im(conj(lambda) d_i lambda) of its phase, for the derivatives
     d_i alpha on sites a-1..b in the columns of dalpha.
@@ -451,9 +451,16 @@ def eigenphase_gradient(m: FiniteCMV, z: complex,
     simple eigenvalue (``FiniteCMV.derivative_form``), and the one query
     gives both.  When that query falls back (a tie, an exactly singular
     shift, a residual above _RES_TOL, fewer than 3 sites or z = 0), v is
-    the vector of ``eigensolve``'s pair nearest the value.
+    the vector of ``eigensolve``'s pair nearest the value.  dalpha may also
+    be a function of the value that returns those derivatives, or None
+    where no gradient is wanted; then the gradient is None and no form is
+    evaluated.
     """
     value, vector, _, _ = _nearest(m, z)[0]
+    if callable(dalpha):
+        dalpha = dalpha(value)
+    if dalpha is None:
+        return value, None
     if vector is None:
         vector = nearest_eigen(eigensolve(m), value)[0].vector
     return value, (np.conj(value) * m.derivative_form(vector, dalpha)).imag
